@@ -4,7 +4,8 @@ Compares the three planning modes across image sizes and shows the guaranteed
 floor under the achieved success probability.  The exact mode locates the sign
 change of a quartic in exact integer arithmetic and cross-checks it against
 the closed radical form of the same root; the fit mode is a linear shortcut;
-the optimal mode scans the recurrence for the first probability peak.
+the optimal mode takes the peak of the success probability sin^2((2r+1)theta)
+in closed form.
 """
 
 from qimatch import PlanMode, closed_form_iterations, plan_csv, plan_iterations

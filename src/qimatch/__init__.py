@@ -8,7 +8,8 @@ The pipeline locates a small grayscale image inside a big one by
    (:mod:`qimatch.marking`),
 3. amplifying the flagged positions with phase flips and inversion about the
    mean, planning the round count, and sampling a projective measurement
-   (:mod:`qimatch.grover`).
+   (:mod:`qimatch.grover`; the hot path evaluates the two amplitude values in
+   closed form, and the full-vector engine stays as its cross-check).
 
 :mod:`qimatch.verify` carries independent oracles (a dense gate-level
 simulator and the exhaustive classical matcher) used to cross-check the
@@ -42,6 +43,8 @@ from .grover import (
     IterationPlan,
     PlanMode,
     SubspaceState,
+    TwoValueState,
+    amplify,
     closed_form_iterations,
     closed_form_pair,
     diffuse,
@@ -53,7 +56,9 @@ from .grover import (
     probability_lower_bound,
     recurrence_step,
     run_grover,
+    sample_groups,
     sample_measurement,
+    success_probability,
 )
 from .verify import (
     DenseState,
@@ -87,9 +92,11 @@ __all__ = [
     "Stage",
     "StageError",
     "SubspaceState",
+    "TwoValueState",
     "ValidationError",
     "apply_comparison",
     "apply_marking",
+    "amplify",
     "classical_match",
     "closed_form_iterations",
     "closed_form_pair",
@@ -109,8 +116,10 @@ __all__ = [
     "probability_lower_bound",
     "recurrence_step",
     "run_grover",
+    "sample_groups",
     "sample_measurement",
     "sample_pair",
+    "success_probability",
     "validate_pair",
     "write_pgm",
 ]

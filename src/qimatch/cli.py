@@ -125,31 +125,23 @@ def cmd_match(args: argparse.Namespace) -> int:
     timer.lap("mark")
 
     mode = _MODES[args.mode]
-    plan = grover.plan_iterations(dims.side, mode)
+    plan = grover.plan_iterations(dims.side, mode, marked=len(marked))
     iterations = plan.iterations
     predicted = plan.predicted_success
     if args.iterations is not None:
         iterations = args.iterations
-        pair = grover.initial_pair(dims.side)
-        for _ in range(iterations):
-            pair = grover.recurrence_step(pair)
-        predicted = float(pair.marked * pair.marked)
+        predicted = grover.success_probability(dims.side, iterations, len(marked))
     timer.lap("plan")
 
-    sub = grover.init_subspace(dims.n, marked)
-    no_match = not marked
-    if not no_match:
-        sub = grover.run_grover(sub, iterations)
+    final = grover.amplify(dims.n, marked, iterations)
     timer.lap("amplify")
 
-    counts = grover.sample_measurement(sub, seed=args.seed, samples=args.samples)
+    counts = grover.sample_groups(final, seed=args.seed, samples=args.samples)
     timer.lap("sample")
 
-    if no_match:
-        top = x = y = None
-    else:
-        top = int(np.argmax(sub.probabilities()))
-        x, y = top % dims.side, top // dims.side
+    top = final.top_index()
+    no_match = top is None
+    x, y = (None, None) if no_match else (top % dims.side, top // dims.side)
 
     verification = None
     if args.verify:

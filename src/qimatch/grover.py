@@ -1,12 +1,28 @@
 """Amplitude amplification over the big-image position register.
 
-The engine works on the 4**n-dimensional subspace spanned by the big-image
-position states.  One amplification round is a phase flip of the marked
-indices followed by inversion about the mean (the diffusion operator
-D = 2P - I, with P the rank-one projector onto the uniform state).
+One amplification round is a phase flip of the marked indices followed by
+inversion about the mean (the diffusion operator D = 2P - I, with P the
+rank-one projector onto the uniform state) on the 4**n position states.
 
-With a single marked index the state holds at most two distinct values at
-every round, so the whole evolution collapses to a two-term recurrence
+**Hot path: the two-value closed form.**  The state starts uniform, so after
+r rounds it holds one amplitude on every marked index and one on every other,
+for any marked set of size M among N = 4**n positions.  Boyer, Brassard, Hoyer
+and Tapp ("Tight bounds on quantum searching", quant-ph/9605034) give both in
+closed form:
+
+    marked   = sin((2r+1)*theta) / sqrt(M)
+    unmarked = cos((2r+1)*theta) / sqrt(N-M),   theta = asin(sqrt(M/N))
+
+:func:`amplify` evaluates them in O(1) after an O(M) pass over the marked
+set, and :func:`sample_groups` draws a measurement histogram by group: a
+binomial count of marked hits, then uniform picks inside each group.  Neither
+touches a 4**n vector.
+
+**Cross-checks.**  :class:`SubspaceState` with :func:`phase_flip`,
+:func:`diffuse`, :func:`run_grover` and :func:`sample_measurement` is the
+full-vector engine, O(rounds * 4**n); it is kept as the oracle the closed form
+is tested against (to 1e-12; the two are not bit-identical).  For a single
+marked index the evolution is also the two-term recurrence
 
     marked'   = -2*marked/a**2 - 2*unmarked/a**2 + 2*unmarked + marked
     unmarked' = -2*marked/a**2 - 2*unmarked/a**2 + unmarked
@@ -16,7 +32,7 @@ arithmetic so it runs exactly on :class:`fractions.Fraction` inputs as well as
 on floats; every denominator reachable from 1/a is a power of two, so float64
 results are bit-exact too for moderate iteration counts.
 
-Iteration planning offers three modes:
+Iteration planning offers three modes for a single marked index:
 
 * ``EXACT``: smallest integer i >= 1 with
   i**4 + 4i**3 + (2-3a**2)i**2 + (-1-6a**2)i + 1.5a**4 - 1.5a**2 < 0,
@@ -27,8 +43,14 @@ Iteration planning offers three modes:
   mode.  It sits within +/-1 of the exact count up to side 32768 and 2 below
   it at 65536 (52179 vs 52181); it sits within +/-1 of the frozen reference
   table of acceptance criterion 02 at every tabulated side.
-* ``OPTIMAL``: first local maximum of the marked probability along the
-  recurrence, which can undershoot the quartic-derived count at large a.
+* ``OPTIMAL``: the peak of the success probability sin**2((2r+1)*theta),
+  floor(pi/(4*theta)) rounds, which can undershoot the quartic-derived count
+  at large a.
+
+The quartic is the paper's rule for one marked index only.  With M > 1 marks
+every mode plans floor(pi/(4*theta)) rounds, or 0 once 2M >= N, and EXACT and
+FIT warn that they fell back.  The predicted success is always
+sin**2((2r+1)*theta), the probability of the whole marked set.
 """
 
 from __future__ import annotations
@@ -152,6 +174,126 @@ def sample_measurement(state: SubspaceState, seed: int, samples: int) -> dict[in
     draws = rng.choice(state.size, size=samples, p=probs)
     counts = np.bincount(draws, minlength=state.size)
     return {int(i): int(c) for i, c in enumerate(counts) if c > 0}
+
+
+# ---------------------------------------------------------------------------
+# Two-value closed form (the hot path)
+# ---------------------------------------------------------------------------
+
+
+def _angle(marked: int, positions: int) -> float:
+    """theta = asin(sqrt(M/N)), the rotation half-angle of one round."""
+    return math.asin(math.sqrt(marked / positions))
+
+
+@dataclass(frozen=True)
+class TwoValueState:
+    """State amplified from uniform: one amplitude on the marked set, one elsewhere.
+
+    ``marked`` holds the distinct marked indices in increasing order (a
+    read-only int64 array).  With no marks ``marked_amplitude`` has no
+    position to sit on, and with every position marked ``unmarked_amplitude``
+    has none; both are then kept at the value the vector engine would give
+    such positions if they existed.
+    """
+
+    n: int
+    marked: np.ndarray
+    marked_amplitude: float
+    unmarked_amplitude: float
+
+    @property
+    def size(self) -> int:
+        return 1 << (2 * self.n)
+
+    def marked_probability(self) -> float:
+        """Probability that a measurement lands anywhere in the marked set."""
+        return min(1.0, len(self.marked) * self.marked_amplitude**2)
+
+    def unmarked_index(self, ranks: np.ndarray) -> np.ndarray:
+        """Map ranks among the unmarked indices (0-based, increasing) to indices.
+
+        Rank u sits after every marked index k_j with k_j - j <= u, since
+        k_j - j counts the unmarked indices below k_j.
+        """
+        below = self.marked - np.arange(len(self.marked), dtype=np.int64)
+        return ranks + np.searchsorted(below, ranks, side="right")
+
+    def top_index(self) -> int | None:
+        """Smallest index of highest probability; a marked index wins ties.
+
+        None when nothing is marked: the state is uniform and points nowhere.
+        """
+        if len(self.marked) == 0:
+            return None
+        if self.marked_amplitude**2 >= self.unmarked_amplitude**2:
+            return int(self.marked[0])
+        return int(self.unmarked_index(np.zeros(1, dtype=np.int64))[0])
+
+
+def amplify(n: int, marked: Iterable[int], rounds: int) -> TwoValueState:
+    """The state after ``rounds`` of (phase flip, diffuse) from uniform over 4**n.
+
+    O(1) in ``rounds`` and 4**n; the marked indices are checked and sorted
+    once.  Zero rounds return the uniform state exactly.
+    """
+    if rounds < 0:
+        raise ValueError("iteration count must be non-negative")
+    size = 1 << (2 * n)
+    ms = np.unique(np.fromiter(marked, dtype=np.int64))
+    if len(ms) and not (0 <= ms[0] and ms[-1] < size):
+        bad = ms[0] if ms[0] < 0 else ms[-1]
+        raise ValueError(f"marked index {bad} out of range [0, {size})")
+    ms.flags.writeable = False
+    count = len(ms)
+    uniform = 1.0 / (1 << n)
+    if rounds == 0 or count == 0:
+        marked_amp = unmarked_amp = uniform
+    elif count == size:
+        # theta = pi/2: every round only flips the global sign
+        marked_amp, unmarked_amp = (-uniform if rounds % 2 else uniform), 0.0
+    else:
+        turn = (2 * rounds + 1) * _angle(count, size)
+        marked_amp = math.sin(turn) / math.sqrt(count)
+        unmarked_amp = math.cos(turn) / math.sqrt(size - count)
+    return TwoValueState(n=n, marked=ms, marked_amplitude=marked_amp, unmarked_amplitude=unmarked_amp)
+
+
+def _spread(rng: np.random.Generator, draws: int, members: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spread ``draws`` uniform picks over ranks 0..members-1: (ranks hit, counts).
+
+    Memory is O(min(draws, members)): one pick per draw while draws are
+    fewer than members, one multinomial cell per member otherwise.
+    """
+    if draws == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if draws < members:
+        return np.unique(rng.integers(0, members, size=draws), return_counts=True)
+    counts = rng.multinomial(draws, np.full(members, 1.0 / members))
+    ranks = np.flatnonzero(counts)
+    return ranks, counts[ranks]
+
+
+def sample_groups(state: TwoValueState, seed: int, samples: int) -> dict[int, int]:
+    """Draw position indices i.i.d. from ``state``, group by group.
+
+    The number of marked hits is binomial in ``samples`` with the marked-set
+    probability; the hits and the misses then spread uniformly over their
+    group.  That is the same distribution as a draw from the full vector.
+    Deterministic for a fixed seed; time and memory are
+    O(min(samples, 4**n)).  Returns a sparse histogram in index order.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    count = len(state.marked)
+    hits = int(rng.binomial(samples, state.marked_probability()))
+    hit_ranks, hit_counts = _spread(rng, hits, count)
+    miss_ranks, miss_counts = _spread(rng, samples - hits, state.size - count)
+    indices = np.concatenate([state.marked[hit_ranks], state.unmarked_index(miss_ranks)])
+    counts = np.concatenate([hit_counts, miss_counts])
+    order = np.argsort(indices)
+    return {int(i): int(c) for i, c in zip(indices[order], counts[order])}
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +434,16 @@ def closed_form_iterations(a: int) -> complex:
     )
 
 
-def _scan_optimal(a: int) -> int:
-    """First local maximum of the marked probability along the recurrence."""
-    pair = initial_pair(a)
-    best = pair.marked * pair.marked
-    limit = 4 * a + 4  # peak sits near 0.79*a; generous safety margin
-    for i in range(1, limit):
-        nxt = recurrence_step(pair)
-        p = nxt.marked * nxt.marked
-        if p < best:
-            return max(1, pair.iteration)
-        best, pair = p, nxt
-    raise RuntimeError(f"no probability peak within {limit} rounds for side {a}")
+def _peak_rounds(marked: int, positions: int) -> int:
+    """Rounds that bring (2r+1)*theta closest to pi/2: round(pi/(4*theta) - 1/2).
 
-
-def _success_at(a: int, iterations: int) -> float:
-    pair = initial_pair(a)
-    for _ in range(iterations):
-        pair = recurrence_step(pair)
-    return float(pair.marked * pair.marked)
+    Written as floor(pi/(4*theta)) so halves round up.  Zero with no marks
+    and once 2M >= N, where no round raises the marked probability above its
+    start.
+    """
+    if marked == 0 or 2 * marked >= positions:
+        return 0
+    return math.floor(math.pi / (4 * _angle(marked, positions)))
 
 
 def probability_lower_bound(a: int) -> float:
@@ -324,15 +457,32 @@ def probability_lower_bound(a: int) -> float:
     return (0.9194 + 0.0567 / a + 0.2302 / a**2 - 0.0336 / a**3) ** 2
 
 
-def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT) -> IterationPlan:
-    """Choose an iteration count for a single-marked instance of width ``side``.
+def success_probability(side: int, rounds: int, marked: int = 1) -> float:
+    """Probability of the whole marked set after ``rounds`` at width ``side``.
 
-    The predicted success probability is the recurrence value at the chosen
-    count; the lower bound is the closed-form guarantee, independent of mode.
+    sin**2((2r+1)*theta) with theta = asin(sqrt(M/side**2)); 0 with no marks.
+    """
+    if marked == 0:
+        return 0.0
+    return math.sin((2 * rounds + 1) * _angle(marked, side * side)) ** 2
+
+
+def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
+    """Choose an iteration count for ``marked`` positions at width ``side``.
+
+    With one marked position ``mode`` picks the rule.  With more, every mode
+    plans the peak of sin**2((2r+1)*theta), and EXACT and FIT warn that they
+    fell back; with none, the plan is 0 rounds.  The predicted success is the
+    marked set's probability at the chosen count.  The lower bound is the
+    closed-form guarantee of the paper for one mark, cos**2(theta) = 1 - M/N
+    (which the peak count always reaches) for more, and 0 for none.
     """
     if side < 2 or side & (side - 1):
         raise ValueError(f"side must be a power of two >= 2, got {side}")
-    if mode is PlanMode.EXACT:
+    positions = side * side
+    if not 0 <= marked <= positions:
+        raise ValueError(f"marked count must be in [0, {positions}], got {marked}")
+    if marked == 1 and mode is PlanMode.EXACT:
         iterations = _scan_exact(side)
         root = closed_form_iterations(side)
         if abs(root.imag) > RADICAL_IMAG_TOL:
@@ -345,16 +495,26 @@ def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT) -> IterationPlan
                 f"radical root check at side {side}: ceil({root.real!r}) != scan {iterations}",
                 stacklevel=2,
             )
-    elif mode is PlanMode.FIT:
+    elif marked == 1 and mode is PlanMode.FIT:
         iterations = max(1, math.floor(0.7962 * side - 0.6057 + 0.5))
     else:
-        iterations = _scan_optimal(side)
+        if marked > 1 and mode is not PlanMode.OPTIMAL:
+            warnings.warn(
+                f"{mode.value} mode plans for one marked position; with {marked} it "
+                f"falls back to the peak of sin^2((2r+1)theta)",
+                stacklevel=2,
+            )
+        iterations = _peak_rounds(marked, positions)
+    if marked == 1:
+        bound = probability_lower_bound(side)
+    else:
+        bound = 1.0 - marked / positions if marked else 0.0
     return IterationPlan(
         side=side,
         mode=mode,
         iterations=iterations,
-        predicted_success=_success_at(side, iterations),
-        lower_bound=probability_lower_bound(side),
+        predicted_success=success_probability(side, iterations, marked),
+        lower_bound=bound,
     )
 
 

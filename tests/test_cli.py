@@ -1,10 +1,13 @@
 """Command line surface: subcommands, exit codes, JSON and CSV artifacts."""
 
 import json
+import math
 import random
+import time
 
 import pytest
 
+from qimatch import grover
 from qimatch.cli import main
 from qimatch.images import write_pgm
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM
@@ -132,6 +135,62 @@ class TestMatchJson:
         main(argv + ["--json", str(p1)])
         main(argv + ["--json", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestMatchHotPath:
+    def test_vector_engine_not_called(self, sample_paths, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the match command must not run the vector engine")
+
+        monkeypatch.setattr(grover, "run_grover", refuse)
+        monkeypatch.setattr(grover, "sample_measurement", refuse)
+        code = main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
+                     "--samples", "1000", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "(x=1, y=1)" in out
+        assert "predicted_success=0.961319" in out
+
+    def test_huge_iteration_override_is_prompt(self, sample_paths, tmp_path):
+        path = tmp_path / "r.json"
+        rounds = 10**9
+        t0 = time.perf_counter()
+        code = main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
+                     "--iterations", str(rounds), "--samples", "100", "--json", str(path)])
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        plan = json.loads(path.read_text())["plan"]
+        assert plan["iterations"] == rounds
+        want = math.sin((2 * rounds + 1) * math.asin(1 / 4)) ** 2
+        assert abs(plan["predicted_success"] - want) < 1e-12
+
+
+class TestMatchMultiMark:
+    def test_plans_for_every_mark_and_reports_a_marked_top(self, tmp_path, capsys):
+        # the anchor value 9 sits at four positions of an 8x8 image; only the
+        # block at (x=5, y=2) matches the 2x2 small image in full
+        pixels = [1] * 64
+        for x, y in ((0, 0), (3, 1), (5, 2), (6, 6)):
+            pixels[y * 8 + x] = 9
+        pixels[2 * 8 + 6], pixels[3 * 8 + 5], pixels[3 * 8 + 6] = 2, 3, 4
+        bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
+        bp.write_bytes(write_pgm(make_image(pixels, 8, 4)))
+        sp.write_bytes(write_pgm(make_image([9, 2, 3, 4], 2, 4)))
+        with pytest.warns(UserWarning, match="falls back"):
+            code = main(["match", "--big", str(bp), "--small", str(sp), "--verify",
+                         "--samples", "1000", "--json", str(rp)])
+        assert code == 0
+        data = json.loads(rp.read_text())
+        marked = [0, 11, 21, 54]
+        theta = math.asin(math.sqrt(4 / 64))
+        rounds = math.floor(math.pi / (4 * theta))
+        assert data["result"]["marked_count"] == 4
+        assert data["plan"]["iterations"] == rounds == 3
+        assert abs(data["plan"]["predicted_success"] - math.sin((2 * rounds + 1) * theta) ** 2) < 1e-12
+        assert data["result"]["top_index"] == marked[0]
+        hits = sum(data["samples"]["counts"].get(str(k), 0) for k in marked)
+        assert hits > 900
+        assert data["verify"]["full_block"] == [[5, 2]]
 
 
 class TestTable1Command:

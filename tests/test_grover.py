@@ -1,6 +1,8 @@
 """Amplification engine: vector operations, recurrence, closed forms, sampling."""
 
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +10,20 @@ import pytest
 
 from qimatch.grover import (
     AmplitudePair,
+    PlanMode,
     SubspaceState,
+    amplify,
     closed_form_pair,
     diffuse,
     init_subspace,
     initial_pair,
     phase_flip,
+    plan_iterations,
     recurrence_step,
     run_grover,
+    sample_groups,
     sample_measurement,
+    success_probability,
 )
 
 
@@ -275,3 +282,229 @@ class TestSampling:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             sample_measurement(init_subspace(1, set()), seed=0, samples=0)
+
+
+# ---------------------------------------------------------------------------
+# Two-value closed form, checked against the vector engine
+# ---------------------------------------------------------------------------
+
+
+def marks_for(n, count, seed=0):
+    """A fixed pseudo-random marked set of ``count`` indices out of 4**n."""
+    size = 1 << (2 * n)
+    return set(np.random.default_rng(seed + count).choice(size, size=count, replace=False).tolist())
+
+
+def mark_counts(n):
+    size = 1 << (2 * n)
+    return sorted(m for m in {0, 1, 2, 4, 16, size // 2, size} if m <= size)
+
+
+def marked_probability(state, marks):
+    return float(np.sum(state.probabilities()[sorted(marks)]))
+
+
+class TestTwoValueAgainstVector:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_values_match_vector_engine(self, n):
+        side = 1 << n
+        for count in mark_counts(n):
+            marks = marks_for(n, count)
+            is_marked = np.zeros(side * side, dtype=bool)
+            is_marked[sorted(marks)] = True
+            plan = plan_iterations(side, PlanMode.OPTIMAL, marked=count).iterations
+            state = init_subspace(n, marks)
+            for rounds in range(3 * max(plan, 1) + 1):
+                two = amplify(n, marks, rounds)
+                if count:
+                    got = state.amplitudes[is_marked] - two.marked_amplitude
+                    assert np.max(np.abs(got)) < 1e-12, (n, count, rounds)
+                if count < side * side:
+                    got = state.amplitudes[~is_marked] - two.unmarked_amplitude
+                    assert np.max(np.abs(got)) < 1e-12, (n, count, rounds)
+                assert abs(two.marked_probability() - marked_probability(state, marks)) < 1e-12
+                state = diffuse(phase_flip(state))
+
+    def test_zero_rounds_is_exactly_uniform(self):
+        for n in (2, 3, 10):
+            for marks in (set(), {0}, {1, 5, 7}):
+                state = amplify(n, marks, 0)
+                assert state.marked_amplitude == state.unmarked_amplitude == 1.0 / (1 << n)
+
+    def test_no_marks_stay_uniform(self):
+        for rounds in (0, 1, 7, 10**9):
+            state = amplify(3, set(), rounds)
+            assert state.unmarked_amplitude == 1.0 / 8
+            assert state.marked_probability() == 0.0
+            assert state.top_index() is None
+
+    def test_all_marked_only_flips_sign(self):
+        for rounds in range(6):
+            state = amplify(2, range(16), rounds)
+            assert state.marked_amplitude == (-1) ** rounds / 4
+            assert state.marked_probability() == 1.0
+            assert state.top_index() == 0
+
+    def test_worked_example_golden_value(self):
+        state = amplify(2, {5}, 3)
+        assert abs(state.marked_amplitude - 251 / 256) < 1e-15
+        assert abs(state.unmarked_amplitude - (-13 / 256)) < 1e-15
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError):
+            amplify(1, {4}, 1)
+        with pytest.raises(ValueError):
+            amplify(1, {-1}, 1)
+        with pytest.raises(ValueError):
+            amplify(1, {0}, -1)
+        state = amplify(2, [9, 3, 9, 3], 1)
+        assert state.marked.tolist() == [3, 9]
+        assert not state.marked.flags.writeable
+
+
+class TestTopIndex:
+    def test_matches_vector_argmax_or_prefers_marks_on_ties(self):
+        for count in (1, 2, 3, 5):
+            marks = marks_for(2, count)
+            state = init_subspace(2, marks)
+            for rounds in range(12):
+                two = amplify(2, marks, rounds)
+                probs = state.probabilities()
+                p_marked = probs[min(marks)]
+                p_other = np.delete(probs, sorted(marks)).max()
+                if abs(p_marked - p_other) < 1e-12:
+                    assert two.top_index() == min(marks)
+                else:
+                    assert two.top_index() == int(np.argmax(probs)), (count, rounds)
+                state = diffuse(phase_flip(state))
+
+    def test_unmarked_winner_is_smallest_unmarked_index(self):
+        # two marks on 16 positions: after 4 rounds (2r+1)*theta = 3.25 rad is
+        # past pi, so each mark holds 0.006 of the probability against 0.071 for
+        # every other index, and the smallest unmarked index wins
+        state = amplify(2, {0, 1}, 4)
+        assert state.marked_amplitude**2 < state.unmarked_amplitude**2
+        assert state.top_index() == 2
+
+
+class TestGroupSampling:
+    def test_rank_map_covers_exactly_the_unmarked_indices(self):
+        everything = set(range(16))
+        sets = [set()] + [{k} for k in range(16)] + [
+            {j, k} for j in range(16) for k in range(j + 1, 16)
+        ]
+        for marks in sets:
+            state = amplify(2, marks, 1)
+            ranks = np.arange(16 - len(marks), dtype=np.int64)
+            assert state.unmarked_index(ranks).tolist() == sorted(everything - marks)
+            # the uniform state with enough draws reaches every index
+            counts = sample_groups(amplify(2, marks, 0), seed=len(marks), samples=3200)
+            assert set(counts) == everything, sorted(marks)
+            assert sum(counts.values()) == 3200
+
+    def test_marked_hits_within_three_sigma(self):
+        samples = 10000
+        for n, count, rounds in ((2, 1, 3), (3, 3, 2), (3, 16, 1), (4, 2, 5), (5, 1, 7)):
+            marks = marks_for(n, count)
+            state = amplify(n, marks, rounds)
+            p = state.marked_probability()
+            counts = sample_groups(state, seed=101 + n, samples=samples)
+            hits = sum(counts.get(k, 0) for k in marks)
+            sigma = (samples * p * (1 - p)) ** 0.5
+            assert abs(hits - samples * p) <= 3 * sigma, (n, count, rounds)
+            assert sum(counts.values()) == samples
+
+    def test_uniform_within_three_sigma(self):
+        counts = sample_groups(amplify(1, {2}, 0), seed=99, samples=40000)
+        sigma = (40000 * 0.25 * 0.75) ** 0.5
+        for idx in range(4):
+            assert abs(counts[idx] - 10000) <= 3 * sigma
+
+    def test_fixed_seed_gives_same_histogram(self):
+        for samples in (1, 50, 100000):
+            state = amplify(4, {3, 77, 200}, 4)
+            a = sample_groups(state, seed=4, samples=samples)
+            b = sample_groups(state, seed=4, samples=samples)
+            assert a == b
+            assert list(a) == sorted(a)
+
+    def test_worked_example_concentrates_on_target(self):
+        counts = sample_groups(amplify(2, {5}, 3), seed=7, samples=10000)
+        p = (251 / 256) ** 2
+        sigma = (10000 * p * (1 - p)) ** 0.5
+        assert abs(counts[5] - 10000 * p) <= 3 * sigma
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError):
+            sample_groups(amplify(1, set(), 0), seed=0, samples=0)
+
+    def test_memory_bounded_by_positions_not_samples(self):
+        state = amplify(6, {5, 77}, 0)
+        tracemalloc.start()
+        try:
+            counts = sample_groups(state, seed=3, samples=10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == 10**7
+        assert peak < 4 * 2**20
+
+
+class TestMultiMarkPlanning:
+    @pytest.mark.parametrize("count", [2, 4, 16])
+    def test_matches_vector_argmax(self, count):
+        for n in (3, 4, 5):
+            side = 1 << n
+            marks = marks_for(n, count)
+            want_rounds = plan_iterations(side, PlanMode.OPTIMAL, marked=count).iterations
+            state = init_subspace(n, marks)
+            probs = []
+            for _ in range(2 * want_rounds + 2):
+                probs.append(marked_probability(state, marks))
+                state = diffuse(phase_flip(state))
+            best = max(range(len(probs)), key=lambda i: (probs[i], -i))
+            for mode in PlanMode:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    plan = plan_iterations(side, mode, marked=count)
+                assert plan.iterations == best, (n, count, mode)
+                assert abs(plan.predicted_success - probs[best]) < 1e-12
+                assert plan.lower_bound <= plan.predicted_success
+
+    def test_half_or_more_marked_plans_no_rounds(self):
+        for count in (8, 9, 15, 16):
+            plan = plan_iterations(4, PlanMode.OPTIMAL, marked=count)
+            assert plan.iterations == 0
+            assert plan.predicted_success == pytest.approx(count / 16, abs=1e-15)
+            assert plan.lower_bound <= plan.predicted_success
+
+    def test_no_marks_plan_no_rounds(self):
+        for mode in PlanMode:
+            plan = plan_iterations(8, mode, marked=0)
+            assert (plan.iterations, plan.predicted_success, plan.lower_bound) == (0, 0.0, 0.0)
+
+    def test_single_mark_rules_warn_when_they_fall_back(self):
+        for mode in (PlanMode.EXACT, PlanMode.FIT):
+            with pytest.warns(UserWarning, match="falls back"):
+                plan_iterations(64, mode, marked=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan_iterations(64, PlanMode.OPTIMAL, marked=4)
+            for mode in PlanMode:
+                plan_iterations(64, mode, marked=1)
+
+    def test_single_mark_default_unchanged(self):
+        for a in (2, 4, 128, 1024):
+            for mode in PlanMode:
+                assert plan_iterations(a, mode, marked=1) == plan_iterations(a, mode)
+
+    @pytest.mark.parametrize("count", [-1, 17])
+    def test_marked_count_out_of_range_rejected(self, count):
+        with pytest.raises(ValueError):
+            plan_iterations(4, PlanMode.EXACT, marked=count)
+
+    def test_success_probability_matches_state(self):
+        for count, rounds in ((1, 3), (2, 4), (5, 0), (5, 9)):
+            marks = marks_for(3, count)
+            got = success_probability(8, rounds, count)
+            assert abs(got - amplify(3, marks, rounds).marked_probability()) < 1e-12
