@@ -1,23 +1,26 @@
 """Structured simulation of the compare-and-mark stage.
 
-The entangled register over both images is stored sparsely: one branch per
-(big position, small position) pair, each branch tracking the two intensity
-registers, the two position registers, and the marking flag.  The comparison
-step XORs the small intensity into the big intensity register (a ladder of
-CNOTs, one per bit plane); the marking step raises the flag on branches whose
+The entangled register over both images is a uniform superposition over
+every (big position, small position) pair, so it is held as the two
+intensity vectors and the stage reached: O(4**n + 4**m) numbers, not one
+entry per branch.  Each branch is computed on demand.  Its two intensity
+registers start as ``big[pos_a]`` and ``small[pos_b]``.  The comparison step
+XORs the small intensity into the big intensity register (a ladder of CNOTs,
+one per bit plane).  The marking step raises the flag on branches whose
 difference register is all-zero while the small position register is zero.
 The phase-kickback ancilla is untouched by both steps and is therefore not
-materialized here; it only matters once amplification flips signs, which the
+represented here; it only matters once amplification flips signs, which the
 :mod:`qimatch.grover` engine realizes directly.
 
 Amplitudes are real throughout: every state reachable by this circuit family
-from a real initial state stays real.
+from a real initial state stays real, and here every branch keeps the
+amplitude 1/2**(n+m).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -49,45 +52,69 @@ class Branch:
 
 @dataclass(frozen=True)
 class JointState:
-    """Sparse joint state: exactly 4**n * 4**m branches in (pos_a, pos_b) order."""
+    """Joint state over 4**n * 4**m branches, held as the two images and a stage.
+
+    ``big`` and ``small`` are read-only int64 intensity vectors indexed by
+    position.  Branch (pos_a, pos_b) sits at index ``pos_a * 4**m + pos_b``
+    of the array views ``pos_a``, ``val_a``, ``pos_b``, ``val_b`` and
+    ``amplitude``; these views are built on each access and take
+    O(4**(n+m)) memory, so they are for small instances only.
+    """
 
     dims: MatchDims
-    flag: np.ndarray
-    val_a: np.ndarray
-    pos_a: np.ndarray
-    val_b: np.ndarray
-    pos_b: np.ndarray
-    amplitude: np.ndarray
+    big: np.ndarray
+    small: np.ndarray
     stage: Stage
 
     @property
     def branch_count(self) -> int:
-        return len(self.amplitude)
+        return len(self.big) * len(self.small)
+
+    @property
+    def _weight(self) -> float:
+        return 1.0 / (1 << (self.dims.n + self.dims.m))
+
+    @property
+    def pos_a(self) -> np.ndarray:
+        return _frozen(np.repeat(np.arange(len(self.big), dtype=np.int64), len(self.small)))
+
+    @property
+    def pos_b(self) -> np.ndarray:
+        return _frozen(np.tile(np.arange(len(self.small), dtype=np.int64), len(self.big)))
+
+    @property
+    def val_a(self) -> np.ndarray:
+        if self.stage is Stage.PREPARED:
+            return _frozen(np.repeat(self.big, len(self.small)))
+        return _frozen((self.big[:, None] ^ self.small[None, :]).ravel())
+
+    @property
+    def val_b(self) -> np.ndarray:
+        return _frozen(np.tile(self.small, len(self.big)))
+
+    @property
+    def amplitude(self) -> np.ndarray:
+        return _frozen(np.full(self.branch_count, self._weight))
 
     def norm_squared(self) -> float:
-        return float(np.sum(self.amplitude * self.amplitude))
+        # Every branch carries the same power-of-two weight, so this is exact.
+        return self.branch_count * self._weight * self._weight
 
     def branches(self) -> Iterator[Branch]:
-        for i in range(self.branch_count):
-            yield Branch(
-                int(self.flag[i]),
-                int(self.val_a[i]),
-                int(self.pos_a[i]),
-                int(self.val_b[i]),
-                int(self.pos_b[i]),
-                float(self.amplitude[i]),
-            )
+        for pos_a in range(len(self.big)):
+            for pos_b in range(len(self.small)):
+                yield self.branch(pos_a, pos_b)
 
     def branch(self, pos_a: int, pos_b: int) -> Branch:
-        i = pos_a * (1 << (2 * self.dims.m)) + pos_b
-        return Branch(
-            int(self.flag[i]),
-            int(self.val_a[i]),
-            int(self.pos_a[i]),
-            int(self.val_b[i]),
-            int(self.pos_b[i]),
-            float(self.amplitude[i]),
-        )
+        if not (0 <= pos_a < len(self.big) and 0 <= pos_b < len(self.small)):
+            raise IndexError(
+                f"branch ({pos_a}, {pos_b}) outside {len(self.big)} x {len(self.small)}"
+            )
+        val_a, val_b = int(self.big[pos_a]), int(self.small[pos_b])
+        if self.stage is not Stage.PREPARED:
+            val_a ^= val_b
+        flag = int(self.stage is Stage.MARKED and val_a == 0 and pos_b == 0)
+        return Branch(flag, val_a, int(pos_a), val_b, int(pos_b), self._weight)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -105,23 +132,11 @@ def prepare_initial(big: GqirImage, small: GqirImage) -> JointState:
         raise ValidationError("big image side must exceed small image side")
     if big.bit_depth != small.bit_depth:
         raise ValidationError("images must share a bit depth after widening")
-    n, m = big.side_log2, small.side_log2
-    dims = MatchDims(n=n, m=m, bit_depth=big.bit_depth, side=big.side)
-    na, nb = 1 << (2 * n), 1 << (2 * m)
-    pos_a = np.repeat(np.arange(na, dtype=np.int64), nb)
-    pos_b = np.tile(np.arange(nb, dtype=np.int64), na)
-    val_a = np.repeat(np.asarray(big.values, dtype=np.int64), nb)
-    val_b = np.tile(np.asarray(small.values, dtype=np.int64), na)
-    amplitude = np.full(na * nb, 1.0 / (1 << (n + m)))
-    flag = np.zeros(na * nb, dtype=np.int64)
+    dims = MatchDims(n=big.side_log2, m=small.side_log2, bit_depth=big.bit_depth, side=big.side)
     return JointState(
         dims=dims,
-        flag=_frozen(flag),
-        val_a=_frozen(val_a),
-        pos_a=_frozen(pos_a),
-        val_b=_frozen(val_b),
-        pos_b=_frozen(pos_b),
-        amplitude=_frozen(amplitude),
+        big=_frozen(np.asarray(big.values, dtype=np.int64)),
+        small=_frozen(np.asarray(small.values, dtype=np.int64)),
         stage=Stage.PREPARED,
     )
 
@@ -134,16 +149,7 @@ def apply_comparison(state: JointState) -> JointState:
     """
     if state.stage is not Stage.PREPARED:
         raise StageError(f"comparison expects a prepared state, got {state.stage.value}")
-    return JointState(
-        dims=state.dims,
-        flag=state.flag,
-        val_a=_frozen(state.val_a ^ state.val_b),
-        pos_a=state.pos_a,
-        val_b=state.val_b,
-        pos_b=state.pos_b,
-        amplitude=state.amplitude,
-        stage=Stage.COMPARED,
-    )
+    return replace(state, stage=Stage.COMPARED)
 
 
 def apply_marking(state: JointState) -> JointState:
@@ -154,35 +160,25 @@ def apply_marking(state: JointState) -> JointState:
     """
     if state.stage is not Stage.COMPARED:
         raise StageError(f"marking expects a compared state, got {state.stage.value}")
-    flag = np.where((state.val_a == 0) & (state.pos_b == 0), 1, state.flag)
-    return JointState(
-        dims=state.dims,
-        flag=_frozen(flag.astype(np.int64)),
-        val_a=state.val_a,
-        pos_a=state.pos_a,
-        val_b=state.val_b,
-        pos_b=state.pos_b,
-        amplitude=state.amplitude,
-        stage=Stage.MARKED,
-    )
+    return replace(state, stage=Stage.MARKED)
 
 
 def marked_set(state: JointState) -> set[int]:
     """Big-image position indices carrying a raised flag.
 
-    By construction this equals { k : A[k] == B[0] }: the marking predicate
-    compares each big pixel against the small image's top-left pixel only.
+    A flag needs small position 0 and a zero difference, so this is
+    { k : A[k] == B[0] }: the marking predicate compares each big pixel
+    against the small image's top-left pixel only.
     """
     if state.stage is not Stage.MARKED:
         raise StageError(f"marked_set expects a marked state, got {state.stage.value}")
-    return set(int(k) for k in np.unique(state.pos_a[state.flag == 1]))
+    return set(np.flatnonzero(state.big == state.small[0]).tolist())
 
 
 def dump_branches(state: JointState) -> str:
     """Debug dump: one line per branch, "flag val_a pos_a val_b pos_b amplitude".
 
-    Lines appear in (pos_a, pos_b) lexicographic order, which is the storage
-    order.
+    Lines appear in (pos_a, pos_b) lexicographic order.
     """
     lines = []
     for b in state.branches():

@@ -183,27 +183,23 @@ def classical_match(big: Image, small: Image, mode: MatchMode) -> MatchResult:
     """Exhaustive pixel scan of the big image for the small image.
 
     FULL_BLOCK compares every pixel of every candidate block (no early exit,
-    so the comparison count is exactly block_size * candidate_count).
-    ANCHOR_PIXEL compares every big pixel against the small image's (0, 0)
-    pixel, 4**n comparisons total.
+    so the comparison count is exactly block_size * candidate_count), one
+    pass over all candidate corners per small-image pixel.  ANCHOR_PIXEL
+    compares every big pixel against the small image's (0, 0) pixel, 4**n
+    comparisons total.
     """
     dims: MatchDims = validate_pair(big, small)
     a = np.asarray(big.pixels, dtype=np.int64).reshape(big.height, big.width)
     b = np.asarray(small.pixels, dtype=np.int64).reshape(small.height, small.width)
-    locations: list[tuple[int, int]] = []
-    comparisons = 0
     if mode is MatchMode.ANCHOR_PIXEL:
-        anchor = int(b[0, 0])
-        hits = a == anchor
+        hits = a == b[0, 0]
         comparisons = a.size
-        ys, xs = np.nonzero(hits)
-        locations = [(int(x), int(y)) for y, x in zip(ys, xs)]
     else:
-        span = dims.side - small.width
-        for y in range(span + 1):
-            for x in range(span + 1):
-                block_eq = a[y : y + small.height, x : x + small.width] == b
-                comparisons += block_eq.size
-                if bool(block_eq.all()):
-                    locations.append((x, y))
-    return MatchResult(locations=tuple(locations), mode=mode, comparisons=comparisons)
+        span = dims.side - small.width + 1
+        hits = np.ones((span, span), dtype=bool)
+        for dy, dx in np.ndindex(b.shape):
+            hits &= a[dy : dy + span, dx : dx + span] == b[dy, dx]
+        comparisons = b.size * span * span
+    ys, xs = np.nonzero(hits)
+    locations = tuple((int(x), int(y)) for y, x in zip(ys, xs))
+    return MatchResult(locations=locations, mode=mode, comparisons=comparisons)

@@ -1,6 +1,7 @@
 """Compare-and-mark pipeline against frozen golden listings and random oracles."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,3 +238,54 @@ class TestInvariants:
             marked_set(prepared)
         with pytest.raises(StageError):
             marked_set(compared)
+
+
+class TestFactoredState:
+    def test_branch_index_out_of_range_rejected(self):
+        for stage in Stage:
+            state = sample_state(stage)
+            for pos_a, pos_b in [(0, 4), (0, -1), (16, 0), (-1, 0), (16, 4)]:
+                with pytest.raises(IndexError):
+                    state.branch(pos_a, pos_b)
+            assert state.branch(15, 3).pos_a == 15
+
+    def test_branch_agrees_with_array_views(self):
+        rng = random.Random(606)
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            m = rng.randint(0, n - 1)
+            big, small = random_instance(rng, n, m, rng.randint(1, 4))
+            dims = validate_pair(big, small)
+            state = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+            nb = 1 << (2 * m)
+            for step in (apply_comparison, apply_marking, None):
+                views = (state.pos_a, state.val_a, state.pos_b, state.val_b, state.amplitude)
+                assert all(len(v) == state.branch_count for v in views)
+                assert all(not v.flags.writeable for v in views)
+                for i in range(1 << (2 * n)):
+                    for j in range(nb):
+                        b = state.branch(i, j)
+                        k = i * nb + j
+                        assert (b.pos_a, b.val_a, b.pos_b, b.val_b, b.amplitude) == tuple(
+                            v[k] for v in views
+                        )
+                        raised = state.stage is Stage.MARKED and b.val_a == 0 and j == 0
+                        assert b.flag == int(raised)
+                if step is not None:
+                    state = step(state)
+
+    def test_marking_memory_is_linear_in_the_images(self):
+        rng = random.Random(707)
+        big, small = random_instance(rng, 6, 4, 8)
+        dims = validate_pair(big, small)
+        enc_big, enc_small = encode_gqir(big, dims), encode_gqir(small, dims)
+        tracemalloc.start()
+        try:
+            state = apply_marking(apply_comparison(prepare_initial(enc_big, enc_small)))
+            marks = marked_set(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert state.branch_count == 1 << 20
+        assert marks == {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}

@@ -202,3 +202,36 @@ class TestClassicalMatch:
             assert 0 <= x <= side - bside and 0 <= y <= side - bside
         for x, y in anchor.locations:
             assert 0 <= x < side and 0 <= y < side
+
+
+def test_full_block_equals_literal_nested_scan():
+    rng = random.Random(95)
+    multi = 0
+    for n in range(1, 5):
+        side = 1 << n
+        for m in range(n):
+            bside = 1 << m
+            for trial in range(6):
+                big, small = random_instance(rng, n, m, 1)
+                if trial % 2:  # plant the small image so larger blocks match too
+                    pixels = list(big.pixels)
+                    x0, y0 = rng.randint(0, side - bside), rng.randint(0, side - bside)
+                    for dy in range(bside):
+                        for dx in range(bside):
+                            pixels[(y0 + dy) * side + x0 + dx] = small.pixels[dy * bside + dx]
+                    big = make_image(pixels, side, 1)
+                expected = tuple(
+                    (x, y)
+                    for y in range(side - bside + 1)
+                    for x in range(side - bside + 1)
+                    if all(
+                        big.pixels[(y + dy) * side + x + dx] == small.pixels[dy * bside + dx]
+                        for dy in range(bside)
+                        for dx in range(bside)
+                    )
+                )
+                result = classical_match(big, small, MatchMode.FULL_BLOCK)
+                assert result.locations == expected
+                assert result.comparisons == bside * bside * (side - bside + 1) ** 2
+                multi += len(expected) > 1
+    assert multi >= 10
