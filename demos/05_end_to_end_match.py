@@ -2,28 +2,13 @@
 
 Builds an 8x8 image with a 2x2 patch planted at a random location (with the
 patch's top-left value kept unique so the marking predicate and the full-block
-ground truth coincide), then runs the whole pipeline and checks the answer.
+ground truth coincide), then runs the whole pipeline (``pipeline.match``)
+and checks the answer against the classical scans.
 """
 
 import random
 
-import numpy as np
-
-from qimatch import (
-    MatchMode,
-    PlanMode,
-    apply_comparison,
-    apply_marking,
-    classical_match,
-    encode_gqir,
-    init_subspace,
-    marked_set,
-    plan_iterations,
-    prepare_initial,
-    run_grover,
-    sample_measurement,
-    validate_pair,
-)
+from qimatch import MatchMode, classical_match, pipeline
 from qimatch.images import Image
 
 rng = random.Random(2025)
@@ -42,24 +27,17 @@ big = Image(SIDE, SIDE, DEPTH, tuple(big_pixels))
 small = Image(PATCH, PATCH, DEPTH, tuple(small_pixels))
 print(f"planted the {PATCH}x{PATCH} patch at (x={x0}, y={y0}); anchor value {anchor}")
 
-dims = validate_pair(big, small)
-state = apply_marking(
-    apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
-)
-marks = marked_set(state)
-print(f"marking stage flagged positions: {sorted(marks)}")
-
-plan = plan_iterations(dims.side, PlanMode.EXACT)
+outcome = pipeline.match(big, small, seed=rng.randint(0, 2**31))
+dims, plan = outcome.dims, outcome.plan
+print(f"marking stage flagged positions: {sorted(outcome.marked)}")
 print(f"plan: {plan.iterations} rounds, predicted success "
       f"{plan.predicted_success:.4f}, guaranteed at least {plan.lower_bound:.4f}")
 
-final = run_grover(init_subspace(dims.n, marks), plan.iterations)
-top_index = int(np.argmax(final.probabilities()))
+top_index = outcome.final.top_index()
 x, y = top_index % dims.side, top_index // dims.side
 print(f"most probable position after amplification: index {top_index} -> (x={x}, y={y})")
 
-draw = sample_measurement(final, seed=rng.randint(0, 2**31), samples=1)
-measured = next(iter(draw))
+measured = next(iter(outcome.counts))
 print(f"single measurement draw: index {measured} "
       f"-> (x={measured % dims.side}, y={measured // dims.side})")
 

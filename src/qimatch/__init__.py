@@ -1,19 +1,18 @@
 """Classical simulator and analysis toolkit for Grover-style image matching.
 
-The pipeline locates a small grayscale image inside a big one by
+:func:`qimatch.pipeline.match` locates a small grayscale image in a big one by
 
 1. encoding both images as uniform position-intensity superpositions
    (:mod:`qimatch.images`),
 2. simulating the compare-and-mark circuit that flags candidate positions
    (:mod:`qimatch.marking`),
-3. amplifying the flagged positions with phase flips and inversion about the
-   mean, planning the round count, and sampling a projective measurement
-   (:mod:`qimatch.grover`; the hot path evaluates the two amplitude values in
-   closed form, and the full-vector engine stays as its cross-check).
+3. planning the rounds for the marked count, amplifying the flagged positions
+   in closed form, and sampling a projective measurement (:mod:`qimatch.grover`).
 
-:mod:`qimatch.verify` carries independent oracles (a dense gate-level
-simulator and the exhaustive classical matcher) used to cross-check the
-pipeline, and :mod:`qimatch.cli` exposes everything as a command line tool.
+:mod:`qimatch.verify` carries the independent oracles (the full-vector engine,
+the planning quartic's radical root, a dense gate-level simulator and the
+exhaustive classical matcher) used to cross-check the pipeline, and
+:mod:`qimatch.cli` exposes everything as a command line tool.
 """
 
 from .images import (
@@ -42,22 +41,15 @@ from .grover import (
     AmplitudePair,
     IterationPlan,
     PlanMode,
-    SubspaceState,
     TwoValueState,
     amplify,
-    closed_form_iterations,
     closed_form_pair,
-    diffuse,
-    init_subspace,
     initial_pair,
-    phase_flip,
     plan_csv,
     plan_iterations,
     probability_lower_bound,
     recurrence_step,
-    run_grover,
     sample_groups,
-    sample_measurement,
     success_probability,
 )
 from .verify import (
@@ -65,61 +57,51 @@ from .verify import (
     MatchMode,
     MatchResult,
     RegisterLayout,
+    SubspaceState,
     classical_match,
+    closed_form_iterations,
     dense_marked_set,
     dense_simulate_marking,
+    diffuse,
+    init_subspace,
+    phase_flip,
+    run_grover,
+    sample_measurement,
 )
+from . import pipeline
 from .sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM, sample_pair
 
 __version__ = "0.1.0"
 
+# The pipeline, its input and error types, and what the demos and tests
+# import; every name imported above stays importable.
 __all__ = [
     "AmplitudePair",
-    "Branch",
-    "DenseState",
-    "GqirImage",
     "Image",
-    "IterationPlan",
-    "JointState",
-    "MatchDims",
     "MatchMode",
-    "MatchResult",
     "PgmError",
     "PlanMode",
-    "RegisterLayout",
-    "SAMPLE_BIG_PGM",
-    "SAMPLE_SMALL_PGM",
-    "Stage",
-    "StageError",
-    "SubspaceState",
-    "TwoValueState",
     "ValidationError",
     "apply_comparison",
     "apply_marking",
-    "amplify",
     "classical_match",
     "closed_form_iterations",
-    "closed_form_pair",
     "dense_marked_set",
     "dense_simulate_marking",
     "diffuse",
-    "dump_branches",
     "encode_gqir",
     "init_subspace",
-    "initial_pair",
     "load_pgm",
     "marked_set",
     "phase_flip",
+    "pipeline",
     "plan_csv",
     "plan_iterations",
     "prepare_initial",
-    "probability_lower_bound",
     "recurrence_step",
     "run_grover",
-    "sample_groups",
     "sample_measurement",
     "sample_pair",
-    "success_probability",
     "validate_pair",
     "write_pgm",
 ]

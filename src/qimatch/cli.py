@@ -16,13 +16,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import grover, marking, verify
-from .images import Image, PgmError, ValidationError, encode_gqir, load_pgm, validate_pair
+from . import grover, pipeline, verify
+from .images import PgmError, ValidationError, load_pgm
 from .sample import sample_pair
 
 EXIT_OK = 0
@@ -33,60 +30,39 @@ EXIT_NO_MATCH = 3
 _MODES = {m.value: m for m in grover.PlanMode}
 
 
-@dataclass
-class MatchReport:
-    """Everything one match run produced, serializable in fixed key order."""
-
-    dims: dict
-    plan: dict
-    top_index: int | None
-    x: int | None
-    y: int | None
-    marked_count: int
-    verification: dict | None = None
-    seed: int = 0
-    counts: dict[int, int] = field(default_factory=dict)
-    timings_ms: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self, with_timings: bool = False) -> dict:
-        out = {
-            "dims": self.dims,
-            "plan": self.plan,
-            "result": {
-                "top_index": self.top_index,
-                "x": self.x,
-                "y": self.y,
-                "marked_count": self.marked_count,
-            },
-        }
-        if self.verification is not None:
-            out["verify"] = self.verification
-        out["samples"] = {
-            "seed": self.seed,
-            "counts": {str(k): self.counts[k] for k in sorted(self.counts)},
-        }
-        if with_timings:
-            out["timings_ms"] = self.timings_ms
-        return out
-
-
-class _StageTimer:
-    def __init__(self) -> None:
-        self.timings_ms: dict[str, float] = {}
-        self._t0 = time.perf_counter()
-
-    def lap(self, name: str) -> None:
-        t = time.perf_counter()
-        self.timings_ms[name] = round((t - self._t0) * 1000.0, 3)
-        self._t0 = t
-
-
-def _read_images(big_path: str, small_path: str) -> tuple[Image, Image]:
-    with open(big_path, "rb") as fh:
-        big = load_pgm(fh.read())
-    with open(small_path, "rb") as fh:
-        small = load_pgm(fh.read())
-    return big, small
+def _match_report(
+    outcome: pipeline.Outcome,
+    seed: int,
+    verification: dict | None,
+    timings_ms: dict[str, float] | None,
+) -> dict:
+    """The ``--json`` report of one match run, in fixed key order."""
+    dims = outcome.dims
+    top = outcome.final.top_index()
+    report = {
+        "dims": {"n": dims.n, "m": dims.m, "q": dims.bit_depth, "a": dims.side},
+        "plan": {
+            "mode": outcome.plan.mode.value,
+            "iterations": outcome.rounds,
+            "predicted_success": outcome.predicted_success,
+            "lower_bound": outcome.plan.lower_bound,
+        },
+        "result": {
+            "top_index": top,
+            "x": None if top is None else top % dims.side,
+            "y": None if top is None else top // dims.side,
+            "marked_count": len(outcome.marked),
+        },
+    }
+    if verification is not None:
+        report["verify"] = verification
+    report["samples"] = {
+        "seed": seed,
+        "counts": {str(k): outcome.counts[k] for k in sorted(outcome.counts)},
+    }
+    if timings_ms is not None:
+        report["timings_ms"] = timings_ms
+    return report
 
 
 def cmd_match(args: argparse.Namespace) -> int:
@@ -100,99 +76,67 @@ def cmd_match(args: argparse.Namespace) -> int:
         print("error: --iterations must be non-negative", file=sys.stderr)
         return EXIT_VALIDATION
 
-    timer = _StageTimer()
+    timings: dict[str, float] = {}
+    start = time.perf_counter()
     try:
-        big, small = _read_images(args.big, args.small)
+        with open(args.big, "rb") as fh:
+            big = load_pgm(fh.read())
+        with open(args.small, "rb") as fh:
+            small = load_pgm(fh.read())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except PgmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    timer.lap("load")
+    pipeline.lap(timings, "load", start)
 
     try:
-        dims = validate_pair(big, small)
-        big_enc = encode_gqir(big, dims)
-        small_enc = encode_gqir(small, dims)
+        outcome = pipeline.match(big, small, mode=_MODES[args.mode], iterations=args.iterations,
+                                 seed=args.seed, samples=args.samples)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    timer.lap("encode")
-
-    state = marking.apply_marking(marking.apply_comparison(marking.prepare_initial(big_enc, small_enc)))
-    marked = marking.marked_set(state)
-    timer.lap("mark")
-
-    mode = _MODES[args.mode]
-    plan = grover.plan_iterations(dims.side, mode, marked=len(marked))
-    iterations = plan.iterations
-    predicted = plan.predicted_success
-    if args.iterations is not None:
-        iterations = args.iterations
-        predicted = grover.success_probability(dims.side, iterations, len(marked))
-    timer.lap("plan")
-
-    final = grover.amplify(dims.n, marked, iterations)
-    timer.lap("amplify")
-
-    counts = grover.sample_groups(final, seed=args.seed, samples=args.samples)
-    timer.lap("sample")
-
-    top = final.top_index()
-    no_match = top is None
-    x, y = (None, None) if no_match else (top % dims.side, top // dims.side)
+    timings.update(outcome.timings_ms)
 
     verification = None
     if args.verify:
+        start = time.perf_counter()
         full = verify.classical_match(big, small, verify.MatchMode.FULL_BLOCK)
         anchor = verify.classical_match(big, small, verify.MatchMode.ANCHOR_PIXEL)
         verification = {
             "full_block": [list(loc) for loc in full.locations],
             "anchor": [list(loc) for loc in anchor.locations],
         }
-        timer.lap("verify")
+        pipeline.lap(timings, "verify", start)
 
-    report = MatchReport(
-        dims={"n": dims.n, "m": dims.m, "q": dims.bit_depth, "a": dims.side},
-        plan={
-            "mode": mode.value,
-            "iterations": iterations,
-            "predicted_success": predicted,
-            "lower_bound": plan.lower_bound,
-        },
-        top_index=top,
-        x=x,
-        y=y,
-        marked_count=len(marked),
-        verification=verification,
-        seed=args.seed,
-        counts=counts,
-        timings_ms=timer.timings_ms,
-    )
+    report = _match_report(outcome, args.seed, verification, timings if args.timings else None)
+    plan, result = report["plan"], report["result"]
+    no_match = result["top_index"] is None
 
     print(f"instance: big {big.width}x{big.height}, small {small.width}x{small.height}, "
-          f"bit depth {dims.bit_depth}")
-    print(f"plan: mode={mode.value} iterations={iterations} "
-          f"predicted_success={predicted:.6f} lower_bound={plan.lower_bound:.6f}")
-    print(f"marked positions: {len(marked)}")
+          f"bit depth {outcome.dims.bit_depth}")
+    print(f"plan: mode={plan['mode']} iterations={plan['iterations']} "
+          f"predicted_success={plan['predicted_success']:.6f} "
+          f"lower_bound={plan['lower_bound']:.6f}")
+    print(f"marked positions: {result['marked_count']}")
     if no_match:
         print("no match: no position was flagged; final state stays uniform")
     else:
-        print(f"top position: index {top} -> (x={x}, y={y})")
-    shown = sorted(counts.items(), key=lambda kv: -kv[1])[:4]
+        print(f"top position: index {result['top_index']} -> (x={result['x']}, y={result['y']})")
+    shown = sorted(outcome.counts.items(), key=lambda kv: -kv[1])[:4]
     summary = ", ".join(f"{idx}:{c}" for idx, c in shown)
     print(f"sampled {args.samples} draw(s) with seed {args.seed}: {summary}")
     if verification is not None:
         print(f"classical full-block matches: {verification['full_block']}")
         print(f"classical anchor matches: {verification['anchor']}")
-        if not no_match and [x, y] not in verification["full_block"]:
+        if not no_match and [result["x"], result["y"]] not in verification["full_block"]:
             print("verification: top position is NOT a full-block match", file=sys.stderr)
     if args.timings:
-        print("timings_ms: " + ", ".join(f"{k}={v}" for k, v in timer.timings_ms.items()))
+        print("timings_ms: " + ", ".join(f"{k}={v}" for k, v in timings.items()))
 
     if args.json:
-        payload = json.dumps(report.to_dict(with_timings=args.timings), indent=2) + "\n"
+        payload = json.dumps(report, indent=2) + "\n"
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(payload)
@@ -247,14 +191,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_example(args: argparse.Namespace) -> int:
     big, small = sample_pair()
-    dims = validate_pair(big, small)
-    state = marking.apply_marking(
-        marking.apply_comparison(
-            marking.prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
-        )
-    )
-    marked = marking.marked_set(state)
-    plan = grover.plan_iterations(dims.side, grover.PlanMode.EXACT)
+    outcome = pipeline.match(big, small)
+    dims, marked, plan = outcome.dims, outcome.marked, outcome.plan
 
     print(f"demonstration pair: big {dims.side}x{dims.side}, small "
           f"{small.width}x{small.height}, bit depth {dims.bit_depth}")
@@ -303,10 +241,10 @@ def cmd_example(args: argparse.Namespace) -> int:
     if not success >= bound:
         failures.append(f"success probability {success} below bound {bound}")
 
-    final = grover.run_grover(grover.init_subspace(dims.n, marked), plan.iterations)
-    if float(final.amplitudes[5]) != float(Fraction(251, 256)):
+    vector = verify.run_grover(verify.init_subspace(dims.n, marked), plan.iterations)
+    if float(vector.amplitudes[5]) != float(Fraction(251, 256)):
         failures.append("vector engine disagrees with the exact recurrence")
-    top = int(np.argmax(final.probabilities()))
+    top = outcome.final.top_index()
     print(f"target location: index {top} -> (x={top % dims.side}, y={top // dims.side})")
 
     if failures:
@@ -323,17 +261,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: --a must be a power of two >= 2, got {a}", file=sys.stderr)
         return EXIT_VALIDATION
     sweep = args.sweep_i if args.sweep_i is not None else 2 * a
+    if sweep < 0:
+        print(f"error: --sweep-i must be non-negative, got {sweep}", file=sys.stderr)
+        return EXIT_VALIDATION
     plan_exact = grover.plan_iterations(a, grover.PlanMode.EXACT)
     plan_opt = grover.plan_iterations(a, grover.PlanMode.OPTIMAL)
 
-    pair = grover.initial_pair(a)
-    values = [pair]
-    for _ in range(sweep):
-        pair = grover.recurrence_step(pair)
-        values.append(pair)
-
     print(f"{'i':>6}  {'unmarked':>22}  {'marked':>22}  {'marked^2':>22}  flags")
-    for p in values:
+    p = grover.initial_pair(a)
+    for i in range(sweep + 1):
+        if i:
+            p = grover.recurrence_step(p)
         flags = []
         if p.iteration == plan_opt.iterations:
             flags.append("peak")

@@ -1,4 +1,5 @@
-"""Amplitude amplification over the big-image position register.
+"""Amplitude amplification over the big-image position register: the
+two-value engine, its recurrence and iteration planning.
 
 One amplification round is a phase flip of the marked indices followed by
 inversion about the mean (the diffusion operator D = 2P - I, with P the
@@ -18,11 +19,11 @@ set, and :func:`sample_groups` draws a measurement histogram by group: a
 binomial count of marked hits, then uniform picks inside each group.  Neither
 touches a 4**n vector.
 
-**Cross-checks.**  :class:`SubspaceState` with :func:`phase_flip`,
-:func:`diffuse`, :func:`run_grover` and :func:`sample_measurement` is the
-full-vector engine, O(rounds * 4**n); it is kept as the oracle the closed form
-is tested against (to 1e-12; the two are not bit-identical).  For a single
-marked index the evolution is also the two-term recurrence
+**Cross-checks.**  The full-vector engine (:class:`SubspaceState`,
+:func:`run_grover`, :func:`sample_measurement`, ...), O(rounds * 4**n), lives
+in :mod:`qimatch.verify` as the oracle the closed form is tested against (to
+1e-12; the two are not bit-identical).  Its names stay importable from here.
+For a single marked index the evolution is also the two-term recurrence
 
     marked'   = -2*marked/a**2 - 2*unmarked/a**2 + 2*unmarked + marked
     unmarked' = -2*marked/a**2 - 2*unmarked/a**2 + unmarked
@@ -37,8 +38,8 @@ Iteration planning offers three modes for a single marked index:
 * ``EXACT``: smallest integer i >= 1 with
   i**4 + 4i**3 + (2-3a**2)i**2 + (-1-6a**2)i + 1.5a**4 - 1.5a**2 < 0,
   located by integer bisection in exact arithmetic.  The closed radical form
-  of the same quartic's root is evaluated in complex floating point as a
-  cross-check; disagreements are warned about, never silently resolved.
+  of the same quartic's root, :func:`qimatch.verify.closed_form_iterations`,
+  is a float oracle that tests compare against; planning never evaluates it.
 * ``FIT``: round(0.7962*a - 0.6057), a published linear fit of the exact
   mode.  It sits within +/-1 of the exact count up to side 32768 and 2 below
   it at 65536 (52179 vs 52181); it sits within +/-1 of the frozen reference
@@ -55,7 +56,6 @@ sin**2((2r+1)*theta), the probability of the whole marked set.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import warnings
@@ -65,115 +65,11 @@ from typing import Iterable
 
 import numpy as np
 
+# Oracles that live in verify; tests and demos also import them from here.
+from .verify import (RADICAL_IMAG_TOL, SubspaceState, closed_form_iterations, diffuse,  # noqa: F401
+                     init_subspace, phase_flip, run_grover, sample_measurement)
+
 Amplitude = float | Fraction
-
-RADICAL_IMAG_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SubspaceState:
-    """Real amplitude vector over the 4**n position states plus marked set.
-
-    ``ops`` counts amplitude-element updates performed so far (phase flip
-    touches one element per marked index; diffusion reads and rewrites the
-    whole vector, 2 * 4**n element-ops per round).  It is carried along so
-    work growth can be asserted without timing anything.
-    """
-
-    n: int
-    amplitudes: np.ndarray
-    marked: frozenset[int]
-    ops: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.amplitudes)
-
-    def norm_squared(self) -> float:
-        return float(np.sum(self.amplitudes * self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return self.amplitudes * self.amplitudes
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-def init_subspace(n: int, marked: Iterable[int]) -> SubspaceState:
-    """Uniform state over 4**n position indices with the given marked set.
-
-    Every amplitude is 1/2**n regardless of how many indices are marked; the
-    marking stage only decides *which* indices get their phase flipped.
-    """
-    size = 1 << (2 * n)
-    marked_set = frozenset(int(k) for k in marked)
-    for k in marked_set:
-        if not 0 <= k < size:
-            raise ValueError(f"marked index {k} out of range [0, {size})")
-    return SubspaceState(
-        n=n,
-        amplitudes=_frozen(np.full(size, 1.0 / (1 << n))),
-        marked=marked_set,
-        ops=0,
-    )
-
-
-def phase_flip(state: SubspaceState) -> SubspaceState:
-    """Negate the amplitude of every marked index (phase rotation by pi)."""
-    amps = state.amplitudes.copy()
-    idx = sorted(state.marked)
-    amps[idx] = -amps[idx]
-    return SubspaceState(
-        n=state.n,
-        amplitudes=_frozen(amps),
-        marked=state.marked,
-        ops=state.ops + len(idx),
-    )
-
-
-def diffuse(state: SubspaceState) -> SubspaceState:
-    """Invert every amplitude about the mean: s -> 2*mean - s.
-
-    Equal to applying the matrix with 2/4**n everywhere and 2/4**n - 1 on the
-    diagonal, and to the Hadamard-conjugated reflection about the all-zero
-    state.  The mean uses numpy's pairwise summation, so results are
-    deterministic and independent of any internal parallelism.
-    """
-    mean = float(np.sum(state.amplitudes)) / state.size
-    amps = 2.0 * mean - state.amplitudes
-    return SubspaceState(
-        n=state.n,
-        amplitudes=_frozen(amps),
-        marked=state.marked,
-        ops=state.ops + 2 * state.size,
-    )
-
-
-def run_grover(state: SubspaceState, iterations: int) -> SubspaceState:
-    """Apply (phase flip, diffuse) the requested number of times."""
-    if iterations < 0:
-        raise ValueError("iteration count must be non-negative")
-    for _ in range(iterations):
-        state = diffuse(phase_flip(state))
-    return state
-
-
-def sample_measurement(state: SubspaceState, seed: int, samples: int) -> dict[int, int]:
-    """Draw position indices i.i.d. with probability amplitude**2.
-
-    Deterministic for a fixed seed.  Returns a sparse histogram mapping index
-    to observed count (indices never drawn are omitted).
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(state.size, size=samples, p=probs)
-    counts = np.bincount(draws, minlength=state.size)
-    return {int(i): int(c) for i, c in enumerate(counts) if c > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -410,30 +306,6 @@ def _scan_exact(a: int) -> int:
     return hi
 
 
-def closed_form_iterations(a: int) -> complex:
-    """Radical expression for the planning quartic's relevant root.
-
-    Evaluated with complex arithmetic and principal roots; the imaginary part
-    of the combined value should be negligible.  Used only to cross-check the
-    integer scan.
-    """
-    c = 2.0 - 3.0 * a * a
-    d = -1.0 - 6.0 * a * a
-    e = 1.5 * a**4 - 1.5 * a * a
-    b = 4.0
-    alpha = c * c - 3 * b * d + 12 * e
-    beta = 2 * c**3 - 9 * b * c * d + 27 * d * d + 27 * b * b * e - 72 * c * e
-    inner = cmath.sqrt(complex(beta * beta - 4 * alpha**3))
-    cube = (beta + inner) ** (1.0 / 3.0)
-    big_a = 2 ** (1.0 / 3.0) * alpha / (3.0 * cube)
-    big_b = cube / (3.0 * 2 ** (1.0 / 3.0))
-    return (
-        -1.0
-        + 0.5 * cmath.sqrt(4.0 - (2.0 / 3.0) * c + big_a + big_b)
-        - 0.5 * cmath.sqrt(8.0 - (4.0 / 3.0) * c - big_a - big_b)
-    )
-
-
 def _peak_rounds(marked: int, positions: int) -> int:
     """Rounds that bring (2r+1)*theta closest to pi/2: round(pi/(4*theta) - 1/2).
 
@@ -484,17 +356,6 @@ def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1)
         raise ValueError(f"marked count must be in [0, {positions}], got {marked}")
     if marked == 1 and mode is PlanMode.EXACT:
         iterations = _scan_exact(side)
-        root = closed_form_iterations(side)
-        if abs(root.imag) > RADICAL_IMAG_TOL:
-            warnings.warn(
-                f"radical root check at side {side} kept imaginary part {root.imag:.3g}",
-                stacklevel=2,
-            )
-        elif math.ceil(root.real) != iterations:
-            warnings.warn(
-                f"radical root check at side {side}: ceil({root.real!r}) != scan {iterations}",
-                stacklevel=2,
-            )
     elif marked == 1 and mode is PlanMode.FIT:
         iterations = max(1, math.floor(0.7962 * side - 0.6057 + 0.5))
     else:

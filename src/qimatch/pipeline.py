@@ -1,0 +1,66 @@
+"""One match run: validate, encode, mark, plan, amplify and sample.
+
+:func:`match` is the only place this chain is written out; the ``match`` and
+``example`` commands and the end-to-end demo call it.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+
+from . import grover, marking
+from .images import Image, MatchDims, encode_gqir, validate_pair
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What one run produced; ``timings_ms`` gives each stage's wall time in run order."""
+
+    dims: MatchDims
+    plan: grover.IterationPlan
+    rounds: int
+    predicted_success: float
+    marked: set[int]
+    final: grover.TwoValueState
+    counts: dict[int, int]
+    timings_ms: dict[str, float]
+
+
+def lap(timings_ms: dict[str, float], stage: str, start: float) -> float:
+    """Record the milliseconds since ``start`` under ``stage``; return the time now."""
+    now = time.perf_counter()
+    timings_ms[stage] = round((now - start) * 1000.0, 3)
+    return now
+
+
+def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.EXACT,
+          iterations: int | None = None, seed: int = 0, samples: int = 1) -> Outcome:
+    """Locate ``small`` inside ``big``; raises ValidationError for a bad pair.
+
+    The plan is made for the marked count.  ``iterations`` overrides its
+    rounds, and the predicted success then follows the override.
+    """
+    timings: dict[str, float] = {}
+    start = time.perf_counter()
+    dims = validate_pair(big, small)
+    big_enc, small_enc = encode_gqir(big, dims), encode_gqir(small, dims)
+    start = lap(timings, "encode", start)
+
+    joint = marking.prepare_initial(big_enc, small_enc)
+    marked = marking.marked_set(marking.apply_marking(marking.apply_comparison(joint)))
+    start = lap(timings, "mark", start)
+
+    plan = grover.plan_iterations(dims.side, mode, marked=len(marked))
+    rounds, predicted = plan.iterations, plan.predicted_success
+    if iterations is not None:
+        rounds = iterations
+        predicted = grover.success_probability(dims.side, rounds, len(marked))
+    start = lap(timings, "plan", start)
+
+    final = grover.amplify(dims.n, marked, rounds)
+    start = lap(timings, "amplify", start)
+
+    counts = grover.sample_groups(final, seed=seed, samples=samples)
+    lap(timings, "sample", start)
+    return Outcome(dims, plan, rounds, predicted, marked, final, counts, timings)

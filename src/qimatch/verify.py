@@ -1,4 +1,4 @@
-"""Independent verification oracles for the marking stage.
+"""Independent verification oracles.
 
 Two deliberately separate routes exist to cross-check the structured
 simulation in :mod:`qimatch.marking`:
@@ -10,6 +10,11 @@ simulation in :mod:`qimatch.marking`:
 * the exhaustive classical matcher, scanning pixel grids with no quantum
   bookkeeping at all.
 
+Two more check :mod:`qimatch.grover`: the full-vector amplification engine
+(:func:`run_grover` and its parts), O(rounds * 4**n), and
+:func:`closed_form_iterations`, the planning quartic's radical root in
+complex floats.  Tests compare them with the closed form and the exact plan.
+
 The dense route is exponential in every register width, so construction is
 capped (default 22 qubits, a 32 MiB vector); it exists for small instances
 only.  The classical matcher has two modes: FULL_BLOCK is the engineering
@@ -20,9 +25,11 @@ equality of single big-image pixels with the small image's top-left pixel.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -31,6 +38,8 @@ from .images import GqirImage, Image, MatchDims, validate_pair
 DEFAULT_QUBIT_CAP = 22
 
 AMPLITUDE_EPS = 1e-12
+
+RADICAL_IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -203,3 +212,140 @@ def classical_match(big: Image, small: Image, mode: MatchMode) -> MatchResult:
     ys, xs = np.nonzero(hits)
     locations = tuple((int(x), int(y)) for y, x in zip(ys, xs))
     return MatchResult(locations=locations, mode=mode, comparisons=comparisons)
+
+
+# ---------------------------------------------------------------------------
+# Amplification and planning oracles
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SubspaceState:
+    """Real amplitude vector over the 4**n position states plus marked set.
+
+    ``ops`` counts amplitude-element updates performed so far (phase flip
+    touches one element per marked index; diffusion reads and rewrites the
+    whole vector, 2 * 4**n element-ops per round).  It is carried along so
+    work growth can be asserted without timing anything.
+    """
+
+    n: int
+    amplitudes: np.ndarray
+    marked: frozenset[int]
+    ops: int = 0
+
+    @property
+    def size(self) -> int:
+        return len(self.amplitudes)
+
+    def norm_squared(self) -> float:
+        return float(np.sum(self.amplitudes * self.amplitudes))
+
+    def probabilities(self) -> np.ndarray:
+        return self.amplitudes * self.amplitudes
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def init_subspace(n: int, marked: Iterable[int]) -> SubspaceState:
+    """Uniform state over 4**n position indices with the given marked set.
+
+    Every amplitude is 1/2**n regardless of how many indices are marked; the
+    marking stage only decides *which* indices get their phase flipped.
+    """
+    size = 1 << (2 * n)
+    marked_set = frozenset(int(k) for k in marked)
+    for k in marked_set:
+        if not 0 <= k < size:
+            raise ValueError(f"marked index {k} out of range [0, {size})")
+    return SubspaceState(
+        n=n,
+        amplitudes=_frozen(np.full(size, 1.0 / (1 << n))),
+        marked=marked_set,
+        ops=0,
+    )
+
+
+def phase_flip(state: SubspaceState) -> SubspaceState:
+    """Negate the amplitude of every marked index (phase rotation by pi)."""
+    amps = state.amplitudes.copy()
+    idx = sorted(state.marked)
+    amps[idx] = -amps[idx]
+    return SubspaceState(
+        n=state.n,
+        amplitudes=_frozen(amps),
+        marked=state.marked,
+        ops=state.ops + len(idx),
+    )
+
+
+def diffuse(state: SubspaceState) -> SubspaceState:
+    """Invert every amplitude about the mean: s -> 2*mean - s.
+
+    Equal to applying the matrix with 2/4**n everywhere and 2/4**n - 1 on the
+    diagonal, and to the Hadamard-conjugated reflection about the all-zero
+    state.  The mean uses numpy's pairwise summation, so results are
+    deterministic and independent of any internal parallelism.
+    """
+    mean = float(np.sum(state.amplitudes)) / state.size
+    amps = 2.0 * mean - state.amplitudes
+    return SubspaceState(
+        n=state.n,
+        amplitudes=_frozen(amps),
+        marked=state.marked,
+        ops=state.ops + 2 * state.size,
+    )
+
+
+def run_grover(state: SubspaceState, iterations: int) -> SubspaceState:
+    """Apply (phase flip, diffuse) the requested number of times."""
+    if iterations < 0:
+        raise ValueError("iteration count must be non-negative")
+    for _ in range(iterations):
+        state = diffuse(phase_flip(state))
+    return state
+
+
+def sample_measurement(state: SubspaceState, seed: int, samples: int) -> dict[int, int]:
+    """Draw position indices i.i.d. with probability amplitude**2.
+
+    Deterministic for a fixed seed.  Returns a sparse histogram mapping index
+    to observed count (indices never drawn are omitted).
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    probs = state.probabilities()
+    probs = probs / probs.sum()
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(state.size, size=samples, p=probs)
+    counts = np.bincount(draws, minlength=state.size)
+    return {int(i): int(c) for i, c in enumerate(counts) if c > 0}
+
+
+def closed_form_iterations(a: int) -> complex:
+    """Radical expression for the planning quartic's relevant root.
+
+    Evaluated with complex arithmetic and principal roots; the imaginary part
+    of the combined value should be negligible.  An oracle for the planner's
+    exact integer bisection: the ceiling of its real part equals the
+    bisection's count at every power of two from 2 to 2**44, but from side
+    2**32 on the imaginary part exceeds :data:`RADICAL_IMAG_TOL`.
+    """
+    c = 2.0 - 3.0 * a * a
+    d = -1.0 - 6.0 * a * a
+    e = 1.5 * a**4 - 1.5 * a * a
+    b = 4.0
+    alpha = c * c - 3 * b * d + 12 * e
+    beta = 2 * c**3 - 9 * b * c * d + 27 * d * d + 27 * b * b * e - 72 * c * e
+    inner = cmath.sqrt(complex(beta * beta - 4 * alpha**3))
+    cube = (beta + inner) ** (1.0 / 3.0)
+    big_a = 2 ** (1.0 / 3.0) * alpha / (3.0 * cube)
+    big_b = cube / (3.0 * 2 ** (1.0 / 3.0))
+    return (
+        -1.0
+        + 0.5 * cmath.sqrt(4.0 - (2.0 / 3.0) * c + big_a + big_b)
+        - 0.5 * cmath.sqrt(8.0 - (4.0 / 3.0) * c - big_a - big_b)
+    )

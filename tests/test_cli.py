@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import random
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -272,3 +275,19 @@ class TestAnalyzeCommand:
 
     def test_invalid_side_exit_two(self):
         assert main(["analyze", "--a", "5"]) == 2
+
+    @pytest.mark.parametrize("sweep", ["-1", "-5"])
+    def test_negative_sweep_exit_two(self, sweep, capsys):
+        assert main(["analyze", "--a", "4", "--sweep-i", sweep]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_long_sweep_runs_in_bounded_memory(self):
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["analyze", "--a", "4", "--sweep-i", "100000"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << 20

@@ -1,0 +1,156 @@
+"""The one match pipeline: what it returns, and that every match run goes through it."""
+
+import json
+import math
+import random
+import warnings
+
+import pytest
+
+from qimatch import grover, pipeline, verify
+from qimatch.cli import main
+from qimatch.grover import PlanMode, success_probability
+from qimatch.images import ValidationError, write_pgm
+from qimatch.sample import sample_pair
+
+from conftest import make_image, planted_instance
+
+
+def multi_mark_pair():
+    """The 8x8 pair of the CLI's multi-mark test: four anchors, one full block."""
+    pixels = [1] * 64
+    for x, y in ((0, 0), (3, 1), (5, 2), (6, 6)):
+        pixels[y * 8 + x] = 9
+    pixels[2 * 8 + 6], pixels[3 * 8 + 5], pixels[3 * 8 + 6] = 2, 3, 4
+    return make_image(pixels, 8, 4), make_image([9, 2, 3, 4], 2, 4)
+
+
+PAIRS = {
+    "sample": sample_pair,
+    "planted": lambda: planted_instance(random.Random(2), 3, 1, 3)[:2],  # at x=6, y=3
+    "multi-mark": multi_mark_pair,
+}
+
+FLAGS = [
+    {"mode": PlanMode.EXACT, "iterations": None, "seed": 5, "samples": 100},
+    {"mode": PlanMode.FIT, "iterations": None, "seed": 0, "samples": 1},
+    {"mode": PlanMode.OPTIMAL, "iterations": 2, "seed": 9, "samples": 3000},
+]
+
+
+def expected_report(outcome, seed):
+    """The --json report written out from the outcome's fields."""
+    dims, top = outcome.dims, outcome.final.top_index()
+    return {
+        "dims": {"n": dims.n, "m": dims.m, "q": dims.bit_depth, "a": dims.side},
+        "plan": {
+            "mode": outcome.plan.mode.value,
+            "iterations": outcome.rounds,
+            "predicted_success": outcome.predicted_success,
+            "lower_bound": outcome.plan.lower_bound,
+        },
+        "result": {
+            "top_index": top,
+            "x": top % dims.side,
+            "y": top // dims.side,
+            "marked_count": len(outcome.marked),
+        },
+        "samples": {
+            "seed": seed,
+            "counts": {str(k): outcome.counts[k] for k in sorted(outcome.counts)},
+        },
+    }
+
+
+def write_pair(tmp_path, big, small):
+    bp, sp = tmp_path / "b.pgm", tmp_path / "s.pgm"
+    bp.write_bytes(write_pgm(big))
+    sp.write_bytes(write_pgm(small))
+    return str(bp), str(sp)
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=lambda f: f["mode"].value)
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_outcome_gives_the_cli_report(name, flags, tmp_path):
+    big, small = PAIRS[name]()
+    bp, sp = write_pair(tmp_path, big, small)
+    report = tmp_path / "r.json"
+    argv = ["match", "--big", bp, "--small", sp, "--mode", flags["mode"].value,
+            "--seed", str(flags["seed"]), "--samples", str(flags["samples"]),
+            "--json", str(report)]
+    if flags["iterations"] is not None:
+        argv += ["--iterations", str(flags["iterations"])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+        outcome = pipeline.match(big, small, **flags)
+    assert json.loads(report.read_text()) == expected_report(outcome, flags["seed"])
+
+
+def test_iteration_override_predicts_its_own_count():
+    big, small = multi_mark_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        outcome = pipeline.match(big, small, iterations=5)
+    assert outcome.rounds == 5
+    assert outcome.plan.iterations == 3
+    assert outcome.predicted_success == success_probability(8, 5, 4)
+    assert outcome.final.marked_probability() == pytest.approx(outcome.predicted_success, abs=1e-12)
+
+
+def test_counts_are_a_seeded_draw_from_the_final_state():
+    big, small = PAIRS["planted"]()
+    for seed in (0, 7):
+        outcome = pipeline.match(big, small, seed=seed, samples=500)
+        assert outcome.counts == grover.sample_groups(outcome.final, seed=seed, samples=500)
+        assert sum(outcome.counts.values()) == 500
+
+
+def test_no_marks_point_nowhere():
+    outcome = pipeline.match(make_image([1, 2, 3, 1], 2, 2), make_image([0], 1, 2))
+    assert outcome.marked == set()
+    assert outcome.rounds == 0
+    assert outcome.final.top_index() is None
+
+
+def test_bad_pair_raises():
+    with pytest.raises(ValidationError):
+        pipeline.match(make_image([0] * 16, 4, 8), make_image([0] * 16, 4, 8))
+
+
+def test_timings_follow_the_stages():
+    outcome = pipeline.match(*sample_pair())
+    assert list(outcome.timings_ms) == ["encode", "mark", "plan", "amplify", "sample"]
+    assert all(v >= 0 for v in outcome.timings_ms.values())
+
+
+@pytest.mark.parametrize("command", ["match", "example"])
+def test_every_run_calls_the_pipeline_once(command, tmp_path, monkeypatch, capsys):
+    calls = []
+    real = pipeline.match
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "match", spy)
+    argv = ["example"]
+    if command == "match":
+        bp, sp = write_pair(tmp_path, *sample_pair())
+        argv = ["match", "--big", bp, "--small", sp, "--verify"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_vector_engine_stays_off_the_match_path(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a match run must not touch the full-vector engine")
+
+    for name in ("run_grover", "init_subspace", "sample_measurement"):
+        monkeypatch.setattr(verify, name, refuse)
+    bp, sp = write_pair(tmp_path, *sample_pair())
+    assert main(["match", "--big", bp, "--small", sp, "--samples", "1000", "--verify"]) == 0
+    assert "(x=1, y=1)" in capsys.readouterr().out
+    outcome = pipeline.match(*sample_pair(), samples=1000)
+    assert outcome.final.top_index() == 5
+    assert math.isclose(outcome.predicted_success, 0.9613189697265625)

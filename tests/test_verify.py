@@ -1,19 +1,24 @@
-"""Dense gate-level oracle and exhaustive classical matcher."""
+"""Dense gate-level oracle, exhaustive classical matcher and radical root."""
 
+import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from qimatch.grover import PlanMode, plan_iterations
 from qimatch.images import encode_gqir, validate_pair
 from qimatch.marking import apply_comparison, apply_marking, marked_set, prepare_initial
 from qimatch.sample import sample_pair
 from qimatch.verify import (
+    RADICAL_IMAG_TOL,
     MatchMode,
     RegisterLayout,
     apply_cnot,
     apply_controlled_flip,
     classical_match,
+    closed_form_iterations,
     dense_marked_set,
     dense_simulate_marking,
 )
@@ -235,3 +240,21 @@ def test_full_block_equals_literal_nested_scan():
                 assert result.comparisons == bside * bside * (side - bside + 1) ** 2
                 multi += len(expected) > 1
     assert multi >= 10
+
+
+class TestRadicalRoot:
+    def test_agrees_with_the_exact_plan_up_to_2_24(self):
+        for k in range(1, 25):
+            a = 1 << k
+            root = closed_form_iterations(a)
+            assert abs(root.imag) <= RADICAL_IMAG_TOL, a
+            assert math.ceil(root.real) == plan_iterations(a, PlanMode.EXACT).iterations, a
+
+    def test_exact_plan_is_silent_where_the_radical_drifts(self):
+        # from side 2**32 the float radical keeps an imaginary part above the
+        # tolerance; the integer bisection plan must not warn about it
+        assert abs(closed_form_iterations(1 << 32).imag) > RADICAL_IMAG_TOL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(32, 41):
+                plan_iterations(1 << k, PlanMode.EXACT)
