@@ -51,7 +51,7 @@ def _match_report(
             "top_index": top,
             "x": None if top is None else top % dims.side,
             "y": None if top is None else top // dims.side,
-            "marked_count": len(outcome.marked),
+            "marked_count": len(outcome.final.marked),
         },
     }
     if verification is not None:

@@ -6,6 +6,12 @@ depth.  The encoder flattens an image into the uniform-superposition form used
 by the simulator: one (position, intensity) entry per pixel, every entry
 carrying the implicit amplitude 1/2**n.
 
+Every image holds its pixels as one read-only numpy array (``uint8`` up to 8
+bits, native ``uint16`` above), and that array is what encoding, marking and
+the classical scans read.  A P5 raster is decoded by one ``np.frombuffer``
+over the stream and range-checked by one ``max()``; no per-pixel Python
+object is built on the way from file to marks.
+
 Position convention: k = y * side + x with y the row counted from the top,
 i.e. plain row-major order.  A column-major reading would permute k but leaves
 every probability unchanged.
@@ -14,7 +20,9 @@ every probability unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 class PgmError(ValueError):
@@ -25,28 +33,69 @@ class ValidationError(ValueError):
     """Image pair violates the matcher's size contract."""
 
 
-@dataclass(frozen=True)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Image:
     """A grayscale raster.
 
-    ``pixels`` is row-major, top-left first.  ``bit_depth`` is the number of
-    bits per pixel implied by the source maxval; every value satisfies
-    0 <= v < 2**bit_depth.  Squareness and power-of-two sides are *not*
-    enforced here; :func:`validate_pair` owns those checks so that a parseable
-    but unusable file is reported as a validation error, not a parse error.
+    ``array`` holds the pixels row-major, top-left first, as a read-only
+    ``uint8`` array (bit depth up to 8) or native ``uint16`` array (above 8).
+    ``pixels`` gives the same values as a tuple of ints, built on each access.
+    ``bit_depth`` is the number of bits per pixel implied by the source
+    maxval; every value satisfies 0 <= v < 2**bit_depth.  Squareness and
+    power-of-two sides are *not* enforced here; :func:`validate_pair` owns
+    those checks so that a parseable but unusable file is reported as a
+    validation error, not a parse error.
+
+    ``pixels`` may be any int sequence.  A read-only array of the storage
+    dtype is shared rather than copied.
     """
 
     width: int
     height: int
     bit_depth: int
-    pixels: tuple[int, ...]
+    array: np.ndarray
 
-    def __post_init__(self) -> None:
-        if len(self.pixels) != self.width * self.height:
+    def __init__(self, width: int, height: int, bit_depth: int,
+                 pixels: Sequence[int] | np.ndarray) -> None:
+        if not 1 <= bit_depth <= 16:
+            raise ValueError(f"bit depth {bit_depth} outside [1, 16]")
+        dtype = np.dtype(np.uint8 if bit_depth <= 8 else np.uint16)
+        shared = isinstance(pixels, np.ndarray) and pixels.dtype == dtype and not pixels.flags.writeable
+        arr = pixels if shared else np.array(pixels, dtype=np.int64)
+        if arr.shape != (width * height,):
             raise ValueError("pixel count does not match dimensions")
+        if arr.size:
+            low, high = int(arr.min()), int(arr.max())
+            if low < 0 or high >> bit_depth:
+                bad = low if low < 0 else high
+                raise ValueError(f"pixel value {bad} outside [0, {(1 << bit_depth) - 1}]")
+        if not shared:
+            arr = _frozen(arr.astype(dtype))
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "bit_depth", bit_depth)
+        object.__setattr__(self, "array", arr)
+
+    @property
+    def pixels(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     def pixel(self, x: int, y: int) -> int:
-        return self.pixels[y * self.width + x]
+        return int(self.array[y * self.width + x])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Image):
+            return NotImplemented
+        return ((self.width, self.height, self.bit_depth) == (other.width, other.height, other.bit_depth)
+                and np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.height, self.bit_depth, self.array.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -63,18 +112,18 @@ class MatchDims:
     side: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GqirImage:
     """Classical stand-in for the uniform intensity-position superposition.
 
-    ``values[k]`` is the intensity at position index k.  Every entry carries
-    the same implicit amplitude 1/2**side_log2, so the squared amplitudes sum
-    to one.
+    ``values[k]`` is the intensity at position index k; ``values`` is the
+    encoded image's own read-only array.  Every entry carries the same
+    implicit amplitude 1/2**side_log2, so the squared amplitudes sum to one.
     """
 
     side_log2: int
     bit_depth: int
-    values: tuple[int, ...]
+    values: np.ndarray
 
     @property
     def side(self) -> int:
@@ -85,7 +134,7 @@ class GqirImage:
         return 1.0 / (1 << self.side_log2)
 
     def entries(self) -> Iterator[tuple[int, int]]:
-        return iter(enumerate(self.values))
+        return iter(enumerate(self.values.tolist()))
 
 
 def _is_power_of_two(v: int) -> bool:
@@ -157,42 +206,35 @@ def load_pgm(data: bytes) -> Image:
                 raise PgmError(f"non-numeric pixel token {token!r}") from None
         if len(values) != count:
             raise PgmError(f"expected {count} pixels, found {len(values)}")
-    else:
-        # Exactly one whitespace byte separates maxval from the raster.
-        if raster_start >= len(data) or not data[raster_start : raster_start + 1].isspace():
-            raise PgmError("missing raster separator")
-        raster = data[raster_start + 1 :]
-        stride = 2 if maxval > 255 else 1
-        if len(raster) < count * stride:
-            raise PgmError(f"raster too short: {len(raster)} bytes for {count} pixels")
-        if stride == 1:
-            values = list(raster[:count])
-        else:
-            values = [
-                (raster[2 * i] << 8) | raster[2 * i + 1] for i in range(count)
-            ]
+        bad = [v for v in values if v < 0 or v > maxval]
+        if bad:
+            raise PgmError(f"pixel value {bad[0]} outside [0, {maxval}]")
+        return Image(width, height, maxval.bit_length(), values)
 
-    bad = [v for v in values if v < 0 or v > maxval]
-    if bad:
-        raise PgmError(f"pixel value {bad[0]} outside [0, {maxval}]")
-    return Image(width, height, maxval.bit_length(), tuple(values))
+    # Exactly one whitespace byte separates maxval from the raster.
+    if raster_start >= len(data) or not data[raster_start : raster_start + 1].isspace():
+        raise PgmError("missing raster separator")
+    offset = raster_start + 1
+    stride = 2 if maxval > 255 else 1
+    if len(data) - offset < count * stride:
+        raise PgmError(f"raster too short: {len(data) - offset} bytes for {count} pixels")
+    raw = np.frombuffer(data, dtype=">u2" if stride == 2 else np.uint8, count=count, offset=offset)
+    if raw.max() > maxval:
+        bad = int(raw[np.argmax(raw > maxval)])
+        raise PgmError(f"pixel value {bad} outside [0, {maxval}]")
+    # A view of an immutable stream is shared; 16-bit rasters become native uint16.
+    pixels = _frozen(raw.astype(np.uint16)) if stride == 2 else raw
+    return Image(width, height, maxval.bit_length(), pixels)
 
 
 def write_pgm(img: Image, binary: bool = True) -> bytes:
     """Serialize an :class:`Image` back to PGM (P5 by default, P2 otherwise)."""
     maxval = (1 << img.bit_depth) - 1
-    header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{maxval}\n"
-    if not binary:
-        rows = []
-        for y in range(img.height):
-            row = img.pixels[y * img.width : (y + 1) * img.width]
-            rows.append(" ".join(str(v) for v in row))
-        return header.encode() + ("\n".join(rows) + "\n").encode()
-    if maxval > 255:
-        raster = b"".join(v.to_bytes(2, "big") for v in img.pixels)
-    else:
-        raster = bytes(img.pixels)
-    return header.encode() + raster
+    header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{maxval}\n".encode()
+    if binary:
+        return header + img.array.astype(">u2" if maxval > 255 else "u1").tobytes()
+    rows = img.array.reshape(img.height, img.width).tolist()
+    return header + ("\n".join(" ".join(map(str, row)) for row in rows) + "\n").encode()
 
 
 def validate_pair(big: Image, small: Image) -> MatchDims:
@@ -229,4 +271,4 @@ def encode_gqir(img: Image, dims: MatchDims) -> GqirImage:
             f"image {img.width}x{img.height} matches neither side of the validated pair"
         )
     # Row-major pixels already obey the k = y*side + x convention.
-    return GqirImage(side_log2=side_log2, bit_depth=dims.bit_depth, values=img.pixels)
+    return GqirImage(side_log2=side_log2, bit_depth=dims.bit_depth, values=img.array)

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .images import GqirImage, MatchDims, ValidationError
+from .images import GqirImage, MatchDims, ValidationError, _frozen
 
 
 class Stage(enum.Enum):
@@ -54,11 +54,11 @@ class Branch:
 class JointState:
     """Joint state over 4**n * 4**m branches, held as the two images and a stage.
 
-    ``big`` and ``small`` are read-only int64 intensity vectors indexed by
-    position.  Branch (pos_a, pos_b) sits at index ``pos_a * 4**m + pos_b``
-    of the array views ``pos_a``, ``val_a``, ``pos_b``, ``val_b`` and
-    ``amplitude``; these views are built on each access and take
-    O(4**(n+m)) memory, so they are for small instances only.
+    ``big`` and ``small`` are the encoded images' own read-only unsigned
+    intensity arrays, indexed by position.  Branch (pos_a, pos_b) sits at
+    index ``pos_a * 4**m + pos_b`` of the array views ``pos_a``, ``val_a``,
+    ``pos_b``, ``val_b`` and ``amplitude``; these views are built on each
+    access and take O(4**(n+m)) memory, so they are for small instances only.
     """
 
     dims: MatchDims
@@ -117,11 +117,6 @@ class JointState:
         return Branch(flag, val_a, int(pos_a), val_b, int(pos_b), self._weight)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def prepare_initial(big: GqirImage, small: GqirImage) -> JointState:
     """Build the uniform product state over every (pos_a, pos_b) pair.
 
@@ -133,12 +128,7 @@ def prepare_initial(big: GqirImage, small: GqirImage) -> JointState:
     if big.bit_depth != small.bit_depth:
         raise ValidationError("images must share a bit depth after widening")
     dims = MatchDims(n=big.side_log2, m=small.side_log2, bit_depth=big.bit_depth, side=big.side)
-    return JointState(
-        dims=dims,
-        big=_frozen(np.asarray(big.values, dtype=np.int64)),
-        small=_frozen(np.asarray(small.values, dtype=np.int64)),
-        stage=Stage.PREPARED,
-    )
+    return JointState(dims=dims, big=big.values, small=small.values, stage=Stage.PREPARED)
 
 
 def apply_comparison(state: JointState) -> JointState:
@@ -163,16 +153,21 @@ def apply_marking(state: JointState) -> JointState:
     return replace(state, stage=Stage.MARKED)
 
 
-def marked_set(state: JointState) -> set[int]:
-    """Big-image position indices carrying a raised flag.
+def marked_indices(state: JointState) -> np.ndarray:
+    """Big-image position indices carrying a raised flag, as a sorted read-only int64 array.
 
     A flag needs small position 0 and a zero difference, so this is
     { k : A[k] == B[0] }: the marking predicate compares each big pixel
     against the small image's top-left pixel only.
     """
     if state.stage is not Stage.MARKED:
-        raise StageError(f"marked_set expects a marked state, got {state.stage.value}")
-    return set(np.flatnonzero(state.big == state.small[0]).tolist())
+        raise StageError(f"marked indices need a marked state, got {state.stage.value}")
+    return _frozen(np.flatnonzero(state.big == state.small[0]).astype(np.int64, copy=False))
+
+
+def marked_set(state: JointState) -> set[int]:
+    """The paper's marked set: :func:`marked_indices` as a Python set."""
+    return set(marked_indices(state).tolist())
 
 
 def dump_branches(state: JointState) -> str:

@@ -15,16 +15,23 @@ from .images import Image, MatchDims, encode_gqir, validate_pair
 
 @dataclass(frozen=True)
 class Outcome:
-    """What one run produced; ``timings_ms`` gives each stage's wall time in run order."""
+    """What one run produced; ``timings_ms`` gives each stage's wall time in run order.
+
+    The marked indices are held once, as the sorted array ``final.marked``.
+    """
 
     dims: MatchDims
     plan: grover.IterationPlan
     rounds: int
     predicted_success: float
-    marked: set[int]
     final: grover.TwoValueState
     counts: dict[int, int]
     timings_ms: dict[str, float]
+
+    @property
+    def marked(self) -> set[int]:
+        """The marked positions as the paper's set, built on each access."""
+        return set(self.final.marked.tolist())
 
 
 def lap(timings_ms: dict[str, float], stage: str, start: float) -> float:
@@ -48,7 +55,7 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     start = lap(timings, "encode", start)
 
     joint = marking.prepare_initial(big_enc, small_enc)
-    marked = marking.marked_set(marking.apply_marking(marking.apply_comparison(joint)))
+    marked = marking.marked_indices(marking.apply_marking(marking.apply_comparison(joint)))
     start = lap(timings, "mark", start)
 
     plan = grover.plan_iterations(dims.side, mode, marked=len(marked))
@@ -63,4 +70,4 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
 
     counts = grover.sample_groups(final, seed=seed, samples=samples)
     lap(timings, "sample", start)
-    return Outcome(dims, plan, rounds, predicted, marked, final, counts, timings)
+    return Outcome(dims, plan, rounds, predicted, final, counts, timings)

@@ -198,8 +198,8 @@ def classical_match(big: Image, small: Image, mode: MatchMode) -> MatchResult:
     comparisons total.
     """
     dims: MatchDims = validate_pair(big, small)
-    a = np.asarray(big.pixels, dtype=np.int64).reshape(big.height, big.width)
-    b = np.asarray(small.pixels, dtype=np.int64).reshape(small.height, small.width)
+    a = big.array.reshape(big.height, big.width)
+    b = small.array.reshape(small.height, small.width)
     if mode is MatchMode.ANCHOR_PIXEL:
         hits = a == b[0, 0]
         comparisons = a.size

@@ -361,6 +361,27 @@ class TestTwoValueAgainstVector:
         assert state.marked.tolist() == [3, 9]
         assert not state.marked.flags.writeable
 
+    def test_unsorted_duplicates_give_the_unique_values(self):
+        rng = np.random.default_rng(11)
+        for size, draws in [(1, 5), (16, 40), (4096, 3000), (1 << 20, 10**5)]:
+            n = (size.bit_length() - 1) // 2
+            raw = rng.integers(0, size, size=draws)
+            want = np.unique(raw)
+            for marks in (raw.tolist(), raw, set(raw.tolist())):
+                state = amplify(n, marks, 1)
+                assert np.array_equal(state.marked, want)
+                assert state.marked.dtype == np.int64 and not state.marked.flags.writeable
+            assert raw.flags.writeable  # the caller's array is neither frozen...
+        assert not np.all(raw[1:] >= raw[:-1])  # ...nor sorted in place
+
+    def test_sorted_read_only_marks_are_shared(self):
+        marks = np.array([2, 5, 11], dtype=np.int64)
+        marks.flags.writeable = False
+        assert amplify(2, marks, 1).marked is marks
+        repeated = np.array([2, 5, 5, 11], dtype=np.int64)
+        repeated.flags.writeable = False
+        assert amplify(2, repeated, 1).marked.tolist() == [2, 5, 11]
+
 
 class TestTopIndex:
     def test_matches_vector_argmax_or_prefers_marks_on_ties(self):
@@ -448,6 +469,20 @@ class TestGroupSampling:
             tracemalloc.stop()
         assert sum(counts.values()) == 10**7
         assert peak < 4 * 2**20
+
+    def test_memory_for_many_marks_is_one_copy_of_them(self):
+        # half of 4**11 positions marked: one round leaves half the draws on misses
+        marks = np.arange(0, 1 << 22, 2, dtype=np.int64)
+        marks.flags.writeable = False
+        state = amplify(11, marks, 1)
+        tracemalloc.start()
+        try:
+            counts = sample_groups(state, seed=3, samples=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < sum(c for i, c in counts.items() if i % 2) < 1000
+        assert peak < 1.5 * marks.nbytes
 
 
 class TestMultiMarkPlanning:

@@ -2,10 +2,13 @@
 
 import random
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qimatch.images import (
+    Image,
     PgmError,
     ValidationError,
     encode_gqir,
@@ -199,3 +202,95 @@ class TestEncode:
         for y in range(4):
             for x in range(4):
                 assert enc.values[y * 4 + x] == big.pixel(x, y)
+
+
+def per_pixel_pgm(img, binary):
+    """PGM bytes written one pixel at a time, as the serializer did over tuples."""
+    maxval = (1 << img.bit_depth) - 1
+    header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{maxval}\n".encode()
+    values = img.pixels
+    if not binary:
+        rows = [" ".join(str(v) for v in values[y * img.width : (y + 1) * img.width])
+                for y in range(img.height)]
+        return header + ("\n".join(rows) + "\n").encode()
+    if maxval > 255:
+        return header + b"".join(v.to_bytes(2, "big") for v in values)
+    return header + bytes(values)
+
+
+class TestPixelArray:
+    @pytest.mark.parametrize("bit_depth,dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16)])
+    def test_storage_is_a_read_only_native_array(self, bit_depth, dtype):
+        top = (1 << bit_depth) - 1
+        img = Image(2, 2, bit_depth, (0, top, top // 2, 1))
+        assert img.array.dtype == dtype and img.array.dtype.isnative
+        assert not img.array.flags.writeable
+        assert img.pixels == (0, top, top // 2, 1)
+        assert all(type(v) is int for v in img.pixels)
+        assert img.pixel(1, 0) == top and type(img.pixel(1, 0)) is int
+        with pytest.raises(ValueError):
+            img.array[0] = 1
+
+    def test_equality_and_hash_follow_the_values(self):
+        a = Image(2, 2, 4, (1, 2, 3, 4))
+        assert a == Image(2, 2, 4, [1, 2, 3, 4]) == Image(2, 2, 4, np.array([1, 2, 3, 4]))
+        assert hash(a) == hash(Image(2, 2, 4, (1, 2, 3, 4)))
+        assert a != Image(2, 2, 4, (1, 2, 3, 5))
+        assert a != Image(2, 2, 5, (1, 2, 3, 4))
+        assert a != Image(4, 1, 4, (1, 2, 3, 4))
+        assert a != (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("pixels", [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 16), (0, -1, 2, 3)])
+    def test_bad_pixels_rejected(self, pixels):
+        with pytest.raises(ValueError):
+            Image(2, 2, 4, pixels)
+
+    def test_caller_arrays_are_copied_unless_read_only(self):
+        mine = np.array([5, 6, 7, 8], dtype=np.uint8)
+        img = Image(2, 2, 8, mine)
+        mine[0] = 0
+        assert img.pixels == (5, 6, 7, 8) and mine.flags.writeable
+        mine.flags.writeable = False
+        assert Image(2, 2, 8, mine).array is mine
+
+    def test_p5_decodes_straight_from_the_stream(self):
+        data = p5_bytes(2, 2, 255, [1, 2, 3, 4])
+        img = load_pgm(data)
+        assert np.shares_memory(img.array, np.frombuffer(data, dtype=np.uint8))
+        mutable = bytearray(data)
+        img = load_pgm(mutable)
+        mutable[-1] = 99
+        assert img.pixels == (1, 2, 3, 4)
+
+    def test_sixteen_bit_p5_becomes_native(self):
+        img = load_pgm(p5_bytes(2, 1, 65535, [0x0102, 0xFFFE]))
+        assert img.array.dtype == np.uint16 and img.array.dtype.isnative
+        assert img.array.tolist() == [258, 65534]
+        assert not img.array.flags.writeable
+
+    def test_load_memory_stays_under_twice_the_raster(self):
+        raster = np.random.default_rng(3).integers(0, 1 << 16, size=1 << 20).astype(">u2").tobytes()
+        data = b"P5\n1024 1024\n65535\n" + raster
+        tracemalloc.start()
+        try:
+            img = load_pgm(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert img.array.nbytes == len(raster)
+        assert peak < 2 * len(raster)
+
+    def test_encode_hands_the_array_through(self):
+        big, small = sample_pair()
+        dims = validate_pair(big, small)
+        assert encode_gqir(big, dims).values is big.array
+        assert encode_gqir(small, dims).values is small.array
+
+    @pytest.mark.parametrize("bit_depth", [1, 3, 8, 9, 12, 16])
+    def test_write_matches_the_per_pixel_serializer(self, bit_depth):
+        rng = random.Random(bit_depth)
+        for width, height in [(1, 1), (3, 2), (8, 8)]:
+            top = (1 << bit_depth) - 1
+            img = Image(width, height, bit_depth, [rng.randint(0, top) for _ in range(width * height)])
+            for binary in (True, False):
+                assert write_pgm(img, binary) == per_pixel_pgm(img, binary)

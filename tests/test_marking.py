@@ -13,6 +13,7 @@ from qimatch.marking import (
     apply_comparison,
     apply_marking,
     dump_branches,
+    marked_indices,
     marked_set,
     prepare_initial,
 )
@@ -205,6 +206,43 @@ class TestMarkedSet:
             )
             expected = {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
             assert marked_set(state) == expected
+
+
+class TestMarkedIndices:
+    def test_sorted_read_only_int64_equal_to_the_set(self):
+        rng = random.Random(808)
+        for _ in range(50):
+            n = rng.randint(1, 4)
+            m = rng.randint(0, n - 1)
+            big, small = random_instance(rng, n, m, rng.choice([1, 2, 12]))
+            dims = validate_pair(big, small)
+            state = apply_marking(
+                apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
+            )
+            got = marked_indices(state)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == sorted(marked_set(state))
+            assert got.tolist() == [k for k, v in enumerate(big.pixels) if v == small.pixels[0]]
+
+    def test_state_reads_the_image_arrays(self):
+        big, small = sample_pair()
+        dims = validate_pair(big, small)
+        state = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+        assert state.big is big.array and state.small is small.array
+
+    def test_mixed_depths_compare_at_full_width(self):
+        # 16-bit small image against an 8-bit big one: 0x0105 must not match 5
+        big = make_image([5, 1, 5, 2], 2, 8)
+        for anchor, want in ((0x0105, []), (5, [0, 2])):
+            small = make_image([anchor], 1, 16)
+            dims = validate_pair(big, small)
+            state = apply_marking(
+                apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
+            )
+            assert marked_indices(state).tolist() == want
+            with pytest.raises(StageError):
+                marked_indices(apply_comparison(prepare_initial(encode_gqir(big, dims),
+                                                                encode_gqir(small, dims))))
 
 
 class TestInvariants:

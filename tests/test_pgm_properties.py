@@ -1,0 +1,135 @@
+"""Property tests for the PGM parser: round trips, headers, and every rejection path."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qimatch.images import Image, PgmError, load_pgm, write_pgm
+
+# Tracing memory makes single examples slow; no example has a deadline.
+thorough = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def images(draw, max_side=8):
+    width = draw(st.integers(1, max_side))
+    height = draw(st.integers(1, max_side))
+    bit_depth = draw(st.integers(1, 16))
+    top = (1 << bit_depth) - 1
+    pixels = draw(st.lists(st.integers(0, top), min_size=width * height, max_size=width * height))
+    return Image(width, height, bit_depth, pixels)
+
+
+def header_gap():
+    """Whitespace and '#' comment lines, as PGM allows between header tokens."""
+    piece = st.one_of(
+        st.sampled_from([b" ", b"\t", b"\n", b"\r"]),
+        st.text(st.characters(codec="ascii", exclude_characters="\n\r"), max_size=12).map(
+            lambda text: b"#" + text.encode() + b"\n"
+        ),
+    )
+    return st.lists(piece, min_size=1, max_size=4).map(b"".join)
+
+
+def raster_bytes(img):
+    """The raster part of the image's P5 serialization."""
+    return write_pgm(img, binary=True).split(b"\n", 3)[3]
+
+
+@thorough
+@given(images(), st.booleans())
+def test_write_then_load_round_trips(img, binary):
+    back = load_pgm(write_pgm(img, binary=binary))
+    assert back == img
+    assert back.pixels == img.pixels
+
+
+@thorough
+@given(images(), st.lists(header_gap(), min_size=3, max_size=3), st.booleans())
+def test_comments_and_whitespace_in_the_header(img, gaps, binary):
+    maxval = (1 << img.bit_depth) - 1
+    tokens = [b"P5" if binary else b"P2", str(img.width).encode(), str(img.height).encode()]
+    head = b"".join(t + g for t, g in zip(tokens, gaps)) + str(maxval).encode()
+    if binary:
+        data = head + b"\n" + raster_bytes(img)
+    else:
+        data = head + b"\n" + b" ".join(str(v).encode() for v in img.pixels) + b"\n"
+    assert load_pgm(data) == img
+
+
+@thorough
+@given(st.one_of(st.integers(max_value=0), st.integers(min_value=65536, max_value=10**30)),
+       st.sampled_from([b"P2", b"P5"]))
+def test_maxval_outside_the_pgm_range_rejected(maxval, magic):
+    with pytest.raises(PgmError) as err:
+        load_pgm(magic + b"\n1 1\n" + str(maxval).encode() + b"\n\x00\x00")
+    assert str(err.value) == f"maxval {maxval} outside [1, 65535]"
+
+
+@thorough
+@given(images(), st.data())
+def test_truncated_p5_raster_rejected(img, data):
+    raster = raster_bytes(img)
+    keep = data.draw(st.integers(0, len(raster) - 1))
+    stream = write_pgm(img)[: -len(raster)] + raster[:keep]
+    with pytest.raises(PgmError) as err:
+        load_pgm(stream)
+    assert str(err.value) == f"raster too short: {keep} bytes for {img.width * img.height} pixels"
+
+
+@thorough
+@given(images(), st.data())
+def test_truncated_p2_raster_rejected(img, data):
+    count = img.width * img.height
+    keep = data.draw(st.integers(0, count - 1))
+    maxval = (1 << img.bit_depth) - 1
+    body = " ".join(str(v) for v in img.pixels[:keep])
+    stream = f"P2\n{img.width} {img.height}\n{maxval}\n{body}\n".encode()
+    with pytest.raises(PgmError) as err:
+        load_pgm(stream)
+    assert str(err.value) == f"expected {count} pixels, found {keep}"
+
+
+@thorough
+@given(st.integers(1, 254), st.lists(st.integers(0, 255), min_size=1, max_size=64), st.data())
+def test_p5_byte_above_a_low_maxval_names_the_first_one(maxval, values, data):
+    if all(v <= maxval for v in values):
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(st.integers(maxval + 1, 255))
+    stream = f"P5\n{len(values)} 1\n{maxval}\n".encode() + bytes(values)
+    first = next(v for v in values if v > maxval)
+    with pytest.raises(PgmError) as err:
+        load_pgm(stream)
+    assert str(err.value) == f"pixel value {first} outside [0, {maxval}]"
+
+
+@thorough
+@given(st.integers(256, 65534), st.lists(st.integers(0, 65535), min_size=1, max_size=64), st.data())
+def test_sixteen_bit_value_above_maxval_names_the_first_one(maxval, values, data):
+    if all(v <= maxval for v in values):
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(st.integers(maxval + 1, 65535))
+    raster = np.array(values, dtype=">u2").tobytes()
+    stream = f"P5\n{len(values)} 1\n{maxval}\n".encode() + raster
+    first = next(v for v in values if v > maxval)
+    with pytest.raises(PgmError) as err:
+        load_pgm(stream)
+    assert str(err.value) == f"pixel value {first} outside [0, {maxval}]"
+
+
+@thorough
+@given(st.integers(1 << 10, 1 << 40), st.integers(1 << 10, 1 << 40), st.sampled_from([b"P2", b"P5"]),
+       st.integers(1, 65535), st.binary(max_size=256))
+def test_huge_declared_sizes_allocate_only_what_the_stream_holds(width, height, magic, maxval, tail):
+    if magic == b"P2":
+        tail = b" ".join(str(b).encode() for b in tail)
+    stream = magic + f"\n{width} {height}\n{maxval}\n".encode() + tail
+    tracemalloc.start()
+    try:
+        with pytest.raises(PgmError):
+            load_pgm(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -1,5 +1,6 @@
 """The one match pipeline: what it returns, and that every match run goes through it."""
 
+import dataclasses
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from qimatch import grover, pipeline, verify
 from qimatch.cli import main
 from qimatch.grover import PlanMode, success_probability
-from qimatch.images import ValidationError, write_pgm
+from qimatch.images import Image, ValidationError, write_pgm
 from qimatch.sample import sample_pair
 
 from conftest import make_image, planted_instance
@@ -154,3 +155,27 @@ def test_vector_engine_stays_off_the_match_path(tmp_path, monkeypatch, capsys):
     outcome = pipeline.match(*sample_pair(), samples=1000)
     assert outcome.final.top_index() == 5
     assert math.isclose(outcome.predicted_success, 0.9613189697265625)
+
+
+def test_match_never_builds_the_pixel_tuple(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("a match run must read Image.array, not Image.pixels")
+
+    big, small = planted_instance(random.Random(2), 3, 1, 3)[:2]
+    bp, sp = write_pair(tmp_path, big, small)
+    monkeypatch.setattr(Image, "pixels", property(refuse))
+    outcome = pipeline.match(big, small)
+    assert outcome.final.top_index() == 3 * 8 + 6
+    assert main(["match", "--big", bp, "--small", sp, "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "(x=6, y=3)" in out and "classical full-block matches: [[6, 3]]" in out
+
+
+def test_marks_are_held_once_as_a_sorted_array():
+    big, small = multi_mark_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        outcome = pipeline.match(big, small)
+    assert outcome.final.marked.tolist() == [0, 11, 21, 54]
+    assert outcome.marked == {0, 11, 21, 54}
+    assert "marked" not in {f.name for f in dataclasses.fields(outcome)}
