@@ -8,11 +8,15 @@ Subcommands:
 * ``analyze``  sweep the two-value recurrence for one image size
 
 Exit codes: 0 success, 1 I/O error, 2 validation error, 3 no match found.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused by every later call; parsing keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -284,6 +288,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qimatch",

@@ -141,6 +141,14 @@ def _is_power_of_two(v: int) -> bool:
     return v > 0 and (v & (v - 1)) == 0
 
 
+def _is_int(token: bytes) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _header_tokens(data: bytes) -> Iterator[tuple[bytes, int]]:
     """Yield (token, end_offset) pairs, skipping whitespace and '#' comments."""
     i, size = 0, len(data)
@@ -165,7 +173,9 @@ def load_pgm(data: bytes) -> Image:
     The header is whitespace-delimited (magic, width, height, maxval) and may
     contain '#' comment lines.  P5 rasters use one byte per pixel, or two
     big-endian bytes when maxval > 255.  The derived bit depth is the smallest
-    q with maxval <= 2**q - 1.
+    q with maxval <= 2**q - 1.  A P2 raster without '#' is split with
+    ``bytes.split``; one with comments goes through the header tokenizer.
+    Both give the same pixels and the same messages.
 
     Raises :class:`PgmError` for malformed input.  Geometry (squareness,
     power-of-two sides) is deliberately not checked here.
@@ -198,17 +208,19 @@ def load_pgm(data: bytes) -> Image:
     count = width * height
 
     if magic == b"P2":
-        values = []
-        for token, _ in _header_tokens(data[raster_start:]):
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise PgmError(f"non-numeric pixel token {token!r}") from None
+        raster = data[raster_start:]
+        # Without comments the raster is plain whitespace-separated tokens.
+        tokens = [t for t, _ in _header_tokens(raster)] if b"#" in raster else raster.split()
+        try:
+            values = list(map(int, tokens))
+        except ValueError:
+            token = next(t for t in tokens if not _is_int(t))
+            raise PgmError(f"non-numeric pixel token {token!r}") from None
         if len(values) != count:
             raise PgmError(f"expected {count} pixels, found {len(values)}")
-        bad = [v for v in values if v < 0 or v > maxval]
-        if bad:
-            raise PgmError(f"pixel value {bad[0]} outside [0, {maxval}]")
+        if min(values) < 0 or max(values) > maxval:
+            bad = next(v for v in values if v < 0 or v > maxval)
+            raise PgmError(f"pixel value {bad} outside [0, {maxval}]")
         return Image(width, height, maxval.bit_length(), values)
 
     # Exactly one whitespace byte separates maxval from the raster.
@@ -219,11 +231,12 @@ def load_pgm(data: bytes) -> Image:
     if len(data) - offset < count * stride:
         raise PgmError(f"raster too short: {len(data) - offset} bytes for {count} pixels")
     raw = np.frombuffer(data, dtype=">u2" if stride == 2 else np.uint8, count=count, offset=offset)
-    if raw.max() > maxval:
-        bad = int(raw[np.argmax(raw > maxval)])
-        raise PgmError(f"pixel value {bad} outside [0, {maxval}]")
-    # A view of an immutable stream is shared; 16-bit rasters become native uint16.
+    # A view of an immutable stream is shared; a 16-bit raster is byteswapped
+    # into its one native uint16 copy, and the range check reads that copy.
     pixels = _frozen(raw.astype(np.uint16)) if stride == 2 else raw
+    if pixels.max() > maxval:
+        bad = int(pixels[np.argmax(pixels > maxval)])
+        raise PgmError(f"pixel value {bad} outside [0, {maxval}]")
     return Image(width, height, maxval.bit_length(), pixels)
 
 

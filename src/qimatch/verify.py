@@ -195,7 +195,8 @@ def classical_match(big: Image, small: Image, mode: MatchMode) -> MatchResult:
     so the comparison count is exactly block_size * candidate_count), one
     pass over all candidate corners per small-image pixel.  ANCHOR_PIXEL
     compares every big pixel against the small image's (0, 0) pixel, 4**n
-    comparisons total.
+    comparisons total.  Either way every candidate is scanned, so
+    ``comparisons`` is exact, and locations come out in raster order.
     """
     dims: MatchDims = validate_pair(big, small)
     a = big.array.reshape(big.height, big.width)
@@ -209,8 +210,9 @@ def classical_match(big: Image, small: Image, mode: MatchMode) -> MatchResult:
         for dy, dx in np.ndindex(b.shape):
             hits &= a[dy : dy + span, dx : dx + span] == b[dy, dx]
         comparisons = b.size * span * span
-    ys, xs = np.nonzero(hits)
-    locations = tuple((int(x), int(y)) for y, x in zip(ys, xs))
+    # Flat indices keep raster order; the hit grid is span wide (side for anchors).
+    ys, xs = np.divmod(np.flatnonzero(hits), hits.shape[1])
+    locations = tuple(zip(xs.tolist(), ys.tolist()))
     return MatchResult(locations=locations, mode=mode, comparisons=comparisons)
 
 

@@ -1,9 +1,12 @@
 """Command line surface: subcommands, exit codes, JSON and CSV artifacts."""
 
+import io
 import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
@@ -11,7 +14,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from qimatch import grover
-from qimatch.cli import main
+from qimatch.cli import build_parser, main
 from qimatch.images import write_pgm
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM
 
@@ -291,3 +294,87 @@ class TestAnalyzeCommand:
                 tracemalloc.stop()
         assert code == 0
         assert peak < 1 << 20
+
+
+def _run(argv, parser=None):
+    """Exit code and stdout of one command, through ``main`` or through ``parser``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        if parser is None:
+            code = main(argv)
+        else:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+    return code, out.getvalue()
+
+
+def _untimed(text):
+    """Stdout with the wall-clock values of a timings line reduced to their keys."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("timings_ms: "):
+            line = ", ".join(kv.split("=")[0] for kv in line.split(", "))
+        lines.append(line)
+    return lines
+
+
+def _untimed_report(path):
+    data = json.loads(path.read_text())
+    if "timings_ms" in data:
+        data["timings_ms"] = list(data["timings_ms"])
+    return data
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_not_built_at_import(self):
+        probe = "import qimatch.cli as c; print(c.build_parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        assert out.strip() == "0"
+
+    def test_calls_in_one_process_match_a_fresh_parser(self, sample_paths, tmp_path):
+        report = tmp_path / "r.json"
+        table = tmp_path / "t.csv"
+        match = ["match", "--big", sample_paths[0], "--small", sample_paths[1],
+                 "--samples", "50", "--seed", "9"]
+        commands = [
+            (match + ["--verify", "--timings", "--json", str(report)], report),
+            (match, report),
+            (["table1", "--modes", "fit", "--csv", str(table)], table),
+            (["table1"], table),
+        ]
+        results = []
+        for argv, artifact in commands:
+            outputs = []
+            for parser in (None, build_parser.__wrapped__()):
+                artifact.unlink(missing_ok=True)
+                code, out = _run(argv, parser)
+                written = artifact.exists() and (
+                    _untimed_report(artifact) if artifact == report else artifact.read_bytes())
+                outputs.append((code, _untimed(out), written))
+            assert outputs[0] == outputs[1], argv
+            results.append(outputs[0])
+
+        assert [code for code, _, _ in results] == [0, 0, 0, 0]
+        verified, plain, fit, default = results
+        assert "timings_ms" in verified[2] and verified[1][-1].startswith("timings_ms: load")
+        # Flags of an earlier call do not carry over to a later one.
+        assert plain[2] is False and not any("timings_ms" in line or "classical" in line
+                                             for line in plain[1])
+        assert fit[1][0].split() == ["a", "i_fit", "predicted_success", "lower_bound"]
+        assert default[2] is False
+        assert default[1][0].split()[1:4] == ["i_exact", "i_fit", "i_optimal"]
+        assert default[1][-1].split()[0] == "65536"
+
+    def test_argparse_error_leaves_the_next_call_intact(self, sample_paths, capsys):
+        argv = ["match", "--big", sample_paths[0], "--small", sample_paths[1], "--verify"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["match", "--small", sample_paths[1]])
+        assert exit_info.value.code == 2
+        assert "--big" in capsys.readouterr().err
+        assert _run(argv) == _run(argv, build_parser.__wrapped__())
+        assert _run(argv)[0] == 0

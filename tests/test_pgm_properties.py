@@ -133,3 +133,72 @@ def test_huge_declared_sizes_allocate_only_what_the_stream_holds(width, height, 
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def outcome(stream):
+    """The image a stream loads to, or the message it is rejected with."""
+    try:
+        return load_pgm(stream)
+    except PgmError as exc:
+        return str(exc)
+
+
+def expected_p2(img, tokens):
+    """What a P2 raster of these tokens must load to: the first fault in reading order wins."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            return f"non-numeric pixel token {token!r}"
+    count = img.width * img.height
+    if len(values) != count:
+        return f"expected {count} pixels, found {len(values)}"
+    maxval = (1 << img.bit_depth) - 1
+    for v in values:
+        if not 0 <= v <= maxval:
+            return f"pixel value {v} outside [0, {maxval}]"
+    return Image(img.width, img.height, img.bit_depth, values)
+
+
+def bad_token(maxval):
+    """Tokens that are no pixel value: non-numeric, negative, or above maxval."""
+    non_numeric = st.one_of(
+        st.binary(min_size=1, max_size=4).filter(
+            lambda t: not any(c in b" \t\n\r\x0b\x0c#" for c in t)),
+        st.sampled_from([b"0x1f", b"1.5", b"1e3", b"--1", b"7a"]))
+    negative = st.integers(-300, -1).map(lambda v: str(v).encode())
+    above = st.one_of(st.integers(maxval + 1, maxval + 300).map(lambda v: str(v).encode()),
+                      st.sampled_from([b"65536", b"+99999999999999999999"]))
+    return st.one_of(non_numeric, negative, above)
+
+
+@thorough
+@given(images(), st.data())
+def test_p2_raster_without_comments_loads_like_the_tokenizer(img, data):
+    maxval = (1 << img.bit_depth) - 1
+    tokens = [str(v).encode() for v in img.pixels]
+    # Mostly count-preserving replacements, so range and token errors show, not only counts.
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, len(tokens)))
+        action = data.draw(st.sampled_from(["replace"] * 4 + ["insert", "drop"]))
+        if action == "drop" and tokens:
+            del tokens[min(at, len(tokens) - 1)]
+        elif action == "insert" or not tokens:
+            tokens.insert(at, data.draw(bad_token(maxval)))
+        else:
+            tokens[min(at, len(tokens) - 1)] = data.draw(bad_token(maxval))
+    whitespace = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+                          min_size=1, max_size=3).map(b"".join)
+    gaps = data.draw(st.lists(whitespace, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    head = f"P2\n{img.width} {img.height}\n{maxval}".encode()
+    stream = head + b"".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
+    assert b"#" not in stream
+
+    # A comment anywhere sends the raster through the byte-by-byte tokenizer.
+    cut = data.draw(st.integers(0, len(tokens)))
+    gaps[cut] += b"# comment\n"
+    commented = head + b"".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
+    want = expected_p2(img, tokens)
+    assert outcome(stream) == want
+    assert outcome(commented) == want

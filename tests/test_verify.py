@@ -208,6 +208,27 @@ class TestClassicalMatch:
         for x, y in anchor.locations:
             assert 0 <= x < side and 0 <= y < side
 
+    def test_edge_hits_keep_raster_order_when_side_and_span_differ(self):
+        # side 16, block 4, span 13: flat hit indices divided by the wrong
+        # width land on other rows, so every location below would move.
+        side, b = 16, 4
+        small = make_image(list(range(1, b * b + 1)), b, 8)
+        pixels = [0] * (side * side)
+        for x0, y0 in ((side - b, 0), (0, side - b), (side - b, side - b)):
+            for dy in range(b):
+                for dx in range(b):
+                    pixels[(y0 + dy) * side + x0 + dx] = small.pixel(dx, dy)
+        for x, y in ((side - 1, 5), (6, side - 1)):  # lone anchors, last column and row
+            pixels[y * side + x] = small.pixel(0, 0)
+        big = make_image(pixels, side, 8)
+
+        full = classical_match(big, small, MatchMode.FULL_BLOCK)
+        assert full.locations == ((12, 0), (0, 12), (12, 12))
+        assert full.comparisons == b * b * (side - b + 1) ** 2
+        anchor = classical_match(big, small, MatchMode.ANCHOR_PIXEL)
+        assert anchor.locations == ((12, 0), (15, 5), (0, 12), (12, 12), (6, 15))
+        assert anchor.comparisons == side * side
+
 
 def test_full_block_equals_literal_nested_scan():
     rng = random.Random(95)
