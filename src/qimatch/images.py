@@ -173,9 +173,9 @@ def load_pgm(data: bytes) -> Image:
     The header is whitespace-delimited (magic, width, height, maxval) and may
     contain '#' comment lines.  P5 rasters use one byte per pixel, or two
     big-endian bytes when maxval > 255.  The derived bit depth is the smallest
-    q with maxval <= 2**q - 1.  A P2 raster without '#' is split with
-    ``bytes.split``; one with comments goes through the header tokenizer.
-    Both give the same pixels and the same messages.
+    q with maxval <= 2**q - 1.  A P2 raster may also hold '#' comments; it
+    is read line by line, each line cut at its first '#' and split on
+    whitespace.
 
     Raises :class:`PgmError` for malformed input.  Geometry (squareness,
     power-of-two sides) is deliberately not checked here.
@@ -208,14 +208,17 @@ def load_pgm(data: bytes) -> Image:
     count = width * height
 
     if magic == b"P2":
-        raster = data[raster_start:]
-        # Without comments the raster is plain whitespace-separated tokens.
-        tokens = [t for t, _ in _header_tokens(raster)] if b"#" in raster else raster.split()
-        try:
-            values = list(map(int, tokens))
-        except ValueError:
-            token = next(t for t in tokens if not _is_int(t))
-            raise PgmError(f"non-numeric pixel token {token!r}") from None
+        # A comment runs from '#' to the end of its line, so cutting each line
+        # at its first '#' and splitting the rest gives the tokenizer's tokens.
+        # Line by line, only one line's tokens are held at a time.
+        values: list[int] = []
+        for line in data[raster_start:].split(b"\n"):
+            tokens = line.partition(b"#")[0].split()
+            try:
+                values.extend(map(int, tokens))
+            except ValueError:
+                token = next(t for t in tokens if not _is_int(t))
+                raise PgmError(f"non-numeric pixel token {token!r}") from None
         if len(values) != count:
             raise PgmError(f"expected {count} pixels, found {len(values)}")
         if min(values) < 0 or max(values) > maxval:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qimatch.images import Image, PgmError, load_pgm, write_pgm
+from qimatch.images import Image, PgmError, _header_tokens, load_pgm, write_pgm
 
 # Tracing memory makes single examples slow; no example has a deadline.
 thorough = settings(max_examples=150, deadline=None)
@@ -175,7 +175,7 @@ def bad_token(maxval):
 
 @thorough
 @given(images(), st.data())
-def test_p2_raster_without_comments_loads_like_the_tokenizer(img, data):
+def test_p2_raster_loads_like_a_reference_reader(img, data):
     maxval = (1 << img.bit_depth) - 1
     tokens = [str(v).encode() for v in img.pixels]
     # Mostly count-preserving replacements, so range and token errors show, not only counts.
@@ -195,10 +195,28 @@ def test_p2_raster_without_comments_loads_like_the_tokenizer(img, data):
     stream = head + b"".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
     assert b"#" not in stream
 
-    # A comment anywhere sends the raster through the byte-by-byte tokenizer.
+    # A comment ends a token it touches and runs to the end of its line, or of the stream.
+    text = data.draw(st.binary(max_size=8).filter(lambda t: b"\n" not in t))
     cut = data.draw(st.integers(0, len(tokens)))
-    gaps[cut] += b"# comment\n"
+    where = data.draw(st.sampled_from(["after gap", "on token", "at end"]))
+    if where == "at end":
+        gaps[-1] += b"#" + text
+    elif where == "on token" and cut < len(tokens):
+        tokens = tokens[:cut] + [tokens[cut] + b"#" + text + b"\n"] + tokens[cut + 1:]
+    else:
+        gaps[cut] += b"#" + text + b"\n"
     commented = head + b"".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1]
-    want = expected_p2(img, tokens)
+    want = expected_p2(img, [t.partition(b"#")[0] for t in tokens])
     assert outcome(stream) == want
     assert outcome(commented) == want
+
+
+@thorough
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 7, 255, 65535]),
+       st.lists(st.sampled_from([b"0", b"1", b"7", b"300", b"-2", b"x", b"+", b" ", b"\t", b"\r",
+                                 b"\n", b"\x0c", b"#"]), max_size=24).map(b"".join))
+def test_p2_raster_reads_the_header_tokenizers_tokens(width, height, maxval, raster):
+    stream = f"P2\n{width} {height}\n{maxval}".encode() + b" " + raster
+    img = Image(width, height, maxval.bit_length(), [0] * (width * height))
+    want = expected_p2(img, [t for t, _ in _header_tokens(b" " + raster)])
+    assert outcome(stream) == want
