@@ -13,7 +13,6 @@ from qimatch import (
     classical_match,
     dense_marked_set,
     dense_simulate_marking,
-    encode_gqir,
     marked_set,
     prepare_initial,
     sample_pair,
@@ -23,9 +22,8 @@ from qimatch.images import Image
 
 big, small = sample_pair()
 dims = validate_pair(big, small)
-enc_big, enc_small = encode_gqir(big, dims), encode_gqir(small, dims)
 
-state = prepare_initial(enc_big, enc_small)
+state = prepare_initial(big, small)
 print(f"prepared state: {state.branch_count} branches, amplitude "
       f"{state.amplitude[0]} each, squared norm {state.norm_squared():.12f}")
 
@@ -59,12 +57,8 @@ print(f"classical full-block scan   : {list(full.locations)} "
 big3 = Image(4, 4, 3, (2, 1, 3, 7, 6, 5, 1, 0, 4, 1, 2, 6, 7, 0, 3, 4))
 small3 = Image(2, 2, 3, (5, 1, 1, 2))
 dims3 = validate_pair(big3, small3)
-dense = dense_simulate_marking(encode_gqir(big3, dims3), encode_gqir(small3, dims3))
-state3 = apply_marking(
-    apply_comparison(
-        prepare_initial(encode_gqir(big3, dims3), encode_gqir(small3, dims3))
-    )
-)
+dense = dense_simulate_marking(big3, small3)
+state3 = apply_marking(apply_comparison(prepare_initial(big3, small3)))
 anchor3 = classical_match(big3, small3, MatchMode.ANCHOR_PIXEL)
 anchor3_set = sorted(y * dims3.side + x for x, y in anchor3.locations)
 print("\n3-bit cross-check instance:")

@@ -2,8 +2,8 @@
 
 :func:`qimatch.pipeline.match` locates a small grayscale image in a big one by
 
-1. encoding both images as uniform position-intensity superpositions
-   (:mod:`qimatch.images`),
+1. encoding both images as uniform position-intensity superpositions, which
+   an :class:`~qimatch.images.Image` already is (:mod:`qimatch.images`),
 2. simulating the compare-and-mark circuit that flags candidate positions
    (:mod:`qimatch.marking`),
 3. planning the rounds for the marked count, amplifying the flagged positions
@@ -16,7 +16,6 @@ exhaustive classical matcher) used to cross-check the pipeline, and
 """
 
 from .images import (
-    GqirImage,
     Image,
     MatchDims,
     PgmError,

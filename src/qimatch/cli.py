@@ -62,7 +62,7 @@ def _match_report(
         report["verify"] = verification
     report["samples"] = {
         "seed": seed,
-        "counts": {str(k): outcome.counts[k] for k in sorted(outcome.counts)},
+        "counts": {str(k): c for k, c in outcome.counts.items()},
     }
     if timings_ms is not None:
         report["timings_ms"] = timings_ms
@@ -162,6 +162,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
     a_max = args.max_a
     if a_max < 4 or a_max & (a_max - 1):
         print(f"error: --max-a must be a power of two >= 4, got {a_max}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if a_max > grover.MAX_PLAN_SIDE:
+        print(f"error: --max-a 2^{a_max.bit_length() - 1} is past the float64 limit 2^537",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
     header = ["a"] + [f"i_{m.value}" for m in modes] + ["predicted_success", "lower_bound"]
@@ -263,6 +267,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     a = args.a
     if a < 2 or a & (a - 1):
         print(f"error: --a must be a power of two >= 2, got {a}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if a > grover.MAX_RECURRENCE_SIDE:
+        print(f"error: --a 2^{a.bit_length() - 1} is past the float64 limit 2^511", file=sys.stderr)
         return EXIT_VALIDATION
     sweep = args.sweep_i if args.sweep_i is not None else 2 * a
     if sweep < 0:

@@ -284,6 +284,11 @@ def closed_form_pair(i: int, side: int | Fraction) -> AmplitudePair:
 # ---------------------------------------------------------------------------
 
 
+# Float64 limits on the side: from 2**512 recurrence_step's division by side**2
+# overflows, and from 2**538 1/side**2 underflows to 0, and asin(1/side) with it.
+MAX_RECURRENCE_SIDE, MAX_PLAN_SIDE = 1 << 511, 1 << 537
+
+
 class PlanMode(enum.Enum):
     EXACT = "exact"
     FIT = "fit"
@@ -350,7 +355,8 @@ def probability_lower_bound(a: int) -> float:
     """
     if a < 2:
         raise ValueError("side must be at least 2")
-    return (0.9194 + 0.0567 / a + 0.2302 / a**2 - 0.0336 / a**3) ** 2
+    x = 1 / a  # a**3 as a float would overflow from side 2**342
+    return (0.9194 + 0.0567 * x + 0.2302 * x * x - 0.0336 * x**3) ** 2
 
 
 def success_probability(side: int, rounds: int, marked: int = 1) -> float:
@@ -364,7 +370,7 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
 
 
 def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
-    """Choose an iteration count for ``marked`` positions at width ``side``.
+    """Choose an iteration count for ``marked`` positions at width ``side`` <= MAX_PLAN_SIDE.
 
     With one marked position ``mode`` picks the rule.  With more, every mode
     plans the peak of sin**2((2r+1)*theta), and EXACT and FIT warn that they
@@ -375,6 +381,8 @@ def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1)
     """
     if side < 2 or side & (side - 1):
         raise ValueError(f"side must be a power of two >= 2, got {side}")
+    if side > MAX_PLAN_SIDE:
+        raise ValueError(f"side 2^{side.bit_length() - 1} is past the float64 limit 2^537")
     positions = side * side
     if not 0 <= marked <= positions:
         raise ValueError(f"marked count must be in [0, {positions}], got {marked}")

@@ -1,10 +1,10 @@
 """Grayscale image loading, pair validation, and position-register encoding.
 
 Images are square with power-of-two side lengths.  A matching instance is a
-pair (big, small) with sides 2**n and 2**m, n > m >= 0, sharing a common bit
-depth.  The encoder flattens an image into the uniform-superposition form used
-by the simulator: one (position, intensity) entry per pixel, every entry
-carrying the implicit amplitude 1/2**n.
+pair (big, small) with sides 2**n and 2**m, n > m >= 0, compared at the wider
+bit depth; :func:`validate_pair` alone checks that contract.  An image is its
+own uniform-superposition encoding: one (position, intensity) entry per
+pixel, every entry carrying the implicit amplitude 1/side.
 
 Every image holds its pixels as one read-only numpy array (``uint8`` up to 8
 bits, native ``uint16`` above), and that array is what encoding, marking and
@@ -52,7 +52,8 @@ class Image:
     validation error, not a parse error.
 
     ``pixels`` may be any int sequence.  A read-only array of the storage
-    dtype is shared rather than copied.
+    dtype is shared rather than copied.  As its own encoding, an image reads
+    ``values`` (``array``), ``side``, ``amplitude`` (1/side) and ``entries()``.
     """
 
     width: int
@@ -85,6 +86,21 @@ class Image:
     def pixels(self) -> tuple[int, ...]:
         return tuple(self.array.tolist())
 
+    @property
+    def values(self) -> np.ndarray:
+        return self.array
+
+    @property
+    def side(self) -> int:
+        return self.width
+
+    @property
+    def amplitude(self) -> float:
+        return 1.0 / self.width
+
+    def entries(self) -> Iterator[tuple[int, int]]:
+        return iter(enumerate(self.array.tolist()))
+
     def pixel(self, x: int, y: int) -> int:
         return int(self.array[y * self.width + x])
 
@@ -110,35 +126,6 @@ class MatchDims:
     m: int
     bit_depth: int
     side: int
-
-
-@dataclass(frozen=True, eq=False)
-class GqirImage:
-    """Classical stand-in for the uniform intensity-position superposition.
-
-    ``values[k]`` is the intensity at position index k; ``values`` is the
-    encoded image's own read-only array.  Every entry carries the same
-    implicit amplitude 1/2**side_log2, so the squared amplitudes sum to one.
-    """
-
-    side_log2: int
-    bit_depth: int
-    values: np.ndarray
-
-    @property
-    def side(self) -> int:
-        return 1 << self.side_log2
-
-    @property
-    def amplitude(self) -> float:
-        return 1.0 / (1 << self.side_log2)
-
-    def entries(self) -> Iterator[tuple[int, int]]:
-        return iter(enumerate(self.values.tolist()))
-
-
-def _is_power_of_two(v: int) -> bool:
-    return v > 0 and (v & (v - 1)) == 0
 
 
 def _is_int(token: bytes) -> bool:
@@ -263,7 +250,7 @@ def validate_pair(big: Image, small: Image) -> MatchDims:
     for name, img in (("big", big), ("small", small)):
         if img.width != img.height:
             raise ValidationError(f"{name} image is {img.width}x{img.height}, not square")
-        if not _is_power_of_two(img.width):
+        if img.width < 1 or img.width & (img.width - 1):
             raise ValidationError(f"{name} image side {img.width} is not a power of two")
     n = big.width.bit_length() - 1
     m = small.width.bit_length() - 1
@@ -274,17 +261,16 @@ def validate_pair(big: Image, small: Image) -> MatchDims:
     return MatchDims(n=n, m=m, bit_depth=max(big.bit_depth, small.bit_depth), side=big.width)
 
 
-def encode_gqir(img: Image, dims: MatchDims) -> GqirImage:
-    """Encode a validated image into its uniform-superposition table.
+def encode_gqir(img: Image, dims: MatchDims) -> Image:
+    """The big or small image of a validated pair, at the pair's bit depth.
 
-    ``img`` must be the big or the small member of the pair described by
-    ``dims``; the entry at position index k holds pixel (x, y) with
-    k = y * side + x.
+    Row-major pixels already obey the k = y * side + x convention, so this is
+    ``img`` itself, or ``img`` widened to ``dims.bit_depth`` when that is wider.
     """
-    side_log2 = img.width.bit_length() - 1
-    if img.width != img.height or side_log2 not in (dims.n, dims.m):
+    if img.width != img.height or img.width not in (dims.side, 1 << dims.m):
         raise ValidationError(
             f"image {img.width}x{img.height} matches neither side of the validated pair"
         )
-    # Row-major pixels already obey the k = y*side + x convention.
-    return GqirImage(side_log2=side_log2, bit_depth=dims.bit_depth, values=img.array)
+    if img.bit_depth == dims.bit_depth:
+        return img
+    return Image(img.width, img.height, dims.bit_depth, img.array)

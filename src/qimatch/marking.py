@@ -1,14 +1,15 @@
 """Structured simulation of the compare-and-mark stage.
 
 The entangled register over both images is a uniform superposition over
-every (big position, small position) pair, so it is held as the two
-intensity vectors and the stage reached: O(4**n + 4**m) numbers, not one
-entry per branch.  Each branch is computed on demand.  Its two intensity
-registers start as ``big[pos_a]`` and ``small[pos_b]``.  The comparison step
-XORs the small intensity into the big intensity register (a ladder of CNOTs,
-one per bit plane).  The marking step raises the flag on branches whose
-difference register is all-zero while the small position register is zero.
-The phase-kickback ancilla is untouched by both steps and is therefore not
+every (big position, small position) pair, so it is held as the two images'
+own intensity arrays, the dimensions :func:`~qimatch.images.validate_pair`
+gives and the stage reached: O(4**n + 4**m) numbers, not one entry per
+branch.  Each branch is computed on demand.  Its two intensity registers start
+as ``big[pos_a]`` and ``small[pos_b]``.  The comparison step XORs the small
+intensity into the big intensity register (a ladder of CNOTs, one per bit
+plane).  The marking step raises the flag on branches whose difference
+register is all-zero while the small position register is zero.  The
+phase-kickback ancilla is untouched by both steps and is therefore not
 represented here; it only matters once amplification flips signs, which the
 :mod:`qimatch.grover` engine realizes directly.
 
@@ -25,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .images import GqirImage, MatchDims, ValidationError, _frozen
+from .images import Image, MatchDims, _frozen, validate_pair
 
 
 class Stage(enum.Enum):
@@ -54,7 +55,7 @@ class Branch:
 class JointState:
     """Joint state over 4**n * 4**m branches, held as the two images and a stage.
 
-    ``big`` and ``small`` are the encoded images' own read-only unsigned
+    ``big`` and ``small`` are the two images' own read-only unsigned
     intensity arrays, indexed by position.  Branch (pos_a, pos_b) sits at
     index ``pos_a * 4**m + pos_b`` of the array views ``pos_a``, ``val_a``,
     ``pos_b``, ``val_b`` and ``amplitude``; these views are built on each
@@ -117,18 +118,14 @@ class JointState:
         return Branch(flag, val_a, int(pos_a), val_b, int(pos_b), self._weight)
 
 
-def prepare_initial(big: GqirImage, small: GqirImage) -> JointState:
+def prepare_initial(big: Image, small: Image) -> JointState:
     """Build the uniform product state over every (pos_a, pos_b) pair.
 
     Each of the 4**n * 4**m branches starts with flag 0 and amplitude
-    1/2**(n+m).
+    1/2**(n+m).  Raises ValidationError for a pair ``validate_pair`` rejects.
     """
-    if big.side_log2 <= small.side_log2:
-        raise ValidationError("big image side must exceed small image side")
-    if big.bit_depth != small.bit_depth:
-        raise ValidationError("images must share a bit depth after widening")
-    dims = MatchDims(n=big.side_log2, m=small.side_log2, bit_depth=big.bit_depth, side=big.side)
-    return JointState(dims=dims, big=big.values, small=small.values, stage=Stage.PREPARED)
+    return JointState(dims=validate_pair(big, small), big=big.array, small=small.array,
+                      stage=Stage.PREPARED)
 
 
 def apply_comparison(state: JointState) -> JointState:

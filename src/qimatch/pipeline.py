@@ -1,4 +1,4 @@
-"""One match run: validate, encode, mark, plan, amplify and sample.
+"""One match run: validate and prepare the joint state, mark, plan, amplify and sample.
 
 :func:`match` is the only place this chain is written out; the ``match`` and
 ``example`` commands and the end-to-end demo call it.
@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 
 from . import grover, marking
-from .images import Image, MatchDims, encode_gqir, validate_pair
+from .images import Image, MatchDims
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,15 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     """Locate ``small`` inside ``big``; raises ValidationError for a bad pair.
 
     The plan is made for the marked count.  ``iterations`` overrides its
-    rounds, and the predicted success then follows the override.
+    rounds, and the predicted success then follows the override.  The
+    ``encode`` lap validates the pair and builds the joint state.
     """
     timings: dict[str, float] = {}
     start = time.perf_counter()
-    dims = validate_pair(big, small)
-    big_enc, small_enc = encode_gqir(big, dims), encode_gqir(small, dims)
+    joint = marking.prepare_initial(big, small)
+    dims = joint.dims
     start = lap(timings, "encode", start)
 
-    joint = marking.prepare_initial(big_enc, small_enc)
     marked = marking.marked_indices(marking.apply_marking(marking.apply_comparison(joint)))
     start = lap(timings, "mark", start)
 

@@ -15,12 +15,14 @@ Two more check :mod:`qimatch.grover`: the full-vector amplification engine
 :func:`closed_form_iterations`, the planning quartic's radical root in
 complex floats.  Tests compare them with the closed form and the exact plan.
 
-The dense route is exponential in every register width, so construction is
-capped (default 22 qubits, a 32 MiB vector); it exists for small instances
-only.  The classical matcher has two modes: FULL_BLOCK is the engineering
-ground truth (the whole small image must match a block of the big image);
-ANCHOR_PIXEL reproduces what the marking circuit actually tests, namely
-equality of single big-image pixels with the small image's top-left pixel.
+Every route takes the two :class:`~qimatch.images.Image` objects.  The dense
+route is exponential in every register width (each as wide as the pair's
+wider bit depth), so construction is capped (default 22 qubits, a 32 MiB
+vector); it exists for small instances only.  The classical matcher has two
+modes: FULL_BLOCK is the engineering ground truth (the whole small image must
+match a block of the big image); ANCHOR_PIXEL reproduces what the marking
+circuit actually tests, namely equality of single big-image pixels with the
+small image's top-left pixel.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .images import GqirImage, Image, MatchDims, validate_pair
+from .images import Image, MatchDims, _frozen, validate_pair
 
 DEFAULT_QUBIT_CAP = 22
 
@@ -117,18 +119,17 @@ def apply_controlled_flip(
 
 
 def dense_simulate_marking(
-    big: GqirImage, small: GqirImage, qubit_cap: int = DEFAULT_QUBIT_CAP
+    big: Image, small: Image, qubit_cap: int = DEFAULT_QUBIT_CAP
 ) -> DenseState:
     """Gate-level dense simulation of the compare-and-mark stage.
 
     Prepares the product of the kickback ancilla (|0> - |1>)/sqrt(2), the flag
     at 0, and the two uniform image superpositions, then applies one CNOT per
     intensity bit plane followed by the multi-controlled flag flip.  Agrees
-    branch for branch with the structured simulation.
+    branch for branch with the structured simulation, at any mix of bit depths.
     """
-    if big.bit_depth != small.bit_depth:
-        raise ValueError("images must share a bit depth")
-    layout = RegisterLayout(bit_depth=big.bit_depth, n=big.side_log2, m=small.side_log2)
+    dims = validate_pair(big, small)
+    layout = RegisterLayout(bit_depth=dims.bit_depth, n=dims.n, m=dims.m)
     if layout.total_qubits > qubit_cap:
         raise ValueError(
             f"instance needs {layout.total_qubits} qubits, cap is {qubit_cap}"
@@ -139,8 +140,8 @@ def dense_simulate_marking(
     na, nb = 1 << (2 * layout.n), 1 << (2 * layout.m)
     pos_a = np.repeat(np.arange(na, dtype=np.int64), nb)
     pos_b = np.tile(np.arange(nb, dtype=np.int64), na)
-    val_a = np.repeat(np.asarray(big.values, dtype=np.int64), nb)
-    val_b = np.tile(np.asarray(small.values, dtype=np.int64), na)
+    val_a = np.repeat(np.asarray(big.array, dtype=np.int64), nb)
+    val_b = np.tile(np.asarray(small.array, dtype=np.int64), na)
     base = (
         (val_a << layout.val_a[0])
         | (pos_a << layout.pos_a[0])
@@ -247,11 +248,6 @@ class SubspaceState:
         return self.amplitudes * self.amplitudes
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def init_subspace(n: int, marked: Iterable[int]) -> SubspaceState:
     """Uniform state over 4**n position indices with the given marked set.
 
@@ -276,12 +272,7 @@ def phase_flip(state: SubspaceState) -> SubspaceState:
     amps = state.amplitudes.copy()
     idx = sorted(state.marked)
     amps[idx] = -amps[idx]
-    return SubspaceState(
-        n=state.n,
-        amplitudes=_frozen(amps),
-        marked=state.marked,
-        ops=state.ops + len(idx),
-    )
+    return replace(state, amplitudes=_frozen(amps), ops=state.ops + len(idx))
 
 
 def diffuse(state: SubspaceState) -> SubspaceState:
@@ -294,12 +285,7 @@ def diffuse(state: SubspaceState) -> SubspaceState:
     """
     mean = float(np.sum(state.amplitudes)) / state.size
     amps = 2.0 * mean - state.amplitudes
-    return SubspaceState(
-        n=state.n,
-        amplitudes=_frozen(amps),
-        marked=state.marked,
-        ops=state.ops + 2 * state.size,
-    )
+    return replace(state, amplitudes=_frozen(amps), ops=state.ops + 2 * state.size)
 
 
 def run_grover(state: SubspaceState, iterations: int) -> SubspaceState:

@@ -296,6 +296,41 @@ class TestAnalyzeCommand:
         assert peak < 1 << 20
 
 
+class TestLargeSides:
+    def test_table1_past_the_old_overflow(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        assert main(["table1", "--max-a", str(1 << 342), "--csv", str(path)]) == 0
+        rows = path.read_text().strip().splitlines()
+        assert len(rows) == 1 + 341  # sides 4..2**342
+        a, exact, _, _, predicted, bound = rows[-1].split(",")
+        assert int(a) == 1 << 342
+        turn = float(2 * int(exact) + 1) / float(1 << 342)
+        assert abs(float(predicted) - math.sin(turn) ** 2) < 1e-12
+        assert float(bound) == 0.9194**2
+
+    @pytest.mark.parametrize("k", [538, 1024])
+    def test_table1_past_the_planner_limit_exit_two(self, k, capsys):
+        assert main(["table1", "--max-a", str(1 << k)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--max-a 2^{k} is past the float64 limit 2^537" in err
+
+    @pytest.mark.parametrize("k", [342, 511])
+    def test_analyze_up_to_the_recurrence_limit(self, k, capsys):
+        a = 1 << k
+        assert main(["analyze", "--a", str(a), "--sweep-i", "2"]) == 0
+        out = capsys.readouterr().out
+        exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
+        assert f"planned rounds (exact): i={exact}" in out
+
+    @pytest.mark.parametrize("k", [512, 538, 1024])
+    def test_analyze_past_the_recurrence_limit_exit_two(self, k, capsys):
+        assert main(["analyze", "--a", str(1 << k), "--sweep-i", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--a 2^{k} is past the float64 limit 2^511" in err
+
+
 def _run(argv, parser=None):
     """Exit code and stdout of one command, through ``main`` or through ``parser``."""
     out = io.StringIO()

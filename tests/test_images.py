@@ -203,6 +203,33 @@ class TestEncode:
             for x in range(4):
                 assert enc.values[y * 4 + x] == big.pixel(x, y)
 
+    def test_widens_four_to_eight_bits_without_a_copy(self):
+        big = load_pgm(p2_bytes(4, 4, 255, list(range(16))))
+        small = load_pgm(p2_bytes(2, 2, 15, [1, 2, 3, 4]))
+        dims = validate_pair(big, small)
+        assert encode_gqir(big, dims) is big
+        enc = encode_gqir(small, dims)
+        assert isinstance(enc, Image)
+        assert (enc.width, enc.height, enc.bit_depth) == (2, 2, 8)
+        assert enc.values is small.array
+
+    def test_widens_eight_to_sixteen_bits_to_a_uint16_copy(self):
+        big = load_pgm(p5_bytes(4, 4, 65535, [0, 300, 65535] + [7] * 13))
+        small = load_pgm(p2_bytes(2, 2, 255, [9, 8, 7, 255]))
+        dims = validate_pair(big, small)
+        assert encode_gqir(big, dims) is big
+        enc = encode_gqir(small, dims)
+        assert isinstance(enc, Image) and enc.bit_depth == 16
+        assert enc.values.dtype == np.uint16 and not enc.values.flags.writeable
+        assert np.array_equal(enc.values, small.array)
+        assert small.array.dtype == np.uint8
+
+    def test_image_is_its_own_encoding(self):
+        big, small = sample_pair()
+        assert big.values is big.array
+        assert (big.side, big.amplitude, small.side, small.amplitude) == (4, 0.25, 2, 0.5)
+        assert list(small.entries()) == list(enumerate(small.pixels))
+
 
 def per_pixel_pgm(img, binary):
     """PGM bytes written one pixel at a time, as the serializer did over tuples."""

@@ -102,6 +102,38 @@ class TestPrepare:
             prepare_initial(enc, enc)
 
 
+class TestPrepareFromImages:
+    def test_raw_images_equal_the_encoded_route(self):
+        rng = random.Random(31)
+        for big_depth, small_depth in ((8, 8), (4, 8), (8, 4), (8, 16), (16, 3)):
+            big = make_image([rng.randrange(1 << big_depth) for _ in range(16)], 4, big_depth)
+            small = make_image([rng.randrange(1 << small_depth) for _ in range(4)], 2, small_depth)
+            dims = validate_pair(big, small)
+            raw = prepare_initial(big, small)
+            enc = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+            assert raw.dims == enc.dims == dims
+            assert raw.big is big.array and raw.small is small.array
+            assert np.array_equal(raw.big, enc.big) and np.array_equal(raw.small, enc.small)
+            for step in (lambda s: s, apply_comparison, lambda s: apply_marking(apply_comparison(s))):
+                assert dump_branches(step(raw)) == dump_branches(step(enc))
+            marked = marked_indices(apply_marking(apply_comparison(raw)))
+            assert np.array_equal(marked, marked_indices(apply_marking(apply_comparison(enc))))
+
+    @pytest.mark.parametrize("pair", [
+        ([0] * 16, 4, [0] * 16, 4),   # same side
+        ([0] * 4, 2, [0] * 16, 4),    # small side larger
+        ([0] * 16, 4, [0] * 9, 3),    # small side not a power of two
+    ])
+    def test_bad_pair_raises_validate_pairs_message(self, pair):
+        big_px, big_side, small_px, small_side = pair
+        big, small = make_image(big_px, big_side, 8), make_image(small_px, small_side, 8)
+        with pytest.raises(ValidationError) as want:
+            validate_pair(big, small)
+        with pytest.raises(ValidationError) as got:
+            prepare_initial(big, small)
+        assert str(got.value) == str(want.value)
+
+
 class TestComparison:
     def test_example_branch_xor(self):
         state = apply_comparison(sample_state(Stage.PREPARED))

@@ -172,6 +172,46 @@ class TestLowerBound:
             a *= 2
 
 
+class TestLargeSides:
+    """Float64 edges of the planner: a**3 overflowed from 2**342, 1/a**2
+    underflows from 2**538."""
+
+    @pytest.mark.parametrize("k", [341, 342, 537])
+    @pytest.mark.parametrize("mode", list(PlanMode))
+    def test_plans_match_the_rotation(self, k, mode):
+        a = 1 << k
+        plan = plan_iterations(a, mode)
+        r = plan.iterations
+        # theta = asin(1/a) = 1/a to float precision this far out.
+        assert abs(plan.predicted_success - math.sin(float(Fraction(2 * r + 1, a))) ** 2) < 1e-12
+        assert plan.predicted_success > plan.lower_bound == 0.9194**2
+        ratio = {PlanMode.EXACT: math.sqrt((3 - math.sqrt(3)) / 2), PlanMode.FIT: 0.7962,
+                 PlanMode.OPTIMAL: math.pi / 4}[mode]
+        assert abs(float(Fraction(r, a)) - ratio) < 1e-12
+
+    @pytest.mark.parametrize("k", [341, 342, 537])
+    def test_exact_count_is_the_first_sign_change(self, k):
+        a = 1 << k
+        i = plan_iterations(a, PlanMode.EXACT).iterations
+        assert quartic_doubled(i, a) < 0 <= quartic_doubled(i - 1, a)
+
+    def test_bound_unchanged_below_the_old_overflow(self):
+        for k in range(1, 342):
+            a = 1 << k
+            old = (0.9194 + 0.0567 / a + 0.2302 / a**2 - 0.0336 / a**3) ** 2
+            assert probability_lower_bound(a) == old, k
+
+    @pytest.mark.parametrize("k", [342, 538, 1024, 1100])
+    def test_bound_defined_past_float_range(self, k):
+        assert probability_lower_bound(1 << k) == 0.9194**2
+
+    @pytest.mark.parametrize("k", [538, 1024])
+    @pytest.mark.parametrize("mode", list(PlanMode))
+    def test_past_the_angle_underflow_rejected(self, k, mode):
+        with pytest.raises(ValueError, match="float64 limit"):
+            plan_iterations(1 << k, mode)
+
+
 class TestGrowthEnvelope:
     def test_scaled_gap_stays_below_polynomial_envelope(self):
         # envelope: a - (2i^2+4i+1)/a + (2/3 i^4 + 8/3 i^3 + 4/3 i^2 - 2/3 i)/a^3

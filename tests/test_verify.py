@@ -155,6 +155,37 @@ class TestDenseSimulation:
             assert dense == structured == anchor
 
 
+class TestDenseMixedDepths:
+    @pytest.mark.parametrize("depths", [(4, 8), (8, 4), (1, 3), (3, 2)])
+    def test_raw_pair_agrees_with_structured(self, depths):
+        rng = random.Random(sum(depths))
+        big_depth, small_depth = depths
+        # An 8-bit pair needs a 20-qubit register even at n = 1, so it gets fewer runs.
+        n, runs = (1, 4) if max(depths) > 4 else (2, 20)
+        for run in range(runs):
+            m = rng.randint(0, n - 1)
+            big_px = [rng.randrange(1 << big_depth) for _ in range(4**n)]
+            small_px = [rng.randrange(1 << small_depth) for _ in range(4**m)]
+            if run % 2 == 0:  # plant the anchor so marks occur
+                small_px[0] = big_px[rng.randrange(4**n)] = rng.randrange(1 << min(depths))
+            big, small = make_image(big_px, 1 << n, big_depth), make_image(small_px, 1 << m, small_depth)
+            dense = dense_simulate_marking(big, small)
+            assert dense.layout.bit_depth == max(depths)
+            structured = marked_set(apply_marking(apply_comparison(prepare_initial(big, small))))
+            assert dense_marked_set(dense) == structured
+            assert abs(dense.norm_squared() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("depths", [(16, 8), (8, 16)])
+    def test_eight_and_sixteen_bits_take_the_wider_register(self, depths):
+        # Two 16-bit registers make 36 qubits, past any dense cap, so only the
+        # layout width is checked here; test_marking covers 8/16-bit pairs on
+        # the structured route.
+        big = make_image([0, 300 % (1 << depths[0]), 5, 7], 2, depths[0])
+        small = make_image([5], 1, depths[1])
+        with pytest.raises(ValueError, match="needs 36 qubits"):
+            dense_simulate_marking(big, small)
+
+
 class TestClassicalMatch:
     def test_sample_pair_full_block(self):
         big, small = sample_pair()
