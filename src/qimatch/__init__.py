@@ -17,7 +17,6 @@ exhaustive classical matcher) used to cross-check the pipeline, and
 
 from .images import (
     Image,
-    MatchDims,
     PgmError,
     ValidationError,
     encode_gqir,
@@ -25,37 +24,10 @@ from .images import (
     validate_pair,
     write_pgm,
 )
-from .marking import (
-    Branch,
-    JointState,
-    Stage,
-    StageError,
-    apply_comparison,
-    apply_marking,
-    dump_branches,
-    marked_set,
-    prepare_initial,
-)
-from .grover import (
-    AmplitudePair,
-    IterationPlan,
-    PlanMode,
-    TwoValueState,
-    amplify,
-    closed_form_pair,
-    initial_pair,
-    plan_csv,
-    plan_iterations,
-    probability_lower_bound,
-    recurrence_step,
-    sample_groups,
-    success_probability,
-)
+from .marking import apply_comparison, apply_marking, marked_set, prepare_initial
+from .grover import AmplitudePair, PlanMode, plan_iterations, recurrence_step
 from .verify import (
-    DenseState,
     MatchMode,
-    MatchResult,
-    RegisterLayout,
     SubspaceState,
     classical_match,
     closed_form_iterations,
@@ -68,12 +40,13 @@ from .verify import (
     sample_measurement,
 )
 from . import pipeline
-from .sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM, sample_pair
+from .sample import sample_pair
 
 __version__ = "0.1.0"
 
-# The pipeline, its input and error types, and what the demos and tests
-# import; every name imported above stays importable.
+# The pipeline, its input and error types, and what the demos, tests and
+# README import.  SubspaceState, the vector engine's state, is importable too;
+# every other name lives in its module.
 __all__ = [
     "AmplitudePair",
     "Image",
@@ -94,7 +67,6 @@ __all__ = [
     "marked_set",
     "phase_flip",
     "pipeline",
-    "plan_csv",
     "plan_iterations",
     "prepare_initial",
     "recurrence_step",

@@ -34,6 +34,17 @@ EXIT_NO_MATCH = 3
 _MODES = {m.value: m for m in grover.PlanMode}
 
 
+def _write_text(path: str, text: str) -> int:
+    """Write ``text`` to ``path``; EXIT_IO with a message if that fails."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
+
+
 def _match_report(
     outcome: pipeline.Outcome,
     seed: int,
@@ -70,14 +81,14 @@ def _match_report(
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
+    if not 1 <= args.samples <= grover.MAX_SAMPLES:
+        print("error: --samples must be in [1, 2^63 - 1]", file=sys.stderr)
         return EXIT_VALIDATION
     if args.seed < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.iterations is not None and args.iterations < 0:
-        print("error: --iterations must be non-negative", file=sys.stderr)
+    if args.iterations is not None and not 0 <= args.iterations <= grover.MAX_ROUNDS:
+        print("error: --iterations must be in [0, 2^1023 - 2^969 - 1]", file=sys.stderr)
         return EXIT_VALIDATION
 
     timings: dict[str, float] = {}
@@ -139,14 +150,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     if args.timings:
         print("timings_ms: " + ", ".join(f"{k}={v}" for k, v in timings.items()))
 
-    if args.json:
-        payload = json.dumps(report, indent=2) + "\n"
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+    if args.json and _write_text(args.json, json.dumps(report, indent=2) + "\n") != EXIT_OK:
+        return EXIT_IO
 
     return EXIT_NO_MATCH if no_match else EXIT_OK
 
@@ -187,13 +192,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
 
     if args.csv:
-        text = ",".join(header) + "\n" + "\n".join(",".join(r) for r in rows) + "\n"
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        return _write_text(args.csv, "".join(",".join(r) + "\n" for r in [header] + rows))
     return EXIT_OK
 
 

@@ -31,7 +31,10 @@ For a single marked index the evolution is also the two-term recurrence
 with a = 2**n.  :func:`recurrence_step` implements it with plain Python
 arithmetic so it runs exactly on :class:`fractions.Fraction` inputs as well as
 on floats; every denominator reachable from 1/a is a power of two, so float64
-results are bit-exact too for moderate iteration counts.
+results are bit-exact too for moderate iteration counts.  With sin(theta) =
+x = 1/a, its values after i rounds are Chebyshev polynomials in x: marked
+(-1)**i * T_2i+1(x) and unmarked (-1)**i * x * U_2i(x), which
+:func:`closed_form_pair` evaluates for every i >= 1.
 
 Iteration planning offers three modes for a single marked index:
 
@@ -70,6 +73,10 @@ from .verify import (RADICAL_IMAG_TOL, SubspaceState, closed_form_iterations, di
                      init_subspace, phase_flip, run_grover, sample_measurement)
 
 Amplitude = float | Fraction
+
+# Past MAX_SAMPLES numpy's binomial draw of the marked hits overflows int64,
+# and past MAX_ROUNDS float(2r+1) overflows, so (2r+1)*theta cannot be formed.
+MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +165,8 @@ def amplify(n: int, marked: Iterable[int], rounds: int) -> TwoValueState:
     read-only int64 array (as :func:`qimatch.marking.marked_indices` gives),
     which is then shared.  Zero rounds return the uniform state exactly.
     """
-    if rounds < 0:
-        raise ValueError("iteration count must be non-negative")
+    if not 0 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"iteration count must be in [0, MAX_ROUNDS], got {rounds}")
     size = 1 << (2 * n)
     ms = _distinct_sorted(marked)
     if len(ms) and not (0 <= ms[0] and ms[-1] < size):
@@ -203,8 +210,8 @@ def sample_groups(state: TwoValueState, seed: int, samples: int) -> dict[int, in
     Deterministic for a fixed seed; time and memory are
     O(min(samples, 4**n)).  Returns a sparse histogram in index order.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be in [1, MAX_SAMPLES], got {samples}")
     rng = np.random.default_rng(seed)
     count = len(state.marked)
     hits = int(rng.binomial(samples, state.marked_probability()))
@@ -254,29 +261,36 @@ def recurrence_step(pair: AmplitudePair) -> AmplitudePair:
     )
 
 
-def closed_form_pair(i: int, side: int | Fraction) -> AmplitudePair:
-    """Explicit polynomial values of the recurrence for 1 <= i <= 4.
+def _chebyshev(x: Amplitude, first: Amplitude, k: int) -> Amplitude:
+    """P_k(x) for k >= 1, with P_0 = 1, P_1 = ``first`` and P_j+1 = 2x*P_j - P_j-1.
 
-    Coefficients beyond i = 4 are not tabulated; the recurrence covers the
-    general case.  ``side`` may be an int, float, or Fraction; division
-    follows the input type, so Fraction input yields exact output.
+    ``first`` = x gives the Chebyshev polynomial T_k, ``first`` = 2x gives U_k.
     """
-    a = side
-    marked = {
-        1: 3 / a - 4 / a**3,
-        2: 5 / a - 20 / a**3 + 16 / a**5,
-        3: 7 / a - 56 / a**3 + 112 / a**5 - 64 / a**7,
-        4: 9 / a - 120 / a**3 + 432 / a**5 - 576 / a**7 + 256 / a**9,
-    }
-    unmarked = {
-        1: 1 / a - 4 / a**3,
-        2: 1 / a - 12 / a**3 + 16 / a**5,
-        3: 1 / a - 24 / a**3 + 80 / a**5 - 64 / a**7,
-        4: 1 / a - 40 / a**3 + 240 / a**5 - 448 / a**7 + 256 / a**9,
-    }
-    if i not in marked:
-        raise ValueError(f"closed form tabulated for 1 <= i <= 4 only, got {i}")
-    return AmplitudePair(unmarked=unmarked[i], marked=marked[i], iteration=i, side=int(side))
+    prev, cur = 1, first
+    for _ in range(k - 1):
+        prev, cur = cur, 2 * x * cur - prev
+    return cur
+
+
+def closed_form_pair(i: int, side: int | Fraction) -> AmplitudePair:
+    """The recurrence's values after round i >= 1, as polynomials in x = 1/side.
+
+    With sin(theta) = x, marked = sin((2i+1)*theta) = (-1)**i * T_2i+1(x) and
+    unmarked = cos((2i+1)*theta)/sqrt(side**2 - 1) = (-1)**i * x * U_2i(x),
+    for example 3x - 4x**3 and x - 4x**3 at i = 1.  ``side`` may be an int,
+    float, or Fraction; division follows the input type, so Fraction input
+    yields exact output for every i.
+    """
+    if i < 1:
+        raise ValueError(f"closed form needs round i >= 1, got {i}")
+    x = 1 / side
+    sign = -1 if i % 2 else 1
+    return AmplitudePair(
+        unmarked=sign * x * _chebyshev(x, 2 * x, 2 * i),
+        marked=sign * _chebyshev(x, x, 2 * i + 1),
+        iteration=i,
+        side=int(side),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +378,8 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
 
     sin**2((2r+1)*theta) with theta = asin(sqrt(M/side**2)); 0 with no marks.
     """
+    if rounds > MAX_ROUNDS:
+        raise ValueError(f"iteration count must be at most MAX_ROUNDS, got {rounds}")
     if marked == 0:
         return 0.0
     return math.sin((2 * rounds + 1) * _angle(marked, side * side)) ** 2
@@ -410,12 +426,3 @@ def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1)
         lower_bound=bound,
     )
 
-
-def plan_csv(plans: Iterable[IterationPlan]) -> str:
-    """Serialize plans as CSV: a, mode, iterations, predicted_success, lower_bound."""
-    lines = ["a,mode,iterations,predicted_success,lower_bound"]
-    for p in plans:
-        lines.append(
-            f"{p.side},{p.mode.value},{p.iterations},{p.predicted_success!r},{p.lower_bound!r}"
-        )
-    return "\n".join(lines) + "\n"

@@ -92,6 +92,23 @@ class TestMatchCommand:
         code = main(["match", "--big", sample_paths[0], "--small", sample_paths[1]] + extra)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, limit", [("--samples", grover.MAX_SAMPLES), ("--iterations", grover.MAX_ROUNDS)]
+    )
+    def test_float64_limits(self, sample_paths, tmp_path, flag, limit, capsys):
+        missing = str(tmp_path / "nope.pgm")
+        assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
+                     flag, str(limit)]) == 0
+        # refused before either image is read: missing files would exit 1
+        assert main(["match", "--big", missing, "--small", missing, flag, str(limit + 1)]) == 2
+        assert "error: " + flag in capsys.readouterr().err
+
+    def test_json_into_missing_directory_exit_one(self, sample_paths, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
+                     "--json", str(path)]) == 1
+        assert "error: " in capsys.readouterr().err
+
     def test_no_match_exit_three(self, tmp_path, capsys):
         big = make_image([1, 2, 3, 1], 2, 2)
         small = make_image([0], 1, 2)
@@ -231,6 +248,24 @@ class TestTable1Command:
         main(["table1", "--max-a", "4", "--csv", str(path)])
         row = path.read_text().strip().splitlines()[1].split(",")
         assert abs(float(row[-1]) - 0.8976) < 5e-4
+
+    def test_csv_rows_are_the_plans(self, tmp_path):
+        path = tmp_path / "t.csv"
+        assert main(["table1", "--max-a", "1024", "--csv", str(path)]) == 0
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert header == ["a", "i_exact", "i_fit", "i_optimal", "predicted_success", "lower_bound"]
+        assert [int(row[0]) for row in rows] == [4 << k for k in range(9)]
+        for row in rows:
+            a = int(row[0])
+            for name, cell in zip(header[1:4], row[1:4]):
+                assert int(cell) == grover.plan_iterations(a, grover.PlanMode(name[2:])).iterations
+            exact = grover.plan_iterations(a, grover.PlanMode.EXACT)
+            assert (float(row[4]), float(row[5])) == (exact.predicted_success, exact.lower_bound)
+        assert float(rows[0][4]) == pytest.approx(0.9613, abs=1e-4)
+
+    def test_csv_into_missing_directory_exit_one(self, tmp_path, capsys):
+        assert main(["table1", "--max-a", "8", "--csv", str(tmp_path / "missing" / "t.csv")]) == 1
+        assert "error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["3", "2", "0", "-8"])
     def test_invalid_max_a_exit_two(self, bad, capsys):

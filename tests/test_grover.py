@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from qimatch.grover import (
+    MAX_ROUNDS,
+    MAX_SAMPLES,
     AmplitudePair,
     PlanMode,
     SubspaceState,
@@ -248,7 +250,22 @@ class TestClosedForm:
                 assert abs(closed.marked - pair.marked) < 1e-12
                 assert abs(closed.unmarked - pair.unmarked) < 1e-12
 
-    @pytest.mark.parametrize("i", [0, 5, -1])
+    def test_every_round_is_exact_on_fractions(self):
+        for side in range(2, 65, 2):
+            pair = exact_pair(side)
+            for i in range(1, 65):
+                pair = recurrence_step(pair)
+                closed = closed_form_pair(i, Fraction(side))
+                assert (closed.unmarked, closed.marked) == (pair.unmarked, pair.marked), (side, i)
+
+    def test_floats_are_exact_at_power_of_two_sides(self):
+        # there every value of the first four rounds is a float64 number
+        for side in (4, 8, 16, 32, 64):
+            for i in range(1, 5):
+                got, want = closed_form_pair(i, side), closed_form_pair(i, Fraction(side))
+                assert (got.unmarked, got.marked) == (float(want.unmarked), float(want.marked))
+
+    @pytest.mark.parametrize("i", [0, -1])
     def test_out_of_range_rejected(self, i):
         with pytest.raises(ValueError):
             closed_form_pair(i, 4)
@@ -458,6 +475,19 @@ class TestGroupSampling:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             sample_groups(amplify(1, set(), 0), seed=0, samples=0)
+
+    def test_sample_limit(self):
+        state = amplify(2, {5}, 3)
+        assert sum(sample_groups(state, seed=0, samples=MAX_SAMPLES).values()) == MAX_SAMPLES
+        with pytest.raises(ValueError):
+            sample_groups(state, seed=0, samples=MAX_SAMPLES + 1)
+
+    def test_round_limit(self):
+        assert amplify(2, {5}, MAX_ROUNDS).marked_amplitude**2 == success_probability(4, MAX_ROUNDS)
+        with pytest.raises(ValueError):
+            amplify(2, {5}, MAX_ROUNDS + 1)
+        with pytest.raises(ValueError):
+            success_probability(4, MAX_ROUNDS + 1)
 
     def test_memory_bounded_by_positions_not_samples(self):
         state = amplify(6, {5, 77}, 0)

@@ -10,7 +10,6 @@ from qimatch.grover import (
     PlanMode,
     closed_form_iterations,
     initial_pair,
-    plan_csv,
     plan_iterations,
     probability_lower_bound,
     recurrence_step,
@@ -234,24 +233,3 @@ class TestGrowthEnvelope:
                 assert lhs < rhs, (a, i)
             a *= 2
 
-
-class TestPlanCsv:
-    def test_header_and_rows(self):
-        plans = [plan_iterations(a, PlanMode.EXACT) for a in (4, 8)]
-        text = plan_csv(plans)
-        lines = text.strip().split("\n")
-        assert lines[0] == "a,mode,iterations,predicted_success,lower_bound"
-        first = lines[1].split(",")
-        assert first[0] == "4" and first[1] == "exact" and first[2] == "3"
-        assert float(first[3]) == pytest.approx(0.9613, abs=1e-4)
-
-    def test_values_round_trip(self):
-        plans = [plan_iterations(a, m) for a in (4, 16) for m in PlanMode]
-        text = plan_csv(plans)
-        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
-        for plan, row in zip(plans, rows):
-            assert int(row[0]) == plan.side
-            assert row[1] == plan.mode.value
-            assert int(row[2]) == plan.iterations
-            assert float(row[3]) == plan.predicted_success
-            assert float(row[4]) == plan.lower_bound
