@@ -249,20 +249,6 @@ class TestTable1Command:
         row = path.read_text().strip().splitlines()[1].split(",")
         assert abs(float(row[-1]) - 0.8976) < 5e-4
 
-    def test_csv_rows_are_the_plans(self, tmp_path):
-        path = tmp_path / "t.csv"
-        assert main(["table1", "--max-a", "1024", "--csv", str(path)]) == 0
-        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
-        assert header == ["a", "i_exact", "i_fit", "i_optimal", "predicted_success", "lower_bound"]
-        assert [int(row[0]) for row in rows] == [4 << k for k in range(9)]
-        for row in rows:
-            a = int(row[0])
-            for name, cell in zip(header[1:4], row[1:4]):
-                assert int(cell) == grover.plan_iterations(a, grover.PlanMode(name[2:])).iterations
-            exact = grover.plan_iterations(a, grover.PlanMode.EXACT)
-            assert (float(row[4]), float(row[5])) == (exact.predicted_success, exact.lower_bound)
-        assert float(rows[0][4]) == pytest.approx(0.9613, abs=1e-4)
-
     def test_csv_into_missing_directory_exit_one(self, tmp_path, capsys):
         assert main(["table1", "--max-a", "8", "--csv", str(tmp_path / "missing" / "t.csv")]) == 1
         assert "error: " in capsys.readouterr().err

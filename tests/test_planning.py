@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qimatch.cli import main
 from qimatch.grover import (
     PlanMode,
     closed_form_iterations,
@@ -233,3 +234,28 @@ class TestGrowthEnvelope:
                 assert lhs < rhs, (a, i)
             a *= 2
 
+
+def table1_csv_rows(tmp_path, max_a):
+    path = tmp_path / "t.csv"
+    assert main(["table1", "--max-a", str(max_a), "--csv", str(path)]) == 0
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+class TestPlanCsv:
+    """``table1 --csv`` is the plan CSV: one row per side, one column per mode."""
+
+    def test_header_and_rows(self, tmp_path):
+        header, *rows = table1_csv_rows(tmp_path, 8)
+        assert header == ["a", "i_exact", "i_fit", "i_optimal", "predicted_success", "lower_bound"]
+        assert [row[:4] for row in rows] == [["4", "3", "3", "3"], ["8", "6", "6", "6"]]
+        assert float(rows[0][4]) == pytest.approx(0.9613, abs=1e-4)
+
+    def test_values_round_trip(self, tmp_path):
+        header, *rows = table1_csv_rows(tmp_path, 1024)
+        assert [int(row[0]) for row in rows] == [4 << k for k in range(9)]
+        for row in rows:
+            a = int(row[0])
+            for name, cell in zip(header[1:4], row[1:4]):
+                assert int(cell) == plan_iterations(a, PlanMode(name[2:])).iterations
+            exact = plan_iterations(a, PlanMode.EXACT)
+            assert (float(row[4]), float(row[5])) == (exact.predicted_success, exact.lower_bound)
