@@ -1,10 +1,12 @@
-"""Loading PGM images and encoding them as uniform superposition tables.
+"""Loading PGM images and reading them as uniform superposition tables.
 
 Walks through the input layer: parsing P2/P5 streams, validating a (big,
-small) pair, and flattening each image into its position-indexed table.
+small) pair, and reading each image's row-major pixel array as its
+position-indexed table (the GQIR encoding).
 """
 
-from qimatch import encode_gqir, load_pgm, validate_pair, write_pgm
+from qimatch import load_pgm, write_pgm
+from qimatch.images import validate_pair
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM
 
 big = load_pgm(SAMPLE_BIG_PGM)
@@ -29,11 +31,10 @@ print(f"validated pair: n={dims.n}, m={dims.m}, side={dims.side}, "
       f"bit depth {dims.bit_depth}")
 print()
 
-encoded = encode_gqir(big, dims)
-print(f"encoded big image: {len(encoded.values)} entries, each with amplitude "
-      f"{encoded.amplitude}")
+print(f"encoded big image: {len(big.array)} entries, each with amplitude "
+      f"{1 / dims.side}")
 print("first entries (position k -> intensity), position k = y*side + x:")
-for k, value in list(encoded.entries())[:6]:
+for k, value in enumerate(big.array[:6].tolist()):
     x, y = k % dims.side, k // dims.side
     print(f"    k={k:2d} (x={x}, y={y}) -> {value}")
 print()

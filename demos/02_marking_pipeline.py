@@ -6,19 +6,10 @@ anchor position, then confirms the marked set against the dense gate-level
 simulator and the exhaustive classical scan.
 """
 
-from qimatch import (
-    MatchMode,
-    apply_comparison,
-    apply_marking,
-    classical_match,
-    dense_marked_set,
-    dense_simulate_marking,
-    marked_set,
-    prepare_initial,
-    sample_pair,
-    validate_pair,
-)
-from qimatch.images import Image
+from qimatch import Image, sample_pair
+from qimatch.images import validate_pair
+from qimatch.marking import apply_comparison, apply_marking, marked_set, prepare_initial
+from qimatch.verify import MatchMode, classical_match, dense_marked_set, dense_simulate_marking
 
 big, small = sample_pair()
 dims = validate_pair(big, small)

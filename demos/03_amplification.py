@@ -6,15 +6,8 @@ engine and the exact two-value recurrence, then samples the final state.
 
 from fractions import Fraction
 
-from qimatch import (
-    AmplitudePair,
-    diffuse,
-    init_subspace,
-    phase_flip,
-    recurrence_step,
-    run_grover,
-    sample_measurement,
-)
+from qimatch.grover import AmplitudePair, recurrence_step
+from qimatch.verify import diffuse, init_subspace, phase_flip, run_grover, sample_measurement
 
 SIDE = 4
 TARGET = 5

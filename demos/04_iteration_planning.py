@@ -9,8 +9,10 @@ in closed form.  The table is the ``table1`` command's; ``table1 --csv`` writes
 the same rows as CSV.
 """
 
-from qimatch import PlanMode, closed_form_iterations, plan_iterations
+from qimatch import PlanMode
 from qimatch.cli import main
+from qimatch.grover import plan_iterations
+from qimatch.verify import closed_form_iterations
 
 main(["table1", "--max-a", "4096"])
 

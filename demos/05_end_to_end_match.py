@@ -8,8 +8,8 @@ and checks the answer against the classical scans.
 
 import random
 
-from qimatch import MatchMode, classical_match, pipeline
-from qimatch.images import Image
+from qimatch import Image, pipeline
+from qimatch.verify import MatchMode, classical_match
 
 rng = random.Random(2025)
 

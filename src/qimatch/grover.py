@@ -21,9 +21,9 @@ touches a 4**n vector.
 
 **Cross-checks.**  The full-vector engine (:class:`SubspaceState`,
 :func:`run_grover`, :func:`sample_measurement`, ...), O(rounds * 4**n), lives
-in :mod:`qimatch.verify` as the oracle the closed form is tested against (to
-1e-12; the two are not bit-identical).  Its names stay importable from here.
-For a single marked index the evolution is also the two-term recurrence
+in :mod:`qimatch.verify`, and only there, as the oracle the closed form is
+tested against (to 1e-12; the two are not bit-identical).  For a single
+marked index the evolution is also the two-term recurrence
 
     marked'   = -2*marked/a**2 - 2*unmarked/a**2 + 2*unmarked + marked
     unmarked' = -2*marked/a**2 - 2*unmarked/a**2 + unmarked
@@ -68,14 +68,11 @@ from typing import Iterable
 
 import numpy as np
 
-# Oracles that live in verify; tests and demos also import them from here.
-from .verify import (RADICAL_IMAG_TOL, SubspaceState, closed_form_iterations, diffuse,  # noqa: F401
-                     init_subspace, phase_flip, run_grover, sample_measurement)
-
 Amplitude = float | Fraction
 
 # Past MAX_SAMPLES numpy's binomial draw of the marked hits overflows int64,
-# and past MAX_ROUNDS float(2r+1) overflows, so (2r+1)*theta cannot be formed.
+# and past MAX_ROUNDS float(2r+1) overflows.  Near MAX_ROUNDS (2r+1)*theta
+# overflows too once theta > 1; qimatch.pipeline.match rejects those rounds.
 MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
 
 

@@ -1,16 +1,16 @@
-"""Grayscale image loading, pair validation, and position-register encoding.
+"""Grayscale image loading and pair validation.
 
 Images are square with power-of-two side lengths.  A matching instance is a
 pair (big, small) with sides 2**n and 2**m, n > m >= 0, compared at the wider
-bit depth; :func:`validate_pair` alone checks that contract.  An image is its
-own uniform-superposition encoding: one (position, intensity) entry per
-pixel, every entry carrying the implicit amplitude 1/side.
+bit depth; :func:`validate_pair` alone checks that contract.
 
 Every image holds its pixels as one read-only numpy array (``uint8`` up to 8
-bits, native ``uint16`` above), and that array is what encoding, marking and
-the classical scans read.  A P5 raster is decoded by one ``np.frombuffer``
-over the stream and range-checked by one ``max()``; no per-pixel Python
-object is built on the way from file to marks.
+bits, native ``uint16`` above), and that array is the image's GQIR encoding:
+entry k is the intensity at position k, and every position carries the
+implicit amplitude 1/side.  Marking and the classical scans read the array
+directly; there is no separate encoding step.  A P5 raster is decoded by one
+``np.frombuffer`` over the stream and range-checked by one ``max()``; no
+per-pixel Python object is built on the way from file to marks.
 
 Position convention: k = y * side + x with y the row counted from the top,
 i.e. plain row-major order.  A column-major reading would permute k but leaves
@@ -52,8 +52,7 @@ class Image:
     validation error, not a parse error.
 
     ``pixels`` may be any int sequence.  A read-only array of the storage
-    dtype is shared rather than copied.  As its own encoding, an image reads
-    ``values`` (``array``), ``side``, ``amplitude`` (1/side) and ``entries()``.
+    dtype is shared rather than copied.
     """
 
     width: int
@@ -85,21 +84,6 @@ class Image:
     @property
     def pixels(self) -> tuple[int, ...]:
         return tuple(self.array.tolist())
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.array
-
-    @property
-    def side(self) -> int:
-        return self.width
-
-    @property
-    def amplitude(self) -> float:
-        return 1.0 / self.width
-
-    def entries(self) -> Iterator[tuple[int, int]]:
-        return iter(enumerate(self.array.tolist()))
 
     def pixel(self, x: int, y: int) -> int:
         return int(self.array[y * self.width + x])
@@ -259,18 +243,3 @@ def validate_pair(big: Image, small: Image) -> MatchDims:
             f"big side 2^{n} must exceed small side 2^{m}"
         )
     return MatchDims(n=n, m=m, bit_depth=max(big.bit_depth, small.bit_depth), side=big.width)
-
-
-def encode_gqir(img: Image, dims: MatchDims) -> Image:
-    """The big or small image of a validated pair, at the pair's bit depth.
-
-    Row-major pixels already obey the k = y * side + x convention, so this is
-    ``img`` itself, or ``img`` widened to ``dims.bit_depth`` when that is wider.
-    """
-    if img.width != img.height or img.width not in (dims.side, 1 << dims.m):
-        raise ValidationError(
-            f"image {img.width}x{img.height} matches neither side of the validated pair"
-        )
-    if img.bit_depth == dims.bit_depth:
-        return img
-    return Image(img.width, img.height, dims.bit_depth, img.array)

@@ -6,11 +6,12 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from . import grover, marking
-from .images import Image, MatchDims
+from .images import Image, MatchDims, ValidationError
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,9 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     """Locate ``small`` inside ``big``; raises ValidationError for a bad pair.
 
     The plan is made for the marked count.  ``iterations`` overrides its
-    rounds, and the predicted success then follows the override.  The
-    ``encode`` lap validates the pair and builds the joint state.
+    rounds, and the predicted success then follows the override; an override
+    whose phase (2r+1)*theta overflows float64 also raises ValidationError.
+    The ``encode`` lap validates the pair and builds the joint state.
     """
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -61,6 +63,10 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     plan = grover.plan_iterations(dims.side, mode, marked=len(marked))
     rounds, predicted = plan.iterations, plan.predicted_success
     if iterations is not None:
+        theta = grover._angle(len(marked), dims.side**2)
+        if 0 <= iterations <= grover.MAX_ROUNDS and math.isinf((2 * iterations + 1) * theta):
+            raise ValidationError(f"phase (2r+1)*theta overflows float64 at theta = {theta:.6f} "
+                                  f"({len(marked)} of {dims.side**2} positions marked)")
         rounds = iterations
         predicted = grover.success_probability(dims.side, rounds, len(marked))
     start = lap(timings, "plan", start)

@@ -23,7 +23,7 @@ import numpy as np
 
 from qimatch import grover, marking, verify
 from qimatch.grover import PlanMode
-from qimatch.images import encode_gqir, load_pgm, validate_pair
+from qimatch.images import load_pgm, validate_pair
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM
 
 from conftest import planted_instance, quartic_doubled, random_instance
@@ -47,11 +47,7 @@ def first_sign_change(i, a):
 
 def run_pipeline(big, small):
     dims = validate_pair(big, small)
-    state = marking.apply_marking(
-        marking.apply_comparison(
-            marking.prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
-        )
-    )
+    state = marking.apply_marking(marking.apply_comparison(marking.prepare_initial(big, small)))
     return dims, marking.marked_set(state)
 
 
@@ -90,7 +86,7 @@ def test_criterion_01_worked_example_reproduction():
     assert success == float(Fraction(251, 256) ** 2)  # exact in rational form
     assert abs(other - 0.002579) <= 1e-6
 
-    final = grover.run_grover(grover.init_subspace(dims.n, marked), 3)
+    final = verify.run_grover(verify.init_subspace(dims.n, marked), 3)
     assert final.amplitudes[5] == 251 / 256
     assert int(np.argmax(final.probabilities())) == 5
 
@@ -161,10 +157,10 @@ def test_criterion_04_recurrence_vector_equivalence():
     """Two-value recurrence equals the full vector engine for every round."""
     for side in (2, 4, 8, 16):
         n = side.bit_length() - 1
-        state = grover.init_subspace(n, {1})
+        state = verify.init_subspace(n, {1})
         pair = grover.initial_pair(side)
         for _ in range(2 * side):
-            state = grover.run_grover(state, 1)
+            state = verify.run_grover(state, 1)
             pair = grover.recurrence_step(pair)
             assert abs(state.amplitudes[1] - pair.marked) < 1e-12
             unmarked = np.delete(state.amplitudes, 1)
@@ -199,8 +195,8 @@ def test_criterion_06_diffusion_identities():
             vec /= np.linalg.norm(vec)
             frozen = vec.copy()
             frozen.flags.writeable = False
-            state = grover.SubspaceState(n=n, amplitudes=frozen, marked=frozenset())
-            got = grover.diffuse(state).amplitudes
+            state = verify.SubspaceState(n=n, amplitudes=frozen, marked=frozenset())
+            got = verify.diffuse(state).amplitudes
             assert np.max(np.abs(got - wrw @ vec)) < 1e-10
             assert np.max(np.abs(got - proj @ vec)) < 1e-10
 
@@ -214,9 +210,7 @@ def test_criterion_07_oracle_agreement():
         q = rng.randint(1, 3)
         big, small = random_instance(rng, n, m, q)
         dims = validate_pair(big, small)
-        dense = verify.dense_marked_set(
-            verify.dense_simulate_marking(encode_gqir(big, dims), encode_gqir(small, dims))
-        )
+        dense = verify.dense_marked_set(verify.dense_simulate_marking(big, small))
         _, structured = run_pipeline(big, small)
         anchor = verify.classical_match(big, small, verify.MatchMode.ANCHOR_PIXEL)
         anchor_set = {y * dims.side + x for x, y in anchor.locations}
@@ -230,27 +224,27 @@ def test_criterion_07_oracle_agreement():
         anchor = verify.classical_match(big, small, verify.MatchMode.ANCHOR_PIXEL)
         assert full.locations == anchor.locations == ((x, y),)
         plan = grover.plan_iterations(dims.side, PlanMode.EXACT)
-        final = grover.run_grover(grover.init_subspace(dims.n, marked), plan.iterations)
+        final = verify.run_grover(verify.init_subspace(dims.n, marked), plan.iterations)
         top = int(np.argmax(final.probabilities()))
         assert (top % dims.side, top // dims.side) == (x, y)
 
 
 def test_criterion_08_degenerate_marking():
     """No marks: amplification is a no-op.  Multiple marks: symmetric outcome."""
-    uniform = grover.init_subspace(2, set())
+    uniform = verify.init_subspace(2, set())
     for iterations in (0, 1, 3, 10, 25):
-        out = grover.run_grover(uniform, iterations)
+        out = verify.run_grover(uniform, iterations)
         assert np.max(np.abs(out.amplitudes - 0.25)) < 1e-12
 
     for marks in ({3, 9}, {0, 7, 12}):
-        state = grover.run_grover(grover.init_subspace(2, marks), 2)
+        state = verify.run_grover(verify.init_subspace(2, marks), 2)
         marked_amps = state.amplitudes[sorted(marks)]
         unmarked_amps = np.delete(state.amplitudes, sorted(marks))
         assert np.max(np.abs(marked_amps - marked_amps[0])) < 1e-12
         assert np.max(np.abs(unmarked_amps - unmarked_amps[0])) < 1e-12
 
         p_marked = float(np.sum(marked_amps**2))
-        counts = grover.sample_measurement(state, seed=1234, samples=10000)
+        counts = verify.sample_measurement(state, seed=1234, samples=10000)
         hits = sum(counts.get(k, 0) for k in marks)
         sigma = (10000 * p_marked * (1 - p_marked)) ** 0.5
         assert abs(hits - 10000 * p_marked) <= 3 * sigma
@@ -258,8 +252,8 @@ def test_criterion_08_degenerate_marking():
 
 def test_criterion_09_sampling_calibration():
     """Final state of the worked example: target frequency in [0.95, 0.97]."""
-    state = grover.run_grover(grover.init_subspace(2, {5}), 3)
-    counts = grover.sample_measurement(state, seed=7, samples=10000)
+    state = verify.run_grover(verify.init_subspace(2, {5}), 3)
+    counts = verify.sample_measurement(state, seed=7, samples=10000)
     frequency = counts[5] / 10000
     assert 0.95 <= frequency <= 0.97
 
@@ -280,7 +274,7 @@ def test_criterion_10_work_counters():
 
     # engine work grows linearly in rounds * 4**n
     for n, marks, iters in ((2, {5}, 3), (3, {1}, 6), (4, {9}, 12)):
-        state = grover.run_grover(grover.init_subspace(n, marks), iters)
+        state = verify.run_grover(verify.init_subspace(n, marks), iters)
         assert state.ops == iters * (2 * (1 << (2 * n)) + len(marks))
 
     # doubling the side doubles the planned rounds but quadruples (or more)

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from qimatch import grover
+from qimatch import grover, verify
 from qimatch.cli import build_parser, main
 from qimatch.images import write_pgm
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM
@@ -103,6 +103,18 @@ class TestMatchCommand:
         assert main(["match", "--big", missing, "--small", missing, flag, str(limit + 1)]) == 2
         assert "error: " + flag in capsys.readouterr().err
 
+    def test_phase_overflow_exits_two(self, tmp_path, capsys):
+        # 13 of 16 positions marked: theta = asin(sqrt(13/16)) > 1, so at
+        # MAX_ROUNDS the phase (2r+1)*theta overflows float64.
+        bp, sp = tmp_path / "b.pgm", tmp_path / "s.pgm"
+        bp.write_bytes(write_pgm(make_image([7] * 13 + [1, 2, 3], 4, 8)))
+        sp.write_bytes(write_pgm(make_image([7], 1, 8)))
+        argv = ["match", "--big", str(bp), "--small", str(sp), "--mode", "optimal", "--iterations"]
+        assert main(argv + [str(grover.MAX_ROUNDS)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(argv + [str(10**9)]) == 0
+
     def test_json_into_missing_directory_exit_one(self, sample_paths, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"
         assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
@@ -165,8 +177,8 @@ class TestMatchHotPath:
         def refuse(*args, **kwargs):
             raise AssertionError("the match command must not run the vector engine")
 
-        monkeypatch.setattr(grover, "run_grover", refuse)
-        monkeypatch.setattr(grover, "sample_measurement", refuse)
+        monkeypatch.setattr(verify, "run_grover", refuse)
+        monkeypatch.setattr(verify, "sample_measurement", refuse)
         code = main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
                      "--samples", "1000", "--seed", "2"])
         out = capsys.readouterr().out

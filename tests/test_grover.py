@@ -13,19 +13,21 @@ from qimatch.grover import (
     MAX_SAMPLES,
     AmplitudePair,
     PlanMode,
-    SubspaceState,
     amplify,
     closed_form_pair,
-    diffuse,
-    init_subspace,
     initial_pair,
-    phase_flip,
     plan_iterations,
     recurrence_step,
-    run_grover,
     sample_groups,
-    sample_measurement,
     success_probability,
+)
+from qimatch.verify import (
+    SubspaceState,
+    diffuse,
+    init_subspace,
+    phase_flip,
+    run_grover,
+    sample_measurement,
 )
 
 

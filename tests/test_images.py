@@ -1,4 +1,4 @@
-"""PGM parsing, pair validation, and superposition encoding."""
+"""PGM parsing, pair validation, and the row-major position convention."""
 
 import random
 import struct
@@ -11,7 +11,6 @@ from qimatch.images import (
     Image,
     PgmError,
     ValidationError,
-    encode_gqir,
     load_pgm,
     validate_pair,
     write_pgm,
@@ -161,74 +160,11 @@ class TestValidatePair:
 
 
 class TestEncode:
-    def test_sample_big_entries(self):
-        big, small = sample_pair()
-        dims = validate_pair(big, small)
-        enc = encode_gqir(big, dims)
-        assert enc.values[0] == 162
-        assert enc.values[5] == 160
-        assert enc.side == 4 and enc.amplitude == 0.25
-
-    def test_single_pixel_entry(self):
-        big = load_pgm(p2_bytes(2, 2, 255, [9, 8, 7, 6]))
-        small = load_pgm(p2_bytes(1, 1, 255, [5]))
-        dims = validate_pair(big, small)
-        enc = encode_gqir(small, dims)
-        assert list(enc.entries()) == [(0, 5)]
-
-    def test_role_mismatch_rejected(self):
-        big, small = sample_pair()
-        dims = validate_pair(big, small)
-        other = load_pgm(p2_bytes(8, 8, 255, [0] * 64))
-        with pytest.raises(ValidationError):
-            encode_gqir(other, dims)
-
-    def test_round_trip_all_sides(self):
-        rng = random.Random(42)
-        for n in (1, 2, 3):
-            for _ in range(10):
-                big = random_image(rng, 1 << n, 4)
-                small = random_image(rng, 1, 4)
-                dims = validate_pair(big, small)
-                enc_big = encode_gqir(big, dims)
-                enc_small = encode_gqir(small, dims)
-                assert tuple(v for _, v in enc_big.entries()) == big.pixels
-                assert tuple(v for _, v in enc_small.entries()) == small.pixels
-
     def test_position_convention_row_major(self):
-        big, small = sample_pair()
-        dims = validate_pair(big, small)
-        enc = encode_gqir(big, dims)
+        big, _ = sample_pair()
         for y in range(4):
             for x in range(4):
-                assert enc.values[y * 4 + x] == big.pixel(x, y)
-
-    def test_widens_four_to_eight_bits_without_a_copy(self):
-        big = load_pgm(p2_bytes(4, 4, 255, list(range(16))))
-        small = load_pgm(p2_bytes(2, 2, 15, [1, 2, 3, 4]))
-        dims = validate_pair(big, small)
-        assert encode_gqir(big, dims) is big
-        enc = encode_gqir(small, dims)
-        assert isinstance(enc, Image)
-        assert (enc.width, enc.height, enc.bit_depth) == (2, 2, 8)
-        assert enc.values is small.array
-
-    def test_widens_eight_to_sixteen_bits_to_a_uint16_copy(self):
-        big = load_pgm(p5_bytes(4, 4, 65535, [0, 300, 65535] + [7] * 13))
-        small = load_pgm(p2_bytes(2, 2, 255, [9, 8, 7, 255]))
-        dims = validate_pair(big, small)
-        assert encode_gqir(big, dims) is big
-        enc = encode_gqir(small, dims)
-        assert isinstance(enc, Image) and enc.bit_depth == 16
-        assert enc.values.dtype == np.uint16 and not enc.values.flags.writeable
-        assert np.array_equal(enc.values, small.array)
-        assert small.array.dtype == np.uint8
-
-    def test_image_is_its_own_encoding(self):
-        big, small = sample_pair()
-        assert big.values is big.array
-        assert (big.side, big.amplitude, small.side, small.amplitude) == (4, 0.25, 2, 0.5)
-        assert list(small.entries()) == list(enumerate(small.pixels))
+                assert big.array[y * 4 + x] == big.pixel(x, y)
 
 
 def per_pixel_pgm(img, binary):
@@ -306,12 +242,6 @@ class TestPixelArray:
             tracemalloc.stop()
         assert img.array.nbytes == len(raster)
         assert peak < 2 * len(raster)
-
-    def test_encode_hands_the_array_through(self):
-        big, small = sample_pair()
-        dims = validate_pair(big, small)
-        assert encode_gqir(big, dims).values is big.array
-        assert encode_gqir(small, dims).values is small.array
 
     @pytest.mark.parametrize("bit_depth", [1, 3, 8, 9, 12, 16])
     def test_write_matches_the_per_pixel_serializer(self, bit_depth):

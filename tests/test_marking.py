@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qimatch.images import ValidationError, encode_gqir, validate_pair
+from qimatch.images import ValidationError, validate_pair
 from qimatch.marking import (
     Stage,
     StageError,
@@ -54,8 +54,7 @@ FLAGGED_BRANCH = (5, 0)  # (pos_a, pos_b) of the lone raised flag
 
 def sample_state(stage=Stage.MARKED):
     big, small = sample_pair()
-    dims = validate_pair(big, small)
-    state = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+    state = prepare_initial(big, small)
     if stage is Stage.PREPARED:
         return state
     state = apply_comparison(state)
@@ -89,17 +88,14 @@ class TestPrepare:
     def test_two_by_two_over_single_pixel(self):
         big = make_image([1, 2, 3, 0], 2, 2)
         small = make_image([3], 1, 2)
-        dims = validate_pair(big, small)
-        state = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+        state = prepare_initial(big, small)
         assert state.branch_count == 4
         assert np.all(state.amplitude == 0.5)
 
     def test_same_size_rejected(self):
         big, small = sample_pair()
-        dims = validate_pair(big, small)
-        enc = encode_gqir(big, dims)
         with pytest.raises(ValidationError):
-            prepare_initial(enc, enc)
+            prepare_initial(big, big)
 
 
 class TestPrepareFromImages:
@@ -110,7 +106,7 @@ class TestPrepareFromImages:
             small = make_image([rng.randrange(1 << small_depth) for _ in range(4)], 2, small_depth)
             dims = validate_pair(big, small)
             raw = prepare_initial(big, small)
-            enc = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+            enc = prepare_initial(big, small)
             assert raw.dims == enc.dims == dims
             assert raw.big is big.array and raw.small is small.array
             assert np.array_equal(raw.big, enc.big) and np.array_equal(raw.small, enc.small)
@@ -193,10 +189,7 @@ class TestMarking:
     def test_no_match_flags_nothing(self):
         big = make_image([1, 2, 3, 1], 2, 2)
         small = make_image([0], 1, 2)  # value 0 never occurs in big
-        dims = validate_pair(big, small)
-        state = apply_marking(
-            apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
-        )
+        state = apply_marking(apply_comparison(prepare_initial(big, small)))
         assert marked_set(state) == set()
 
 
@@ -207,19 +200,13 @@ class TestMarkedSet:
     def test_multiplicity(self):
         big = make_image([7, 1, 7, 2, 7, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1], 4, 3)
         small = make_image([7, 1, 2, 3], 2, 3)
-        dims = validate_pair(big, small)
-        state = apply_marking(
-            apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
-        )
+        state = apply_marking(apply_comparison(prepare_initial(big, small)))
         assert marked_set(state) == {0, 2, 4}
 
     def test_random_instance_matches_linear_scan(self):
         rng = random.Random(2024)
         big, small = random_instance(rng, 3, 1, 3)
-        dims = validate_pair(big, small)
-        state = apply_marking(
-            apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
-        )
+        state = apply_marking(apply_comparison(prepare_initial(big, small)))
         expected = {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
         assert marked_set(state) == expected
 
@@ -230,12 +217,7 @@ class TestMarkedSet:
             m = rng.randint(0, n - 1)
             q = rng.randint(1, 4)
             big, small = random_instance(rng, n, m, q)
-            dims = validate_pair(big, small)
-            state = apply_marking(
-                apply_comparison(
-                    prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
-                )
-            )
+            state = apply_marking(apply_comparison(prepare_initial(big, small)))
             expected = {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
             assert marked_set(state) == expected
 
@@ -247,10 +229,7 @@ class TestMarkedIndices:
             n = rng.randint(1, 4)
             m = rng.randint(0, n - 1)
             big, small = random_instance(rng, n, m, rng.choice([1, 2, 12]))
-            dims = validate_pair(big, small)
-            state = apply_marking(
-                apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
-            )
+            state = apply_marking(apply_comparison(prepare_initial(big, small)))
             got = marked_indices(state)
             assert got.dtype == np.int64 and not got.flags.writeable
             assert got.tolist() == sorted(marked_set(state))
@@ -258,8 +237,7 @@ class TestMarkedIndices:
 
     def test_state_reads_the_image_arrays(self):
         big, small = sample_pair()
-        dims = validate_pair(big, small)
-        state = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+        state = prepare_initial(big, small)
         assert state.big is big.array and state.small is small.array
 
     def test_mixed_depths_compare_at_full_width(self):
@@ -267,14 +245,10 @@ class TestMarkedIndices:
         big = make_image([5, 1, 5, 2], 2, 8)
         for anchor, want in ((0x0105, []), (5, [0, 2])):
             small = make_image([anchor], 1, 16)
-            dims = validate_pair(big, small)
-            state = apply_marking(
-                apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
-            )
+            state = apply_marking(apply_comparison(prepare_initial(big, small)))
             assert marked_indices(state).tolist() == want
             with pytest.raises(StageError):
-                marked_indices(apply_comparison(prepare_initial(encode_gqir(big, dims),
-                                                                encode_gqir(small, dims))))
+                marked_indices(apply_comparison(prepare_initial(big, small)))
 
 
 class TestInvariants:
@@ -284,8 +258,7 @@ class TestInvariants:
             n = rng.randint(1, 3)
             m = rng.randint(0, n - 1)
             big, small = random_instance(rng, n, m, 3)
-            dims = validate_pair(big, small)
-            state = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+            state = prepare_initial(big, small)
             count = 1 << (2 * n + 2 * m)
             for step in (apply_comparison, apply_marking):
                 assert state.branch_count == count
@@ -325,8 +298,7 @@ class TestFactoredState:
             n = rng.randint(1, 3)
             m = rng.randint(0, n - 1)
             big, small = random_instance(rng, n, m, rng.randint(1, 4))
-            dims = validate_pair(big, small)
-            state = prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims))
+            state = prepare_initial(big, small)
             nb = 1 << (2 * m)
             for step in (apply_comparison, apply_marking, None):
                 views = (state.pos_a, state.val_a, state.pos_b, state.val_b, state.amplitude)
@@ -347,11 +319,9 @@ class TestFactoredState:
     def test_marking_memory_is_linear_in_the_images(self):
         rng = random.Random(707)
         big, small = random_instance(rng, 6, 4, 8)
-        dims = validate_pair(big, small)
-        enc_big, enc_small = encode_gqir(big, dims), encode_gqir(small, dims)
         tracemalloc.start()
         try:
-            state = apply_marking(apply_comparison(prepare_initial(enc_big, enc_small)))
+            state = apply_marking(apply_comparison(prepare_initial(big, small)))
             marks = marked_set(state)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -1,6 +1,7 @@
 """The one match pipeline: what it returns, and that every match run goes through it."""
 
 import dataclasses
+import inspect
 import json
 import math
 import random
@@ -8,7 +9,8 @@ import warnings
 
 import pytest
 
-from qimatch import grover, pipeline, verify
+import qimatch
+from qimatch import grover, images, pipeline, sample, verify
 from qimatch.cli import main
 from qimatch.grover import PlanMode, success_probability
 from qimatch.images import Image, ValidationError, write_pgm
@@ -179,3 +181,18 @@ def test_marks_are_held_once_as_a_sorted_array():
     assert outcome.final.marked.tolist() == [0, 11, 21, 54]
     assert outcome.marked == {0, 11, 21, 54}
     assert "marked" not in {f.name for f in dataclasses.fields(outcome)}
+
+
+def test_each_name_has_one_home():
+    homes = {"Image": images, "PgmError": images, "ValidationError": images, "load_pgm": images,
+             "write_pgm": images, "PlanMode": grover, "sample_pair": sample}
+    assert sorted(qimatch.__all__) == sorted([*homes, "pipeline"])
+    assert qimatch.pipeline is pipeline
+    assert all(getattr(qimatch, name) is getattr(home, name) for name, home in homes.items())
+    oracles = ("RADICAL_IMAG_TOL", "SubspaceState", "closed_form_iterations", "diffuse",
+               "init_subspace", "phase_flip", "run_grover", "sample_measurement")
+    assert all(hasattr(verify, name) and not hasattr(grover, name) for name in oracles)
+    # images encodes nothing: an image's array is its encoding
+    functions = {name for name, obj in vars(images).items()
+                 if inspect.isfunction(obj) and obj.__module__ == images.__name__ and name[0] != "_"}
+    assert functions == {"load_pgm", "validate_pair", "write_pgm"}

@@ -9,12 +9,12 @@ import pytest
 from qimatch.cli import main
 from qimatch.grover import (
     PlanMode,
-    closed_form_iterations,
     initial_pair,
     plan_iterations,
     probability_lower_bound,
     recurrence_step,
 )
+from qimatch.verify import closed_form_iterations
 
 from conftest import quartic_doubled
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qimatch.grover import PlanMode, plan_iterations
-from qimatch.images import encode_gqir, validate_pair
 from qimatch.marking import apply_comparison, apply_marking, marked_set, prepare_initial
 from qimatch.sample import sample_pair
 from qimatch.verify import (
@@ -27,16 +26,8 @@ from conftest import make_image, random_instance
 
 
 def structured_marked(big, small):
-    dims = validate_pair(big, small)
-    state = apply_marking(
-        apply_comparison(prepare_initial(encode_gqir(big, dims), encode_gqir(small, dims)))
-    )
+    state = apply_marking(apply_comparison(prepare_initial(big, small)))
     return marked_set(state)
-
-
-def encoded(big, small):
-    dims = validate_pair(big, small)
-    return encode_gqir(big, dims), encode_gqir(small, dims)
 
 
 class TestRegisterLayout:
@@ -89,44 +80,44 @@ class TestDenseSimulation:
     def test_two_by_two_single_pixel(self):
         big = make_image([1, 2, 3, 0], 2, 2)
         small = make_image([3], 1, 2)
-        state = dense_simulate_marking(*encoded(big, small))
+        state = dense_simulate_marking(big, small)
         assert dense_marked_set(state) == {2}
         assert dense_marked_set(state) == structured_marked(big, small)
 
     def test_all_zero_flags_everything(self):
         big = make_image([0, 0, 0, 0], 2, 1)
         small = make_image([0], 1, 1)
-        state = dense_simulate_marking(*encoded(big, small))
+        state = dense_simulate_marking(big, small)
         assert dense_marked_set(state) == {0, 1, 2, 3}
 
     def test_no_match_flags_nothing(self):
         big = make_image([1, 2, 3, 1], 2, 2)
         small = make_image([0], 1, 2)
-        state = dense_simulate_marking(*encoded(big, small))
+        state = dense_simulate_marking(big, small)
         assert dense_marked_set(state) == set()
 
     def test_two_anchor_instance(self):
         big = make_image([3, 1, 3, 2], 2, 2)
         small = make_image([3], 1, 2)
-        state = dense_simulate_marking(*encoded(big, small))
+        state = dense_simulate_marking(big, small)
         assert dense_marked_set(state) == {0, 2}
 
     def test_four_by_four_agrees_with_structured(self):
         rng = random.Random(88)
         big, small = random_instance(rng, 2, 1, 2)
-        state = dense_simulate_marking(*encoded(big, small))
+        state = dense_simulate_marking(big, small)
         assert dense_marked_set(state) == structured_marked(big, small)
 
     def test_norm_is_one(self):
         rng = random.Random(89)
         big, small = random_instance(rng, 2, 1, 3)
-        state = dense_simulate_marking(*encoded(big, small))
+        state = dense_simulate_marking(big, small)
         assert abs(state.norm_squared() - 1.0) < 1e-10
 
     def test_kickback_register_carries_sign_pair(self):
         big = make_image([1, 2, 3, 0], 2, 2)
         small = make_image([3], 1, 2)
-        state = dense_simulate_marking(*encoded(big, small))
+        state = dense_simulate_marking(big, small)
         layout = state.layout
         idx = np.arange(len(state.amplitudes))
         lower = state.amplitudes[(idx >> layout.kick[0]) & 1 == 0]
@@ -136,11 +127,11 @@ class TestDenseSimulation:
     def test_qubit_cap_enforced(self):
         big, small = sample_pair()  # bit depth 8 -> 24 qubits total
         with pytest.raises(ValueError):
-            dense_simulate_marking(*encoded(big, small))
+            dense_simulate_marking(big, small)
         rng = random.Random(90)
         big, small = random_instance(rng, 2, 1, 3)
         with pytest.raises(ValueError):
-            dense_simulate_marking(*encoded(big, small), qubit_cap=10)
+            dense_simulate_marking(big, small, qubit_cap=10)
 
     def test_cross_oracle_agreement_randomized(self):
         rng = random.Random(91)
@@ -149,7 +140,7 @@ class TestDenseSimulation:
             m = rng.randint(0, n - 1)
             q = rng.randint(1, 3)
             big, small = random_instance(rng, n, m, q)
-            dense = dense_marked_set(dense_simulate_marking(*encoded(big, small)))
+            dense = dense_marked_set(dense_simulate_marking(big, small))
             structured = structured_marked(big, small)
             anchor = {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
             assert dense == structured == anchor
