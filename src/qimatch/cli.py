@@ -7,7 +7,10 @@ Subcommands:
 * ``example``  run the built-in pair end to end with exact fractions
 * ``analyze``  sweep the two-value recurrence for one image size
 
-Exit codes: 0 success, 1 I/O error, 2 validation error, 3 no match found.
+Exit codes: 0 success, 1 I/O error, 2 validation error (a bad PGM or pair,
+or an argument out of range), 3 no match found.  Commands raise OSError,
+PgmError and ValidationError; :func:`main` is the one place where those
+become an exit code and a single ``error:`` line on stderr.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call; parsing keeps no state between calls.
@@ -32,17 +35,6 @@ EXIT_VALIDATION = 2
 EXIT_NO_MATCH = 3
 
 _MODES = {m.value: m for m in grover.PlanMode}
-
-
-def _write_text(path: str, text: str) -> int:
-    """Write ``text`` to ``path``; EXIT_IO with a message if that fails."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
 
 
 def _match_report(
@@ -81,37 +73,24 @@ def _match_report(
 
 
 def cmd_match(args: argparse.Namespace) -> int:
+    # Checked before either image is read, so a bad flag never costs a load.
     if not 1 <= args.samples <= grover.MAX_SAMPLES:
-        print("error: --samples must be in [1, 2^63 - 1]", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("--samples must be in [1, 2^63 - 1]")
     if args.seed < 0:
-        print("error: --seed must be non-negative", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("--seed must be non-negative")
     if args.iterations is not None and not 0 <= args.iterations <= grover.MAX_ROUNDS:
-        print("error: --iterations must be in [0, 2^1023 - 2^969 - 1]", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("--iterations must be in [0, 2^1023 - 2^969 - 1]")
 
     timings: dict[str, float] = {}
     start = time.perf_counter()
-    try:
-        with open(args.big, "rb") as fh:
-            big = load_pgm(fh.read())
-        with open(args.small, "rb") as fh:
-            small = load_pgm(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PgmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with open(args.big, "rb") as fh:
+        big = load_pgm(fh.read())
+    with open(args.small, "rb") as fh:
+        small = load_pgm(fh.read())
     pipeline.lap(timings, "load", start)
 
-    try:
-        outcome = pipeline.match(big, small, mode=_MODES[args.mode], iterations=args.iterations,
-                                 seed=args.seed, samples=args.samples)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    outcome = pipeline.match(big, small, mode=_MODES[args.mode], iterations=args.iterations,
+                             seed=args.seed, samples=args.samples)
     timings.update(outcome.timings_ms)
 
     verification = None
@@ -150,9 +129,9 @@ def cmd_match(args: argparse.Namespace) -> int:
     if args.timings:
         print("timings_ms: " + ", ".join(f"{k}={v}" for k, v in timings.items()))
 
-    if args.json and _write_text(args.json, json.dumps(report, indent=2) + "\n") != EXIT_OK:
-        return EXIT_IO
-
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
     return EXIT_NO_MATCH if no_match else EXIT_OK
 
 
@@ -161,17 +140,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
     for name in args.modes.split(","):
         name = name.strip()
         if name not in _MODES:
-            print(f"error: unknown mode {name!r}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValidationError(f"unknown mode {name!r}")
         modes.append(_MODES[name])
     a_max = args.max_a
     if a_max < 4 or a_max & (a_max - 1):
-        print(f"error: --max-a must be a power of two >= 4, got {a_max}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(f"--max-a must be a power of two >= 4, got {a_max}")
     if a_max > grover.MAX_PLAN_SIDE:
-        print(f"error: --max-a 2^{a_max.bit_length() - 1} is past the float64 limit 2^537",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(f"--max-a 2^{a_max.bit_length() - 1} is past the float64 limit 2^537")
 
     header = ["a"] + [f"i_{m.value}" for m in modes] + ["predicted_success", "lower_bound"]
     rows = []
@@ -192,7 +167,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
         print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
 
     if args.csv:
-        return _write_text(args.csv, "".join(",".join(r) + "\n" for r in [header] + rows))
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write("".join(",".join(r) + "\n" for r in [header] + rows))
     return EXIT_OK
 
 
@@ -265,15 +241,12 @@ def cmd_example(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     a = args.a
     if a < 2 or a & (a - 1):
-        print(f"error: --a must be a power of two >= 2, got {a}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(f"--a must be a power of two >= 2, got {a}")
     if a > grover.MAX_RECURRENCE_SIDE:
-        print(f"error: --a 2^{a.bit_length() - 1} is past the float64 limit 2^511", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(f"--a 2^{a.bit_length() - 1} is past the float64 limit 2^511")
     sweep = args.sweep_i if args.sweep_i is not None else 2 * a
     if sweep < 0:
-        print(f"error: --sweep-i must be non-negative, got {sweep}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(f"--sweep-i must be non-negative, got {sweep}")
     plan_exact = grover.plan_iterations(a, grover.PlanMode.EXACT)
     plan_opt = grover.plan_iterations(a, grover.PlanMode.OPTIMAL)
 
@@ -343,8 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; see the module docstring."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, PgmError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

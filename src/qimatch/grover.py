@@ -54,7 +54,8 @@ Iteration planning offers three modes for a single marked index:
 The quartic is the paper's rule for one marked index only.  With M > 1 marks
 every mode plans floor(pi/(4*theta)) rounds, or 0 once 2M >= N, and EXACT and
 FIT warn that they fell back.  The predicted success is always
-sin**2((2r+1)*theta), the probability of the whole marked set.
+:func:`success_probability`, sin**2((2r+1)*theta) (exactly M/N at 0 rounds, 1
+for M = N), the marked-set probability that :func:`sample_groups` draws with.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ Amplitude = float | Fraction
 
 # Past MAX_SAMPLES numpy's binomial draw of the marked hits overflows int64,
 # and past MAX_ROUNDS float(2r+1) overflows.  Near MAX_ROUNDS (2r+1)*theta
-# overflows too once theta > 1; qimatch.pipeline.match rejects those rounds.
+# overflows too once theta > 1, and _phase rejects those rounds.
 MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
 
 
@@ -81,9 +82,14 @@ MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
 # ---------------------------------------------------------------------------
 
 
-def _angle(marked: int, positions: int) -> float:
-    """theta = asin(sqrt(M/N)), the rotation half-angle of one round."""
-    return math.asin(math.sqrt(marked / positions))
+def _phase(marked: int, positions: int, rounds: int) -> float:
+    """(2r+1)*theta after ``rounds``, theta = asin(sqrt(M/N)); ValueError past float64."""
+    theta = math.asin(math.sqrt(marked / positions))
+    turn = (2 * rounds + 1) * theta
+    if math.isinf(turn):
+        raise ValueError(f"phase (2r+1)*theta overflows float64 at theta = {theta:.6f} "
+                         f"({marked} of {positions} positions marked)")
+    return turn
 
 
 @dataclass(frozen=True)
@@ -101,14 +107,15 @@ class TwoValueState:
     marked: np.ndarray
     marked_amplitude: float
     unmarked_amplitude: float
+    probability: float
 
     @property
     def size(self) -> int:
         return 1 << (2 * self.n)
 
     def marked_probability(self) -> float:
-        """Probability that a measurement lands anywhere in the marked set."""
-        return min(1.0, len(self.marked) * self.marked_amplitude**2)
+        """Probability of the marked set, as :func:`sample_groups` draws with it."""
+        return self.probability
 
     def unmarked_index(self, ranks: np.ndarray) -> np.ndarray:
         """Map ranks among the unmarked indices (0-based, increasing) to indices.
@@ -162,14 +169,13 @@ def amplify(n: int, marked: Iterable[int], rounds: int) -> TwoValueState:
     read-only int64 array (as :func:`qimatch.marking.marked_indices` gives),
     which is then shared.  Zero rounds return the uniform state exactly.
     """
-    if not 0 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"iteration count must be in [0, MAX_ROUNDS], got {rounds}")
     size = 1 << (2 * n)
     ms = _distinct_sorted(marked)
     if len(ms) and not (0 <= ms[0] and ms[-1] < size):
         bad = ms[0] if ms[0] < 0 else ms[-1]
         raise ValueError(f"marked index {bad} out of range [0, {size})")
     count = len(ms)
+    probability = success_probability(1 << n, rounds, count)
     uniform = 1.0 / (1 << n)
     if rounds == 0 or count == 0:
         marked_amp = unmarked_amp = uniform
@@ -177,10 +183,10 @@ def amplify(n: int, marked: Iterable[int], rounds: int) -> TwoValueState:
         # theta = pi/2: every round only flips the global sign
         marked_amp, unmarked_amp = (-uniform if rounds % 2 else uniform), 0.0
     else:
-        turn = (2 * rounds + 1) * _angle(count, size)
+        turn = _phase(count, size, rounds)
         marked_amp = math.sin(turn) / math.sqrt(count)
         unmarked_amp = math.cos(turn) / math.sqrt(size - count)
-    return TwoValueState(n=n, marked=ms, marked_amplitude=marked_amp, unmarked_amplitude=unmarked_amp)
+    return TwoValueState(n, ms, marked_amp, unmarked_amp, probability)
 
 
 def _spread(rng: np.random.Generator, draws: int, members: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +361,7 @@ def _peak_rounds(marked: int, positions: int) -> int:
     """
     if marked == 0 or 2 * marked >= positions:
         return 0
-    return math.floor(math.pi / (4 * _angle(marked, positions)))
+    return math.floor(math.pi / (4 * _phase(marked, positions, 0)))
 
 
 def probability_lower_bound(a: int) -> float:
@@ -373,13 +379,15 @@ def probability_lower_bound(a: int) -> float:
 def success_probability(side: int, rounds: int, marked: int = 1) -> float:
     """Probability of the whole marked set after ``rounds`` at width ``side``.
 
-    sin**2((2r+1)*theta) with theta = asin(sqrt(M/side**2)); 0 with no marks.
+    sin**2((2r+1)*theta) with theta = asin(sqrt(M/side**2)), but exactly M/N
+    at 0 rounds or with M in {0, side**2}.  ValueError past MAX_ROUNDS or float64.
     """
-    if rounds > MAX_ROUNDS:
-        raise ValueError(f"iteration count must be at most MAX_ROUNDS, got {rounds}")
-    if marked == 0:
-        return 0.0
-    return math.sin((2 * rounds + 1) * _angle(marked, side * side)) ** 2
+    if not 0 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"iteration count must be in [0, MAX_ROUNDS], got {rounds}")
+    positions = side * side
+    if rounds == 0 or marked in (0, positions):
+        return marked / positions
+    return math.sin(_phase(marked, positions, rounds)) ** 2
 
 
 def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:

@@ -6,7 +6,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -44,12 +43,13 @@ def lap(timings_ms: dict[str, float], stage: str, start: float) -> float:
 
 def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.EXACT,
           iterations: int | None = None, seed: int = 0, samples: int = 1) -> Outcome:
-    """Locate ``small`` inside ``big``; raises ValidationError for a bad pair.
+    """Locate ``small`` inside ``big``; the ``encode`` lap validates the pair.
 
-    The plan is made for the marked count.  ``iterations`` overrides its
-    rounds, and the predicted success then follows the override; an override
-    whose phase (2r+1)*theta overflows float64 also raises ValidationError.
-    The ``encode`` lap validates the pair and builds the joint state.
+    The plan is made for the marked count, and ``iterations`` overrides its
+    rounds.  The predicted success is the final state's marked probability,
+    the one the samples are drawn with.  Raises ValidationError for a bad pair
+    and for an ``iterations`` outside [0, MAX_ROUNDS] or whose phase
+    (2r+1)*theta overflows float64; ValueError for a bad ``seed`` or ``samples``.
     """
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -61,19 +61,15 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     start = lap(timings, "mark", start)
 
     plan = grover.plan_iterations(dims.side, mode, marked=len(marked))
-    rounds, predicted = plan.iterations, plan.predicted_success
-    if iterations is not None:
-        theta = grover._angle(len(marked), dims.side**2)
-        if 0 <= iterations <= grover.MAX_ROUNDS and math.isinf((2 * iterations + 1) * theta):
-            raise ValidationError(f"phase (2r+1)*theta overflows float64 at theta = {theta:.6f} "
-                                  f"({len(marked)} of {dims.side**2} positions marked)")
-        rounds = iterations
-        predicted = grover.success_probability(dims.side, rounds, len(marked))
+    rounds = plan.iterations if iterations is None else iterations
     start = lap(timings, "plan", start)
 
-    final = grover.amplify(dims.n, marked, rounds)
+    try:
+        final = grover.amplify(dims.n, marked, rounds)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     start = lap(timings, "amplify", start)
 
     counts = grover.sample_groups(final, seed=seed, samples=samples)
     lap(timings, "sample", start)
-    return Outcome(dims, plan, rounds, predicted, final, counts, timings)
+    return Outcome(dims, plan, rounds, final.marked_probability(), final, counts, timings)

@@ -115,6 +115,17 @@ class TestMatchCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert main(argv + [str(10**9)]) == 0
 
+    def test_all_marked_at_the_round_limit_exits_zero(self, tmp_path, capsys):
+        # 16 of 16 positions marked: every round only flips the global sign,
+        # so even MAX_ROUNDS leaves the whole probability on the marked set.
+        bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
+        bp.write_bytes(write_pgm(make_image([7] * 16, 4, 8)))
+        sp.write_bytes(write_pgm(make_image([7], 1, 8)))
+        assert main(["match", "--big", str(bp), "--small", str(sp), "--mode", "optimal",
+                     "--iterations", str(grover.MAX_ROUNDS), "--json", str(rp)]) == 0
+        assert json.loads(rp.read_text())["plan"]["predicted_success"] == 1.0
+        assert capsys.readouterr().err == ""
+
     def test_json_into_missing_directory_exit_one(self, sample_paths, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"
         assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
@@ -362,6 +373,69 @@ class TestLargeSides:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"--a 2^{k} is past the float64 limit 2^511" in err
+
+
+def _error_paths(tmp_path):
+    """The files the error-exit cases name, written into ``tmp_path``."""
+    files = {
+        "big": SAMPLE_BIG_PGM,
+        "small": SAMPLE_SMALL_PGM,
+        "big3": b"P2\n3 3\n255\n" + b"0 " * 9,
+        "garbage": b"P7\nnot a pgm\n",
+        "big13": write_pgm(make_image([7] * 13 + [1, 2, 3], 4, 8)),
+        "small7": write_pgm(make_image([7], 1, 8)),
+    }
+    paths = {"dir": str(tmp_path), "nope": str(tmp_path / "nope.pgm"),
+             "missing": str(tmp_path / "missing" / "out")}
+    for name, data in files.items():
+        (tmp_path / f"{name}.pgm").write_bytes(data)
+        paths[name] = str(tmp_path / f"{name}.pgm")
+    return paths
+
+
+def _exit(name, template, code, message, quiet=True):
+    """An error case: argv template, exit code, message start, whether stdout stays empty."""
+    return pytest.param(template, code, message, quiet, id=name)
+
+
+ERROR_EXITS = [
+    # the three flag checks come before either image is read: missing files would exit 1
+    _exit("samples", "match --big {nope} --small {nope} --samples 0",
+          2, "--samples must be in [1, 2^63 - 1]"),
+    _exit("seed", "match --big {nope} --small {nope} --seed -1", 2, "--seed must be non-negative"),
+    _exit("iterations", "match --big {nope} --small {nope} --iterations -2",
+          2, "--iterations must be in [0, 2^1023 - 2^969 - 1]"),
+    _exit("missing file", "match --big {nope} --small {small}", 1, "[Errno 2] No such file"),
+    _exit("directory as big", "match --big {dir} --small {small}", 1, "[Errno 21] Is a directory"),
+    _exit("malformed pgm", "match --big {garbage} --small {small}", 2, "unsupported magic b'P7'"),
+    _exit("bad pair", "match --big {big3} --small {small}", 2, "big image side 3 is not a power"),
+    _exit("phase overflow",
+          f"match --big {{big13}} --small {{small7}} --mode optimal --iterations {grover.MAX_ROUNDS}",
+          2, "phase (2r+1)*theta overflows float64 at theta = 1.122964 (13 of 16"),
+    _exit("json into missing dir", "match --big {big} --small {small} --json {missing}",
+          1, "[Errno 2] No such file", quiet=False),
+    _exit("csv into missing dir", "table1 --max-a 8 --csv {missing}",
+          1, "[Errno 2] No such file", quiet=False),
+    _exit("bad modes", "table1 --max-a 8 --modes bogus", 2, "unknown mode 'bogus'"),
+    _exit("bad max-a", "table1 --max-a 3", 2, "--max-a must be a power of two >= 4, got 3"),
+    _exit("max-a past 2^537", f"table1 --max-a {1 << 538}",
+          2, "--max-a 2^538 is past the float64 limit 2^537"),
+    _exit("bad a", "analyze --a 5", 2, "--a must be a power of two >= 2, got 5"),
+    _exit("a past 2^511", f"analyze --a {1 << 512}",
+          2, "--a 2^512 is past the float64 limit 2^511"),
+    _exit("negative sweep-i", "analyze --a 4 --sweep-i -1",
+          2, "--sweep-i must be non-negative, got -1"),
+]
+
+
+@pytest.mark.parametrize("template, code, message, quiet", ERROR_EXITS)
+def test_error_exits(template, code, message, quiet, tmp_path, capsys):
+    """Each error leaves ``main`` as its exit code and one ``error:`` line, not an exception."""
+    paths = _error_paths(tmp_path)
+    assert main([word.format(**paths) for word in template.split()]) == code
+    out, err = capsys.readouterr()
+    assert err.startswith("error: " + message) and err.count("\n") == 1, err
+    assert (out == "") == quiet
 
 
 def _run(argv, parser=None):

@@ -491,6 +491,16 @@ class TestGroupSampling:
         with pytest.raises(ValueError):
             success_probability(4, MAX_ROUNDS + 1)
 
+    def test_phase_overflow_names_the_phase(self):
+        # 13 of 16 marked: theta = asin(sqrt(13/16)) > 1, so at MAX_ROUNDS the
+        # phase (2r+1)*theta overflows float64 while 2r+1 itself does not.
+        with pytest.raises(ValueError, match=r"phase \(2r\+1\)\*theta overflows float64"):
+            amplify(2, range(13), MAX_ROUNDS)
+        with pytest.raises(ValueError, match=r"phase \(2r\+1\)\*theta overflows float64"):
+            success_probability(4, MAX_ROUNDS, 13)
+        state = amplify(2, range(16), MAX_ROUNDS)
+        assert state.marked_probability() == success_probability(4, MAX_ROUNDS, 16) == 1.0
+
     def test_memory_bounded_by_positions_not_samples(self):
         state = amplify(6, {5, 77}, 0)
         tracemalloc.start()

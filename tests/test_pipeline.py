@@ -7,6 +7,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 import qimatch
@@ -99,6 +100,24 @@ def test_iteration_override_predicts_its_own_count():
     assert outcome.plan.iterations == 3
     assert outcome.predicted_success == success_probability(8, 5, 4)
     assert outcome.final.marked_probability() == pytest.approx(outcome.predicted_success, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_predicted_success_is_the_probability_the_sampler_uses(n):
+    size = 1 << (2 * n)
+    small = Image(1, 1, 1, [1])
+    for count in sorted({0, 1, 2, size // 4, size // 2, size - 1, size}):
+        pixels = np.zeros(size, dtype=np.int64)
+        pixels[np.random.default_rng(count).permutation(size)[:count]] = 1
+        big = Image(1 << n, 1 << n, 1, pixels)
+        for iterations in (None, 0, 1, 3, 10**6):
+            outcome = pipeline.match(big, small, mode=PlanMode.OPTIMAL, iterations=iterations)
+            want = outcome.final.marked_probability()
+            assert outcome.predicted_success == want, (n, count, iterations)
+            if outcome.rounds == 0:
+                assert want == count / size, (n, count)
+            if count == size:
+                assert want == 1.0, (n, iterations)
 
 
 def test_counts_are_a_seeded_draw_from_the_final_state():
