@@ -16,7 +16,7 @@ dims = validate_pair(big, small)
 
 state = prepare_initial(big, small)
 print(f"prepared state: {state.branch_count} branches, amplitude "
-      f"{state.amplitude[0]} each, squared norm {state.norm_squared():.12f}")
+      f"{state.branch(0, 0).amplitude} each, squared norm {state.norm_squared():.12f}")
 
 state = apply_comparison(state)
 print("\nafter comparison, the big-intensity register holds XOR differences:")

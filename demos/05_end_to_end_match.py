@@ -29,7 +29,7 @@ print(f"planted the {PATCH}x{PATCH} patch at (x={x0}, y={y0}); anchor value {anc
 
 outcome = pipeline.match(big, small, seed=rng.randint(0, 2**31))
 dims, plan = outcome.dims, outcome.plan
-print(f"marking stage flagged positions: {sorted(outcome.marked)}")
+print(f"marking stage flagged positions: {outcome.final.marked.tolist()}")
 print(f"plan: {plan.iterations} rounds, predicted success "
       f"{plan.predicted_success:.4f}, guaranteed at least {plan.lower_bound:.4f}")
 

@@ -7,10 +7,10 @@ Subcommands:
 * ``example``  run the built-in pair end to end with exact fractions
 * ``analyze``  sweep the two-value recurrence for one image size
 
-Exit codes: 0 success, 1 I/O error, 2 validation error (a bad PGM or pair,
-or an argument out of range), 3 no match found.  Commands raise OSError,
-PgmError and ValidationError; :func:`main` is the one place where those
-become an exit code and a single ``error:`` line on stderr.
+Exit codes: 0 success, 1 I/O error (or, for ``example``, a drifted frozen
+value), 2 validation error (a bad PGM or pair, or an argument out of range),
+3 no match found.  Commands raise OSError, PgmError and ValidationError;
+:func:`main` alone turns those into an exit code and one ``error:`` stderr line.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call; parsing keeps no state between calls.
@@ -175,16 +175,16 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_example(args: argparse.Namespace) -> int:
     big, small = sample_pair()
     outcome = pipeline.match(big, small)
-    dims, marked, plan = outcome.dims, outcome.marked, outcome.plan
+    dims, marked, plan = outcome.dims, outcome.final.marked.tolist(), outcome.plan
 
     print(f"demonstration pair: big {dims.side}x{dims.side}, small "
           f"{small.width}x{small.height}, bit depth {dims.bit_depth}")
-    print(f"marked positions: {sorted(marked)}")
+    print(f"marked positions: {marked}")
     print(f"planned rounds (exact): {plan.iterations}")
 
     failures = []
-    if marked != {5}:
-        failures.append(f"marked set {sorted(marked)} != [5]")
+    if marked != [5]:
+        failures.append(f"marked set {marked} != [5]")
     if plan.iterations != 3:
         failures.append(f"planned rounds {plan.iterations} != 3")
 

@@ -97,10 +97,11 @@ class TwoValueState:
     """State amplified from uniform: one amplitude on the marked set, one elsewhere.
 
     ``marked`` holds the distinct marked indices in increasing order (a
-    read-only int64 array).  With no marks ``marked_amplitude`` has no
-    position to sit on, and with every position marked ``unmarked_amplitude``
-    has none; both are then kept at the value the vector engine would give
-    such positions if they existed.
+    read-only int64 array), and ``probability`` is the marked set's
+    probability, the one :func:`sample_groups` draws with.  With no marks
+    ``marked_amplitude`` has no position to sit on, and with every position
+    marked ``unmarked_amplitude`` has none; both are then kept at the value
+    the vector engine would give such positions if they existed.
     """
 
     n: int
@@ -112,10 +113,6 @@ class TwoValueState:
     @property
     def size(self) -> int:
         return 1 << (2 * self.n)
-
-    def marked_probability(self) -> float:
-        """Probability of the marked set, as :func:`sample_groups` draws with it."""
-        return self.probability
 
     def unmarked_index(self, ranks: np.ndarray) -> np.ndarray:
         """Map ranks among the unmarked indices (0-based, increasing) to indices.
@@ -217,7 +214,7 @@ def sample_groups(state: TwoValueState, seed: int, samples: int) -> dict[int, in
         raise ValueError(f"sample count must be in [1, MAX_SAMPLES], got {samples}")
     rng = np.random.default_rng(seed)
     count = len(state.marked)
-    hits = int(rng.binomial(samples, state.marked_probability()))
+    hits = int(rng.binomial(samples, state.probability))
     hit_ranks, hit_counts = _spread(rng, hits, count)
     miss_ranks, miss_counts = _spread(rng, samples - hits, state.size - count)
     indices = np.concatenate([state.marked[hit_ranks], state.unmarked_index(miss_ranks)])

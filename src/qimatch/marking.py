@@ -56,10 +56,9 @@ class JointState:
     """Joint state over 4**n * 4**m branches, held as the two images and a stage.
 
     ``big`` and ``small`` are the two images' own read-only unsigned
-    intensity arrays, indexed by position.  Branch (pos_a, pos_b) sits at
-    index ``pos_a * 4**m + pos_b`` of the array views ``pos_a``, ``val_a``,
-    ``pos_b``, ``val_b`` and ``amplitude``; these views are built on each
-    access and take O(4**(n+m)) memory, so they are for small instances only.
+    intensity arrays, indexed by position.  A branch is read through
+    :meth:`branch` or :meth:`branches`, one at a time; nothing here builds an
+    array with one entry per branch.
     """
 
     dims: MatchDims
@@ -74,28 +73,6 @@ class JointState:
     @property
     def _weight(self) -> float:
         return 1.0 / (1 << (self.dims.n + self.dims.m))
-
-    @property
-    def pos_a(self) -> np.ndarray:
-        return _frozen(np.repeat(np.arange(len(self.big), dtype=np.int64), len(self.small)))
-
-    @property
-    def pos_b(self) -> np.ndarray:
-        return _frozen(np.tile(np.arange(len(self.small), dtype=np.int64), len(self.big)))
-
-    @property
-    def val_a(self) -> np.ndarray:
-        if self.stage is Stage.PREPARED:
-            return _frozen(np.repeat(self.big, len(self.small)))
-        return _frozen((self.big[:, None] ^ self.small[None, :]).ravel())
-
-    @property
-    def val_b(self) -> np.ndarray:
-        return _frozen(np.tile(self.small, len(self.big)))
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return _frozen(np.full(self.branch_count, self._weight))
 
     def norm_squared(self) -> float:
         # Every branch carries the same power-of-two weight, so this is exact.

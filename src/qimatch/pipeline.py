@@ -28,11 +28,6 @@ class Outcome:
     counts: dict[int, int]
     timings_ms: dict[str, float]
 
-    @property
-    def marked(self) -> set[int]:
-        """The marked positions as the paper's set, built on each access."""
-        return set(self.final.marked.tolist())
-
 
 def lap(timings_ms: dict[str, float], stage: str, start: float) -> float:
     """Record the milliseconds since ``start`` under ``stage``; return the time now."""
@@ -47,9 +42,10 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
 
     The plan is made for the marked count, and ``iterations`` overrides its
     rounds.  The predicted success is the final state's marked probability,
-    the one the samples are drawn with.  Raises ValidationError for a bad pair
-    and for an ``iterations`` outside [0, MAX_ROUNDS] or whose phase
-    (2r+1)*theta overflows float64; ValueError for a bad ``seed`` or ``samples``.
+    the one the samples are drawn with.  Raises ValidationError for a bad pair,
+    for an ``iterations`` outside [0, MAX_ROUNDS] or whose phase (2r+1)*theta
+    overflows float64, for a ``samples`` outside [1, MAX_SAMPLES] and for a
+    negative ``seed``.
     """
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -66,10 +62,9 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
 
     try:
         final = grover.amplify(dims.n, marked, rounds)
+        start = lap(timings, "amplify", start)
+        counts = grover.sample_groups(final, seed=seed, samples=samples)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    start = lap(timings, "amplify", start)
-
-    counts = grover.sample_groups(final, seed=seed, samples=samples)
     lap(timings, "sample", start)
-    return Outcome(dims, plan, rounds, final.marked_probability(), final, counts, timings)
+    return Outcome(dims, plan, rounds, final.probability, final, counts, timings)

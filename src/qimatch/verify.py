@@ -100,9 +100,8 @@ class DenseState:
 
 def apply_cnot(amplitudes: np.ndarray, control: int, target: int) -> np.ndarray:
     """Flip the target bit of every basis state whose control bit is set."""
-    idx = np.arange(len(amplitudes))
-    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return amplitudes[src]
+    control_set = (np.arange(len(amplitudes)) >> control) & 1 == 1
+    return apply_controlled_flip(amplitudes, control_set, target)
 
 
 def apply_controlled_flip(

@@ -319,7 +319,7 @@ def mark_counts(n):
     return sorted(m for m in {0, 1, 2, 4, 16, size // 2, size} if m <= size)
 
 
-def marked_probability(state, marks):
+def vector_probability(state, marks):
     return float(np.sum(state.probabilities()[sorted(marks)]))
 
 
@@ -341,7 +341,7 @@ class TestTwoValueAgainstVector:
                 if count < side * side:
                     got = state.amplitudes[~is_marked] - two.unmarked_amplitude
                     assert np.max(np.abs(got)) < 1e-12, (n, count, rounds)
-                assert abs(two.marked_probability() - marked_probability(state, marks)) < 1e-12
+                assert abs(two.probability - vector_probability(state, marks)) < 1e-12
                 state = diffuse(phase_flip(state))
 
     def test_zero_rounds_is_exactly_uniform(self):
@@ -354,14 +354,14 @@ class TestTwoValueAgainstVector:
         for rounds in (0, 1, 7, 10**9):
             state = amplify(3, set(), rounds)
             assert state.unmarked_amplitude == 1.0 / 8
-            assert state.marked_probability() == 0.0
+            assert state.probability == 0.0
             assert state.top_index() is None
 
     def test_all_marked_only_flips_sign(self):
         for rounds in range(6):
             state = amplify(2, range(16), rounds)
             assert state.marked_amplitude == (-1) ** rounds / 4
-            assert state.marked_probability() == 1.0
+            assert state.probability == 1.0
             assert state.top_index() == 0
 
     def test_worked_example_golden_value(self):
@@ -447,7 +447,7 @@ class TestGroupSampling:
         for n, count, rounds in ((2, 1, 3), (3, 3, 2), (3, 16, 1), (4, 2, 5), (5, 1, 7)):
             marks = marks_for(n, count)
             state = amplify(n, marks, rounds)
-            p = state.marked_probability()
+            p = state.probability
             counts = sample_groups(state, seed=101 + n, samples=samples)
             hits = sum(counts.get(k, 0) for k in marks)
             sigma = (samples * p * (1 - p)) ** 0.5
@@ -499,7 +499,7 @@ class TestGroupSampling:
         with pytest.raises(ValueError, match=r"phase \(2r\+1\)\*theta overflows float64"):
             success_probability(4, MAX_ROUNDS, 13)
         state = amplify(2, range(16), MAX_ROUNDS)
-        assert state.marked_probability() == success_probability(4, MAX_ROUNDS, 16) == 1.0
+        assert state.probability == success_probability(4, MAX_ROUNDS, 16) == 1.0
 
     def test_memory_bounded_by_positions_not_samples(self):
         state = amplify(6, {5, 77}, 0)
@@ -537,7 +537,7 @@ class TestMultiMarkPlanning:
             state = init_subspace(n, marks)
             probs = []
             for _ in range(2 * want_rounds + 2):
-                probs.append(marked_probability(state, marks))
+                probs.append(vector_probability(state, marks))
                 state = diffuse(phase_flip(state))
             best = max(range(len(probs)), key=lambda i: (probs[i], -i))
             for mode in PlanMode:
@@ -584,4 +584,4 @@ class TestMultiMarkPlanning:
         for count, rounds in ((1, 3), (2, 4), (5, 0), (5, 9)):
             marks = marks_for(3, count)
             got = success_probability(8, rounds, count)
-            assert abs(got - amplify(3, marks, rounds).marked_probability()) < 1e-12
+            assert abs(got - amplify(3, marks, rounds).probability) < 1e-12

@@ -1,6 +1,5 @@
 """The one match pipeline: what it returns, and that every match run goes through it."""
 
-import dataclasses
 import inspect
 import json
 import math
@@ -57,7 +56,7 @@ def expected_report(outcome, seed):
             "top_index": top,
             "x": top % dims.side,
             "y": top // dims.side,
-            "marked_count": len(outcome.marked),
+            "marked_count": len(outcome.final.marked),
         },
         "samples": {
             "seed": seed,
@@ -99,7 +98,7 @@ def test_iteration_override_predicts_its_own_count():
     assert outcome.rounds == 5
     assert outcome.plan.iterations == 3
     assert outcome.predicted_success == success_probability(8, 5, 4)
-    assert outcome.final.marked_probability() == pytest.approx(outcome.predicted_success, abs=1e-12)
+    assert outcome.final.probability == pytest.approx(outcome.predicted_success, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -112,12 +111,21 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
         big = Image(1 << n, 1 << n, 1, pixels)
         for iterations in (None, 0, 1, 3, 10**6):
             outcome = pipeline.match(big, small, mode=PlanMode.OPTIMAL, iterations=iterations)
-            want = outcome.final.marked_probability()
+            want = outcome.final.probability
             assert outcome.predicted_success == want, (n, count, iterations)
             if outcome.rounds == 0:
                 assert want == count / size, (n, count)
             if count == size:
                 assert want == 1.0, (n, iterations)
+
+
+@pytest.mark.parametrize("flags", [{"samples": 0}, {"samples": 2**63}, {"seed": -1},
+                                   {"iterations": -1}],
+                         ids=["samples-0", "samples-2^63", "seed-negative", "iterations-negative"])
+def test_bad_run_flags_raise_validation_error(flags):
+    big, small = sample_pair()
+    with pytest.raises(ValidationError):
+        pipeline.match(big, small, **flags)
 
 
 def test_counts_are_a_seeded_draw_from_the_final_state():
@@ -130,7 +138,7 @@ def test_counts_are_a_seeded_draw_from_the_final_state():
 
 def test_no_marks_point_nowhere():
     outcome = pipeline.match(make_image([1, 2, 3, 1], 2, 2), make_image([0], 1, 2))
-    assert outcome.marked == set()
+    assert outcome.final.marked.tolist() == []
     assert outcome.rounds == 0
     assert outcome.final.top_index() is None
 
@@ -198,8 +206,7 @@ def test_marks_are_held_once_as_a_sorted_array():
         warnings.simplefilter("ignore")
         outcome = pipeline.match(big, small)
     assert outcome.final.marked.tolist() == [0, 11, 21, 54]
-    assert outcome.marked == {0, 11, 21, 54}
-    assert "marked" not in {f.name for f in dataclasses.fields(outcome)}
+    assert not hasattr(outcome, "marked")
 
 
 def test_each_name_has_one_home():

@@ -166,6 +166,31 @@ class TestDenseMixedDepths:
             assert dense_marked_set(dense) == structured
             assert abs(dense.norm_squared() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("depths", [(1, 1), (2, 2), (3, 3), (4, 8), (8, 4), (1, 3), (3, 2)])
+    def test_dense_vector_holds_every_structured_branch(self, depths):
+        # Each structured branch sits at its basis index with kickback 0 at +w/sqrt(2)
+        # and kickback 1 at -w/sqrt(2); every other amplitude is zero, bit for bit.
+        rng = random.Random(100 + sum(depths))
+        big_depth, small_depth = depths
+        for run in range(6):
+            n = 1 if max(depths) > 4 else rng.randint(1, 2)
+            m = rng.randint(0, n - 1)
+            big_px = [rng.randrange(1 << big_depth) for _ in range(4**n)]
+            small_px = [rng.randrange(1 << small_depth) for _ in range(4**m)]
+            if run % 2 == 0:  # plant the anchor so marks occur
+                small_px[0] = big_px[rng.randrange(4**n)] = rng.randrange(1 << min(depths))
+            big, small = make_image(big_px, 1 << n, big_depth), make_image(small_px, 1 << m, small_depth)
+            dense = dense_simulate_marking(big, small)
+            layout = dense.layout
+            want = np.zeros(1 << layout.total_qubits)
+            for b in apply_marking(apply_comparison(prepare_initial(big, small))).branches():
+                k = ((b.flag << layout.flag[0]) | (b.val_a << layout.val_a[0])
+                     | (b.pos_a << layout.pos_a[0]) | (b.val_b << layout.val_b[0])
+                     | (b.pos_b << layout.pos_b[0]))
+                want[k] = b.amplitude / math.sqrt(2.0)
+                want[k | 1 << layout.kick[0]] = -want[k]
+            assert np.array_equal(dense.amplitudes, want), (depths, run)
+
     @pytest.mark.parametrize("depths", [(16, 8), (8, 16)])
     def test_eight_and_sixteen_bits_take_the_wider_register(self, depths):
         # Two 16-bit registers make 36 qubits, past any dense cap, so only the
