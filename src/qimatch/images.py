@@ -69,7 +69,9 @@ class Image:
         arr = pixels if shared else np.array(pixels, dtype=np.int64)
         if arr.shape != (width * height,):
             raise ValueError("pixel count does not match dimensions")
-        if arr.size:
+        # A shared array whose dtype is exactly bit_depth wide cannot hold an
+        # out-of-range value, so only narrower depths need the range pass.
+        if arr.size and not (shared and dtype.itemsize * 8 == bit_depth):
             low, high = int(arr.min()), int(arr.max())
             if low < 0 or high >> bit_depth:
                 bad = low if low < 0 else high

@@ -139,6 +139,37 @@ def marked_indices(state: JointState) -> np.ndarray:
     return _frozen(np.flatnonzero(state.big == state.small[0]).astype(np.int64, copy=False))
 
 
+def block_matches(big: Image, small: Image, anchors: np.ndarray) -> np.ndarray:
+    """Big-image indices of every full-block upper-left corner, as a sorted read-only int64 array.
+
+    ``anchors`` is the sorted index array { k : A[k] == B[0] } that
+    :func:`marked_indices` gives.  Successive elimination (Li and Salari, IEEE
+    TIP 1995): of the anchors that are valid corners, keep for each further
+    small pixel only those whose pixel at the same offset equals it.  Once the
+    survivors fill more than a quarter of the corner grid, one strided pass
+    per remaining small pixel over the whole grid is cheaper than gathers, so
+    repetitive content finishes that way.  Every reported corner has had all
+    of its block's pixels compared.
+    """
+    side, b = big.width, small.width
+    span = side - b + 1
+    a, s = big.array, small.array
+    hits = anchors[(anchors % side < span) & (anchors // side < span)]
+    for j in range(1, b * b):
+        if 4 * len(hits) > span * span:
+            grid = np.zeros((span, span), dtype=bool)
+            grid[np.divmod(hits, side)] = True
+            a2 = a.reshape(side, side)
+            for dy, dx in (divmod(k, b) for k in range(j, b * b)):
+                grid &= a2[dy : dy + span, dx : dx + span] == s[dy * b + dx]
+            ys, xs = np.nonzero(grid)
+            hits = ys * side + xs
+            break
+        dy, dx = divmod(j, b)
+        hits = hits[a[hits + (dy * side + dx)] == s[j]]
+    return _frozen(hits.astype(np.int64, copy=False))
+
+
 def marked_set(state: JointState) -> set[int]:
     """The paper's marked set: :func:`marked_indices` as a Python set."""
     return set(marked_indices(state).tolist())

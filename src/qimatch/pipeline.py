@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -45,8 +46,10 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     the one the samples are drawn with.  Raises ValidationError for a bad pair,
     for an ``iterations`` outside [0, MAX_ROUNDS] or whose phase (2r+1)*theta
     overflows float64, for a ``samples`` outside [1, MAX_SAMPLES] and for a
-    negative ``seed``.
+    ``seed`` that is not a non-negative integer.
     """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     timings: dict[str, float] = {}
     start = time.perf_counter()
     joint = marking.prepare_initial(big, small)

@@ -197,6 +197,10 @@ def classical_match(big: Image, small: Image, mode: MatchMode) -> MatchResult:
     compares every big pixel against the small image's (0, 0) pixel, 4**n
     comparisons total.  Either way every candidate is scanned, so
     ``comparisons`` is exact, and locations come out in raster order.
+
+    This is the oracle: ``match --verify`` finds the same locations from the
+    marked set with :func:`qimatch.marking.block_matches`, and the tests
+    compare the two.
     """
     dims: MatchDims = validate_pair(big, small)
     a = big.array.reshape(big.height, big.width)

@@ -166,6 +166,20 @@ class TestMatchJson:
         # fixed key order makes re-serialization byte-identical
         assert json.dumps(data, indent=2) + "\n" == raw
 
+    def test_verify_lists_equal_the_exhaustive_scans_on_constant_content(self, tmp_path, capsys):
+        big, small = make_image([3] * 256, 16, 2), make_image([3] * 4, 2, 2)
+        bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
+        bp.write_bytes(write_pgm(big))
+        sp.write_bytes(write_pgm(small))
+        with pytest.warns(UserWarning, match="falls back"):
+            code = main(["match", "--big", str(bp), "--small", str(sp), "--verify", "--json", str(rp)])
+        assert code == 0
+        got = json.loads(rp.read_text())["verify"]
+        want = {mode.value: [list(loc) for loc in verify.classical_match(big, small, mode).locations]
+                for mode in verify.MatchMode}
+        assert got == {"full_block": want["full_block"], "anchor": want["anchor_pixel"]}
+        assert len(got["full_block"]) == 15 * 15 and len(got["anchor"]) == 16 * 16
+
     def test_timings_key_opt_in(self, sample_paths, tmp_path):
         path = tmp_path / "t.json"
         main(["match", "--big", sample_paths[0], "--small", sample_paths[1],

@@ -208,6 +208,14 @@ class TestPixelArray:
         with pytest.raises(ValueError):
             Image(2, 2, 4, pixels)
 
+    @pytest.mark.parametrize("bit_depth,dtype,value", [(4, np.uint8, 200), (1, np.uint8, 2),
+                                                       (12, np.uint16, 4096)])
+    def test_shared_array_narrower_than_its_dtype_is_range_checked(self, bit_depth, dtype, value):
+        shared = np.array([0, 1, value, 0], dtype=dtype)
+        shared.flags.writeable = False
+        with pytest.raises(ValueError, match=f"pixel value {value} outside"):
+            Image(2, 2, bit_depth, shared)
+
     def test_caller_arrays_are_copied_unless_read_only(self):
         mine = np.array([5, 6, 7, 8], dtype=np.uint8)
         img = Image(2, 2, 8, mine)

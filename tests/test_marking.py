@@ -6,19 +6,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qimatch.images import ValidationError, validate_pair
+from qimatch.images import Image, ValidationError, validate_pair
 from qimatch.marking import (
     Stage,
     StageError,
     apply_comparison,
     apply_marking,
+    block_matches,
     dump_branches,
     marked_indices,
     marked_set,
     prepare_initial,
 )
 from qimatch.sample import sample_pair
+from qimatch.verify import MatchMode, classical_match
 
 from conftest import make_image, random_instance
 
@@ -326,3 +330,48 @@ class TestFactoredState:
         assert peak < 1 << 20
         assert state.branch_count == 1 << 20
         assert marks == {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
+
+
+@st.composite
+def block_pairs(draw):
+    """A big image and a small one cut from it, possibly with one pixel changed.
+
+    Random 8-bit content leaves few anchors, so the search eliminates by
+    gathers; constant content, 2-level stripes and 1-bit noise leave more
+    than a quarter of the corners, so it finishes with the strided grid pass.
+    A 16-bit small image changes its pixel above bit 7, which a comparison
+    at the big image's 8 bits would miss.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, n - 1))
+    side, b = 1 << n, 1 << m
+    bit_depth = draw(st.sampled_from([1, 2, 8]))
+    top = (1 << bit_depth) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    content = draw(st.sampled_from(["random", "constant", "striped"]))
+    if content == "random":
+        big = rng.integers(0, top + 1, size=(side, side))
+    elif content == "constant":
+        big = np.full((side, side), draw(st.integers(0, top)))
+    else:
+        width = draw(st.integers(1, 3))
+        big = np.broadcast_to((np.arange(side) // width % 2) * top, (side, side))
+        big = big.T if draw(st.booleans()) else big
+    y, x = draw(st.integers(0, side - b)), draw(st.integers(0, side - b))
+    small = big[y : y + b, x : x + b].copy()
+    small_depth = draw(st.sampled_from([bit_depth, 16]))
+    if draw(st.booleans()):
+        small[divmod(draw(st.integers(0, b * b - 1)), b)] ^= 1 if small_depth == bit_depth else 1 << 8
+    return (Image(side, side, bit_depth, big.ravel()), Image(b, b, small_depth, small.ravel()))
+
+
+class TestBlockMatches:
+    @settings(max_examples=300, deadline=None)
+    @given(block_pairs())
+    def test_equal_to_the_exhaustive_full_block_scan(self, pair):
+        big, small = pair
+        anchors = marked_indices(apply_marking(apply_comparison(prepare_initial(big, small))))
+        got = block_matches(big, small, anchors)
+        want = classical_match(big, small, MatchMode.FULL_BLOCK).locations
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == [y * big.width + x for x, y in want]

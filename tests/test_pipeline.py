@@ -119,12 +119,15 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
                 assert want == 1.0, (n, iterations)
 
 
-@pytest.mark.parametrize("flags", [{"samples": 0}, {"samples": 2**63}, {"seed": -1},
-                                   {"iterations": -1}],
-                         ids=["samples-0", "samples-2^63", "seed-negative", "iterations-negative"])
-def test_bad_run_flags_raise_validation_error(flags):
+@pytest.mark.parametrize("flags,message", [({"samples": 0}, None), ({"samples": 2**63}, None),
+                                           ({"seed": -1}, "seed .* got -1$"),
+                                           ({"seed": 1.5}, "seed .* got 1.5$"),
+                                           ({"iterations": -1}, None)],
+                         ids=["samples-0", "samples-2^63", "seed-negative", "seed-float",
+                              "iterations-negative"])
+def test_bad_run_flags_raise_validation_error(flags, message):
     big, small = sample_pair()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=message):
         pipeline.match(big, small, **flags)
 
 
