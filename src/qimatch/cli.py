@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--big", required=True, help="path to the big image (PGM)")
     p_match.add_argument("--small", required=True, help="path to the small image (PGM)")
     p_match.add_argument("--mode", choices=sorted(_MODES), default="exact",
-                         help="iteration planning mode (default: exact)")
+                         help="planning rule for one marked position (default: exact); "
+                         "other counts use optimal, and the report names the rule applied")
     p_match.add_argument("--iterations", type=int, default=None,
                          help="override the planned iteration count")
     p_match.add_argument("--samples", type=int, default=1,

@@ -36,7 +36,7 @@ x = 1/a, its values after i rounds are Chebyshev polynomials in x: marked
 (-1)**i * T_2i+1(x) and unmarked (-1)**i * x * U_2i(x), which
 :func:`closed_form_pair` evaluates for every i >= 1.
 
-Iteration planning offers three modes for a single marked index:
+Iteration planning offers three rules for a single marked index:
 
 * ``EXACT``: smallest integer i >= 1 with
   i**4 + 4i**3 + (2-3a**2)i**2 + (-1-6a**2)i + 1.5a**4 - 1.5a**2 < 0,
@@ -51,18 +51,18 @@ Iteration planning offers three modes for a single marked index:
   floor(pi/(4*theta)) rounds, which can undershoot the quartic-derived count
   at large a.
 
-The quartic is the paper's rule for one marked index only.  With M > 1 marks
-every mode plans floor(pi/(4*theta)) rounds, or 0 once 2M >= N, and EXACT and
-FIT warn that they fell back.  The predicted success is always
-:func:`success_probability`, sin**2((2r+1)*theta) (exactly M/N at 0 rounds, 1
-for M = N), the marked-set probability that :func:`sample_groups` draws with.
+The quartic is the paper's rule for one marked index only.  With M != 1 marks
+every mode runs the OPTIMAL rule, floor(pi/(4*theta)) rounds (0 with no marks
+and once 2M >= N), and the plan's ``mode`` says so.  The predicted success is
+always :func:`success_probability`, sin**2((2r+1)*theta) (exactly M/N at 0
+rounds, 1 for M = N), the marked-set probability that :func:`sample_groups`
+draws with.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -311,7 +311,8 @@ class PlanMode(enum.Enum):
 
 @dataclass(frozen=True)
 class IterationPlan:
-    side: int
+    """A planned round count; ``mode`` is the rule that chose ``iterations``."""
+
     mode: PlanMode
     iterations: int
     predicted_success: float
@@ -390,9 +391,9 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
 def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
     """Choose an iteration count for ``marked`` positions at width ``side`` <= MAX_PLAN_SIDE.
 
-    With one marked position ``mode`` picks the rule.  With more, every mode
-    plans the peak of sin**2((2r+1)*theta), and EXACT and FIT warn that they
-    fell back; with none, the plan is 0 rounds.  The predicted success is the
+    ``mode`` picks the rule for one marked position.  Any other count runs the
+    OPTIMAL rule, the peak of sin**2((2r+1)*theta) (0 rounds with none), and
+    the plan's ``mode`` names the rule that ran.  The predicted success is the
     marked set's probability at the chosen count.  The lower bound is the
     closed-form guarantee of the paper for one mark, cos**2(theta) = 1 - M/N
     (which the peak count always reaches) for more, and 0 for none.
@@ -404,27 +405,21 @@ def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1)
     positions = side * side
     if not 0 <= marked <= positions:
         raise ValueError(f"marked count must be in [0, {positions}], got {marked}")
-    if marked == 1 and mode is PlanMode.EXACT:
+    if marked != 1:
+        mode = PlanMode.OPTIMAL
+    if mode is PlanMode.EXACT:
         iterations = _scan_exact(side)
-    elif marked == 1 and mode is PlanMode.FIT:
+    elif mode is PlanMode.FIT:
         iterations = max(1, math.floor(0.7962 * side - 0.6057 + 0.5))
     else:
-        if marked > 1 and mode is not PlanMode.OPTIMAL:
-            warnings.warn(
-                f"{mode.value} mode plans for one marked position; with {marked} it "
-                f"falls back to the peak of sin^2((2r+1)theta)",
-                stacklevel=2,
-            )
         iterations = _peak_rounds(marked, positions)
     if marked == 1:
         bound = probability_lower_bound(side)
     else:
         bound = 1.0 - marked / positions if marked else 0.0
     return IterationPlan(
-        side=side,
         mode=mode,
         iterations=iterations,
         predicted_success=success_probability(side, iterations, marked),
         lower_bound=bound,
     )
-

@@ -19,6 +19,7 @@ every probability unchanged.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -114,12 +115,8 @@ class MatchDims:
     side: int
 
 
-def _is_int(token: bytes) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+# A PGM number is optionally signed decimal digits; int() alone would also take "1_0".
+_NUMBER = re.compile(rb"[+-]?[0-9]+")
 
 
 def _header_tokens(data: bytes) -> Iterator[tuple[bytes, int]]:
@@ -164,10 +161,9 @@ def load_pgm(data: bytes) -> Image:
     header: list[int] = []
     raster_start = 0
     for token, end in tokens:
-        try:
-            header.append(int(token))
-        except ValueError:
-            raise PgmError(f"non-numeric header token {token!r}") from None
+        if not _NUMBER.fullmatch(token):
+            raise PgmError(f"non-numeric header token {token!r}")
+        header.append(int(token))
         if len(header) == 3:
             raster_start = end
             break
@@ -183,14 +179,18 @@ def load_pgm(data: bytes) -> Image:
     if magic == b"P2":
         # A comment runs from '#' to the end of its line, so cutting each line
         # at its first '#' and splitting the rest gives the tokenizer's tokens.
-        # Line by line, only one line's tokens are held at a time.
+        # Line by line, only one line's tokens are held at a time.  Past the
+        # whitespace that split() removes, int() differs from _NUMBER only on '_'.
         values: list[int] = []
         for line in data[raster_start:].split(b"\n"):
-            tokens = line.partition(b"#")[0].split()
+            body = line.partition(b"#")[0]
+            tokens = body.split()
             try:
+                if b"_" in body:
+                    raise ValueError
                 values.extend(map(int, tokens))
             except ValueError:
-                token = next(t for t in tokens if not _is_int(t))
+                token = next(t for t in tokens if not _NUMBER.fullmatch(t))
                 raise PgmError(f"non-numeric pixel token {token!r}") from None
         if len(values) != count:
             raise PgmError(f"expected {count} pixels, found {len(values)}")

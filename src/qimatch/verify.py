@@ -17,7 +17,7 @@ complex floats.  Tests compare them with the closed form and the exact plan.
 
 Every route takes the two :class:`~qimatch.images.Image` objects.  The dense
 route is exponential in every register width (each as wide as the pair's
-wider bit depth), so construction is capped (default 22 qubits, a 32 MiB
+wider bit depth), so construction is capped (at 22 qubits, a 32 MiB
 vector); it exists for small instances only.  The classical matcher has two
 modes: FULL_BLOCK is the engineering ground truth (the whole small image must
 match a block of the big image); ANCHOR_PIXEL reproduces what the marking
@@ -117,21 +117,20 @@ def apply_controlled_flip(
     return amplitudes[src]
 
 
-def dense_simulate_marking(
-    big: Image, small: Image, qubit_cap: int = DEFAULT_QUBIT_CAP
-) -> DenseState:
+def dense_simulate_marking(big: Image, small: Image) -> DenseState:
     """Gate-level dense simulation of the compare-and-mark stage.
 
     Prepares the product of the kickback ancilla (|0> - |1>)/sqrt(2), the flag
     at 0, and the two uniform image superpositions, then applies one CNOT per
     intensity bit plane followed by the multi-controlled flag flip.  Agrees
     branch for branch with the structured simulation, at any mix of bit depths.
+    ValueError past :data:`DEFAULT_QUBIT_CAP` qubits.
     """
     dims = validate_pair(big, small)
     layout = RegisterLayout(bit_depth=dims.bit_depth, n=dims.n, m=dims.m)
-    if layout.total_qubits > qubit_cap:
+    if layout.total_qubits > DEFAULT_QUBIT_CAP:
         raise ValueError(
-            f"instance needs {layout.total_qubits} qubits, cap is {qubit_cap}"
+            f"instance needs {layout.total_qubits} qubits, cap is {DEFAULT_QUBIT_CAP}"
         )
     size = 1 << layout.total_qubits
     amps = np.zeros(size)
@@ -184,7 +183,6 @@ class MatchResult:
     """Locations are (x, y) of the candidate upper-left corner, raster order."""
 
     locations: tuple[tuple[int, int], ...]
-    mode: MatchMode
     comparisons: int
 
 
@@ -217,7 +215,7 @@ def classical_match(big: Image, small: Image, mode: MatchMode) -> MatchResult:
     # Flat indices keep raster order; the hit grid is span wide (side for anchors).
     ys, xs = np.divmod(np.flatnonzero(hits), hits.shape[1])
     locations = tuple(zip(xs.tolist(), ys.tolist()))
-    return MatchResult(locations=locations, mode=mode, comparisons=comparisons)
+    return MatchResult(locations=locations, comparisons=comparisons)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from qimatch import grover, verify
+from qimatch import cli, grover, verify
 from qimatch.cli import build_parser, main
 from qimatch.images import write_pgm
-from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM
+from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM, sample_pair
 
 from conftest import make_image, planted_instance
 
@@ -171,10 +171,11 @@ class TestMatchJson:
         bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
         bp.write_bytes(write_pgm(big))
         sp.write_bytes(write_pgm(small))
-        with pytest.warns(UserWarning, match="falls back"):
-            code = main(["match", "--big", str(bp), "--small", str(sp), "--verify", "--json", str(rp)])
+        code = main(["match", "--big", str(bp), "--small", str(sp), "--verify", "--json", str(rp)])
         assert code == 0
-        got = json.loads(rp.read_text())["verify"]
+        data = json.loads(rp.read_text())
+        assert data["plan"]["mode"] == "optimal"
+        got = data["verify"]
         want = {mode.value: [list(loc) for loc in verify.classical_match(big, small, mode).locations]
                 for mode in verify.MatchMode}
         assert got == {"full_block": want["full_block"], "anchor": want["anchor_pixel"]}
@@ -236,11 +237,11 @@ class TestMatchMultiMark:
         bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
         bp.write_bytes(write_pgm(make_image(pixels, 8, 4)))
         sp.write_bytes(write_pgm(make_image([9, 2, 3, 4], 2, 4)))
-        with pytest.warns(UserWarning, match="falls back"):
-            code = main(["match", "--big", str(bp), "--small", str(sp), "--verify",
-                         "--samples", "1000", "--json", str(rp)])
+        code = main(["match", "--big", str(bp), "--small", str(sp), "--verify",
+                     "--samples", "1000", "--json", str(rp)])
         assert code == 0
         data = json.loads(rp.read_text())
+        assert data["plan"]["mode"] == "optimal"
         marked = [0, 11, 21, 54]
         theta = math.asin(math.sqrt(4 / 64))
         rounds = math.floor(math.pi / (4 * theta))
@@ -312,6 +313,17 @@ class TestExampleCommand:
         assert "0.8976" in out
         assert "index 5 -> (x=1, y=1)" in out
         assert "all checks passed" in out
+
+    def test_drifted_pair_fails_the_checks(self, monkeypatch, capsys):
+        big, small = sample_pair()
+        pixels = list(big.pixels)
+        pixels[5], pixels[6] = pixels[6], pixels[5]  # the anchor value 160 moves to index 6
+        monkeypatch.setattr(cli, "sample_pair", lambda: (make_image(pixels, 4, 8), small))
+        code = main(["example"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "MISMATCH: marked set [6] != [5]" in captured.err.splitlines()
+        assert "all checks passed" not in captured.out
 
 
 class TestAnalyzeCommand:

@@ -541,9 +541,7 @@ class TestMultiMarkPlanning:
                 state = diffuse(phase_flip(state))
             best = max(range(len(probs)), key=lambda i: (probs[i], -i))
             for mode in PlanMode:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    plan = plan_iterations(side, mode, marked=count)
+                plan = plan_iterations(side, mode, marked=count)
                 assert plan.iterations == best, (n, count, mode)
                 assert abs(plan.predicted_success - probs[best]) < 1e-12
                 assert plan.lower_bound <= plan.predicted_success
@@ -560,15 +558,13 @@ class TestMultiMarkPlanning:
             plan = plan_iterations(8, mode, marked=0)
             assert (plan.iterations, plan.predicted_success, plan.lower_bound) == (0, 0.0, 0.0)
 
-    def test_single_mark_rules_warn_when_they_fall_back(self):
-        for mode in (PlanMode.EXACT, PlanMode.FIT):
-            with pytest.warns(UserWarning, match="falls back"):
-                plan_iterations(64, mode, marked=4)
+    def test_plan_names_the_rule_it_ran(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plan_iterations(64, PlanMode.OPTIMAL, marked=4)
             for mode in PlanMode:
-                plan_iterations(64, mode, marked=1)
+                for count in (0, 4):
+                    assert plan_iterations(64, mode, marked=count).mode is PlanMode.OPTIMAL
+                assert plan_iterations(64, mode, marked=1).mode is mode
 
     def test_single_mark_default_unchanged(self):
         for a in (2, 4, 128, 1024):

@@ -91,6 +91,8 @@ class TestLoadPgm:
             b"P2\n2 2\n255\n1 2 3",
             b"P2\n2 2\n255\n1 2 3 4 5",
             b"P2\n2 2\n255\n1 2 x 4",
+            b"P2\n2 2\n2_55\n1 2 3 4",
+            b"P2\n2 2\n255\n1 1_0 3 4",
             b"P2\n2 2\n",
             b"P2\n0 1\n255\n",
             b"P2\n1 1\n255\n300",
@@ -102,6 +104,23 @@ class TestLoadPgm:
     def test_malformed_streams_raise(self, data):
         with pytest.raises(PgmError):
             load_pgm(data)
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"P2\nx 1\n255\n0", "non-numeric header token b'x'"),
+            (b"P2\n2 2\n2_55\n1 2 3 4", "non-numeric header token b'2_55'"),
+            (b"P5\n2_0 1\n255\n" + bytes(20), "non-numeric header token b'2_0'"),
+            (b"P2\n2 2\n255\n1 1_0 3 4", "non-numeric pixel token b'1_0'"),
+            (b"P2\n2 1\n255\nx 1_0", "non-numeric pixel token b'x'"),
+            (b"P5\n1 1\n255", "missing raster separator"),
+            (b"P5\n1 1\n255#c\n\x00", "missing raster separator"),
+        ],
+    )
+    def test_rejection_message_names_the_fault(self, data, message):
+        with pytest.raises(PgmError) as err:
+            load_pgm(data)
+        assert str(err.value) == message
 
     def test_write_read_round_trip(self):
         rng = random.Random(99)
@@ -202,6 +221,11 @@ class TestPixelArray:
         assert a != Image(2, 2, 5, (1, 2, 3, 4))
         assert a != Image(4, 1, 4, (1, 2, 3, 4))
         assert a != (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("bit_depth", [0, 17])
+    def test_bit_depth_outside_1_to_16_rejected(self, bit_depth):
+        with pytest.raises(ValueError, match=f"bit depth {bit_depth} outside"):
+            Image(1, 1, bit_depth, [0])
 
     @pytest.mark.parametrize("pixels", [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 16), (0, -1, 2, 3)])
     def test_bad_pixels_rejected(self, pixels):

@@ -4,7 +4,6 @@ import inspect
 import json
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -83,18 +82,14 @@ def test_outcome_gives_the_cli_report(name, flags, tmp_path):
             "--json", str(report)]
     if flags["iterations"] is not None:
         argv += ["--iterations", str(flags["iterations"])]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(argv) == 0
-        outcome = pipeline.match(big, small, **flags)
+    assert main(argv) == 0
+    outcome = pipeline.match(big, small, **flags)
     assert json.loads(report.read_text()) == expected_report(outcome, flags["seed"])
 
 
 def test_iteration_override_predicts_its_own_count():
     big, small = multi_mark_pair()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        outcome = pipeline.match(big, small, iterations=5)
+    outcome = pipeline.match(big, small, iterations=5)
     assert outcome.rounds == 5
     assert outcome.plan.iterations == 3
     assert outcome.predicted_success == success_probability(8, 5, 4)
@@ -205,9 +200,7 @@ def test_match_never_builds_the_pixel_tuple(tmp_path, monkeypatch, capsys):
 
 def test_marks_are_held_once_as_a_sorted_array():
     big, small = multi_mark_pair()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        outcome = pipeline.match(big, small)
+    outcome = pipeline.match(big, small)
     assert outcome.final.marked.tolist() == [0, 11, 21, 54]
     assert not hasattr(outcome, "marked")
 

@@ -128,10 +128,6 @@ class TestDenseSimulation:
         big, small = sample_pair()  # bit depth 8 -> 24 qubits total
         with pytest.raises(ValueError):
             dense_simulate_marking(big, small)
-        rng = random.Random(90)
-        big, small = random_instance(rng, 2, 1, 3)
-        with pytest.raises(ValueError):
-            dense_simulate_marking(big, small, qubit_cap=10)
 
     def test_cross_oracle_agreement_randomized(self):
         rng = random.Random(91)
