@@ -8,8 +8,16 @@ simulator and the exhaustive classical scan.
 
 from qimatch import Image, sample_pair
 from qimatch.images import validate_pair
-from qimatch.marking import apply_comparison, apply_marking, marked_set, prepare_initial
-from qimatch.verify import MatchMode, classical_match, dense_marked_set, dense_simulate_marking
+from qimatch.verify import (
+    MatchMode,
+    apply_comparison,
+    apply_marking,
+    classical_match,
+    dense_marked_set,
+    dense_simulate_marking,
+    marked_set,
+    prepare_initial,
+)
 
 big, small = sample_pair()
 dims = validate_pair(big, small)

@@ -4,14 +4,15 @@
 
 1. encoding both images as uniform position-intensity superpositions, which
    an :class:`~qimatch.images.Image` already is (:mod:`qimatch.images`),
-2. simulating the compare-and-mark circuit that flags candidate positions
-   (:mod:`qimatch.marking`),
+2. finding the positions the compare-and-mark circuit flags, the anchors
+   { k : A[k] == B[0] }, in one pass over the big image (:mod:`qimatch.marking`),
 3. planning the rounds for the marked count, amplifying the flagged positions
    in closed form, and sampling a projective measurement (:mod:`qimatch.grover`).
 
-:mod:`qimatch.verify` carries the independent oracles (the full-vector engine,
-the planning quartic's radical root, a dense gate-level simulator and the
-exhaustive classical matcher) used to cross-check the pipeline, and
+:mod:`qimatch.verify` carries the independent oracles (the structured branch
+walk through the circuit's stages, a dense gate-level simulator, the
+exhaustive classical matcher, the full-vector engine and the planning
+quartic's radical root) used to cross-check the pipeline, and
 :mod:`qimatch.cli` exposes everything as a command line tool.
 
 The package namespace holds the pipeline, its input and error types and the

@@ -163,7 +163,7 @@ def amplify(n: int, marked: Iterable[int], rounds: int) -> TwoValueState:
 
     O(1) in ``rounds`` and 4**n.  The marked indices are checked once, and
     sorted and deduplicated unless they already come as a strictly increasing
-    read-only int64 array (as :func:`qimatch.marking.marked_indices` gives),
+    read-only int64 array (as :func:`qimatch.marking.anchors` gives),
     which is then shared.  Zero rounds return the uniform state exactly.
     """
     size = 1 << (2 * n)

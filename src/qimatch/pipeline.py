@@ -1,4 +1,4 @@
-"""One match run: validate and prepare the joint state, mark, plan, amplify and sample.
+"""One match run: validate the pair, find the anchors, plan, amplify and sample.
 
 :func:`match` is the only place this chain is written out; the ``match`` and
 ``example`` commands and the end-to-end demo call it.
@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import grover, marking
-from .images import Image, MatchDims, ValidationError
+from .images import Image, MatchDims, ValidationError, validate_pair
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,10 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     timings: dict[str, float] = {}
     start = time.perf_counter()
-    joint = marking.prepare_initial(big, small)
-    dims = joint.dims
+    dims = validate_pair(big, small)
     start = lap(timings, "encode", start)
 
-    marked = marking.marked_indices(marking.apply_marking(marking.apply_comparison(joint)))
+    marked = marking.anchors(big, small)
     start = lap(timings, "mark", start)
 
     plan = grover.plan_iterations(dims.side, mode, marked=len(marked))

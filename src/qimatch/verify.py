@@ -1,8 +1,10 @@
 """Independent verification oracles.
 
-Two deliberately separate routes exist to cross-check the structured
-simulation in :mod:`qimatch.marking`:
+Three deliberately separate routes find the marked set that the hot path's
+:func:`qimatch.marking.anchors` computes in one pass:
 
+* the structured branch walk, which steps a :class:`JointState` through the
+  circuit's stages (:func:`prepare_initial` to :func:`marked_set`),
 * a dense statevector simulator that lays out the full qubit register
   (kickback ancilla, flag, both intensity registers, both position registers)
   and applies the comparison CNOTs and the multi-controlled flag flip as
@@ -15,7 +17,8 @@ Two more check :mod:`qimatch.grover`: the full-vector amplification engine
 :func:`closed_form_iterations`, the planning quartic's radical root in
 complex floats.  Tests compare them with the closed form and the exact plan.
 
-Every route takes the two :class:`~qimatch.images.Image` objects.  The dense
+Every route takes the two :class:`~qimatch.images.Image` objects.  The
+structured walk holds O(4**n + 4**m) numbers at any register width.  The dense
 route is exponential in every register width (each as wide as the pair's
 wider bit depth), so construction is capped (at 22 qubits, a 32 MiB
 vector); it exists for small instances only.  The classical matcher has two
@@ -31,7 +34,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -123,7 +126,7 @@ def dense_simulate_marking(big: Image, small: Image) -> DenseState:
     Prepares the product of the kickback ancilla (|0> - |1>)/sqrt(2), the flag
     at 0, and the two uniform image superpositions, then applies one CNOT per
     intensity bit plane followed by the multi-controlled flag flip.  Agrees
-    branch for branch with the structured simulation, at any mix of bit depths.
+    branch for branch with the structured branch walk, at any mix of bit depths.
     ValueError past :data:`DEFAULT_QUBIT_CAP` qubits.
     """
     dims = validate_pair(big, small)
@@ -166,6 +169,133 @@ def dense_marked_set(state: DenseState) -> set[int]:
         np.abs(state.amplitudes) > AMPLITUDE_EPS
     )
     return set(int(k) for k in np.unique(state.layout.field(idx[flagged], state.layout.pos_a)))
+
+
+# ---------------------------------------------------------------------------
+# Structured branch walk
+# ---------------------------------------------------------------------------
+
+
+class Stage(enum.Enum):
+    PREPARED = "prepared"
+    COMPARED = "compared"
+    MARKED = "marked"
+
+
+class StageError(RuntimeError):
+    """Operation applied to a state in the wrong pipeline stage."""
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One basis branch: flag, both intensity registers, both positions."""
+
+    flag: int
+    val_a: int
+    pos_a: int
+    val_b: int
+    pos_b: int
+    amplitude: float
+
+
+@dataclass(frozen=True)
+class JointState:
+    """Joint state over 4**n * 4**m branches, held as the two images and a stage.
+
+    ``big`` and ``small`` are the two images' own read-only unsigned
+    intensity arrays, indexed by position.  A branch is read through
+    :meth:`branch` or :meth:`branches`, one at a time; nothing here builds an
+    array with one entry per branch.  Every branch keeps the real amplitude
+    1/2**(n+m); the kickback ancilla, untouched until amplification, is left out.
+    """
+
+    dims: MatchDims
+    big: np.ndarray
+    small: np.ndarray
+    stage: Stage
+
+    @property
+    def branch_count(self) -> int:
+        return len(self.big) * len(self.small)
+
+    @property
+    def _weight(self) -> float:
+        return 1.0 / (1 << (self.dims.n + self.dims.m))
+
+    def norm_squared(self) -> float:
+        # Every branch carries the same power-of-two weight, so this is exact.
+        return self.branch_count * self._weight * self._weight
+
+    def branches(self) -> Iterator[Branch]:
+        for pos_a in range(len(self.big)):
+            for pos_b in range(len(self.small)):
+                yield self.branch(pos_a, pos_b)
+
+    def branch(self, pos_a: int, pos_b: int) -> Branch:
+        if not (0 <= pos_a < len(self.big) and 0 <= pos_b < len(self.small)):
+            raise IndexError(
+                f"branch ({pos_a}, {pos_b}) outside {len(self.big)} x {len(self.small)}"
+            )
+        val_a, val_b = int(self.big[pos_a]), int(self.small[pos_b])
+        if self.stage is not Stage.PREPARED:
+            val_a ^= val_b
+        flag = int(self.stage is Stage.MARKED and val_a == 0 and pos_b == 0)
+        return Branch(flag, val_a, int(pos_a), val_b, int(pos_b), self._weight)
+
+
+def prepare_initial(big: Image, small: Image) -> JointState:
+    """Build the uniform product state over every (pos_a, pos_b) pair.
+
+    Each of the 4**n * 4**m branches starts with flag 0 and amplitude
+    1/2**(n+m).  Raises ValidationError for a pair ``validate_pair`` rejects.
+    """
+    return JointState(dims=validate_pair(big, small), big=big.array, small=small.array,
+                      stage=Stage.PREPARED)
+
+
+def apply_comparison(state: JointState) -> JointState:
+    """XOR the small intensity into the big intensity register, bitwise.
+
+    Equivalent to one CNOT per bit plane; matching pixels leave an all-zero
+    difference register.  Amplitudes are untouched.
+    """
+    if state.stage is not Stage.PREPARED:
+        raise StageError(f"comparison expects a prepared state, got {state.stage.value}")
+    return replace(state, stage=Stage.COMPARED)
+
+
+def apply_marking(state: JointState) -> JointState:
+    """Raise the flag on branches with zero difference and small position zero.
+
+    This is the multi-controlled NOT over the difference register and the
+    small position register; only the flag field changes.
+    """
+    if state.stage is not Stage.COMPARED:
+        raise StageError(f"marking expects a compared state, got {state.stage.value}")
+    return replace(state, stage=Stage.MARKED)
+
+
+def marked_set(state: JointState) -> set[int]:
+    """The paper's marked set, read from the flag's own predicate.
+
+    These are the big positions whose branch at small position 0 has an
+    all-zero XOR difference register.  It does not call
+    :func:`qimatch.marking.anchors`, so the two routes stay independent.
+    """
+    if state.stage is not Stage.MARKED:
+        raise StageError(f"marked set needs a marked state, got {state.stage.value}")
+    return set(np.flatnonzero((state.big ^ state.small[0]) == 0).tolist())
+
+
+def dump_branches(state: JointState) -> str:
+    """Debug dump: one line per branch, "flag val_a pos_a val_b pos_b amplitude".
+
+    Lines appear in (pos_a, pos_b) lexicographic order.
+    """
+    lines = []
+    for b in state.branches():
+        lines.append(f"{b.flag} {b.val_a} {b.pos_a} {b.val_b} {b.pos_b} {b.amplitude!r}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +386,14 @@ def init_subspace(n: int, marked: Iterable[int]) -> SubspaceState:
     marking stage only decides *which* indices get their phase flipped.
     """
     size = 1 << (2 * n)
-    marked_set = frozenset(int(k) for k in marked)
-    for k in marked_set:
+    marks = frozenset(int(k) for k in marked)
+    for k in marks:
         if not 0 <= k < size:
             raise ValueError(f"marked index {k} out of range [0, {size})")
     return SubspaceState(
         n=n,
         amplitudes=_frozen(np.full(size, 1.0 / (1 << n))),
-        marked=marked_set,
+        marked=marks,
         ops=0,
     )
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from qimatch.images import Image
+from qimatch.verify import apply_comparison, apply_marking, marked_set, prepare_initial
 
 _acceptance_results: list[tuple[str, str, bool]] = []
 
@@ -43,6 +44,11 @@ def quartic_doubled(i: int, a: int) -> int:
 # ---------------------------------------------------------------------------
 # Instance builders shared across test modules
 # ---------------------------------------------------------------------------
+
+
+def structured_marked(big: Image, small: Image) -> set[int]:
+    """The marked set from the structured branch walk through the circuit's stages."""
+    return marked_set(apply_marking(apply_comparison(prepare_initial(big, small))))
 
 
 def make_image(values: list[int], side: int, bit_depth: int) -> Image:

@@ -26,7 +26,7 @@ from qimatch.grover import PlanMode
 from qimatch.images import load_pgm, validate_pair
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM
 
-from conftest import planted_instance, quartic_doubled, random_instance
+from conftest import planted_instance, quartic_doubled, random_instance, structured_marked
 
 REFERENCE_ITERATIONS = {
     4: 3, 8: 6, 16: 12, 32: 25, 64: 50, 128: 101, 256: 203, 512: 407,
@@ -45,12 +45,6 @@ def first_sign_change(i, a):
     return quartic_doubled(i, a) < 0 and (i == 1 or quartic_doubled(i - 1, a) >= 0)
 
 
-def run_pipeline(big, small):
-    dims = validate_pair(big, small)
-    state = marking.apply_marking(marking.apply_comparison(marking.prepare_initial(big, small)))
-    return dims, marking.marked_set(state)
-
-
 def recurrence_success(side, rounds):
     pair = grover.initial_pair(side)
     for _ in range(rounds):
@@ -62,7 +56,7 @@ def test_criterion_01_worked_example_reproduction():
     """Built-in pair: marked {5}, 3 rounds, exact amplitudes and probabilities."""
     t0 = time.perf_counter()
     big, small = load_pgm(SAMPLE_BIG_PGM), load_pgm(SAMPLE_SMALL_PGM)
-    dims, marked = run_pipeline(big, small)
+    dims, marked = validate_pair(big, small), structured_marked(big, small)
     assert marked == {5}
 
     plan = grover.plan_iterations(dims.side, PlanMode.EXACT)
@@ -201,25 +195,34 @@ def test_criterion_06_diffusion_identities():
             assert np.max(np.abs(got - proj @ vec)) < 1e-10
 
 
+def four_routes(big, small):
+    """The marked set from dense gates, structured branches, the classical
+    anchor scan and the hot path's anchor pass, in that order."""
+    side = validate_pair(big, small).side
+    dense = verify.dense_marked_set(verify.dense_simulate_marking(big, small))
+    anchor = verify.classical_match(big, small, verify.MatchMode.ANCHOR_PIXEL)
+    anchor_set = {y * side + x for x, y in anchor.locations}
+    hot = set(marking.anchors(big, small).tolist())
+    return dense, structured_marked(big, small), anchor_set, hot
+
+
 def test_criterion_07_oracle_agreement():
-    """Dense gates, structured branches, and the classical scan mark identically."""
+    """Dense gates, structured branches, the classical scan and the hot path mark identically."""
     rng = random.Random(31415)
     for _ in range(100):
         n = rng.randint(1, 2)
         m = rng.randint(0, n - 1)
         q = rng.randint(1, 3)
         big, small = random_instance(rng, n, m, q)
-        dims = validate_pair(big, small)
-        dense = verify.dense_marked_set(verify.dense_simulate_marking(big, small))
-        _, structured = run_pipeline(big, small)
-        anchor = verify.classical_match(big, small, verify.MatchMode.ANCHOR_PIXEL)
-        anchor_set = {y * dims.side + x for x, y in anchor.locations}
-        assert dense == structured == anchor_set
+        dense, structured, anchor_set, hot = four_routes(big, small)
+        assert dense == structured == anchor_set == hot
 
     # instances built so the anchor match is unique and is a full-block match
     for _ in range(10):
         big, small, (x, y) = planted_instance(rng, 2, 1, 3)
-        dims, marked = run_pipeline(big, small)
+        dims = validate_pair(big, small)
+        dense, marked, anchor_set, hot = four_routes(big, small)
+        assert dense == marked == anchor_set == hot
         full = verify.classical_match(big, small, verify.MatchMode.FULL_BLOCK)
         anchor = verify.classical_match(big, small, verify.MatchMode.ANCHOR_PIXEL)
         assert full.locations == anchor.locations == ((x, y),)

@@ -20,4 +20,5 @@ def test_demo_runs_clean(script):
         [sys.executable, str(script)], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
     assert result.stdout.strip()

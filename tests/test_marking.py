@@ -10,19 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qimatch.images import Image, ValidationError, validate_pair
-from qimatch.marking import (
+from qimatch.marking import anchors, block_matches
+from qimatch.sample import sample_pair
+from qimatch.verify import (
+    MatchMode,
     Stage,
     StageError,
     apply_comparison,
     apply_marking,
-    block_matches,
+    classical_match,
     dump_branches,
-    marked_indices,
     marked_set,
     prepare_initial,
 )
-from qimatch.sample import sample_pair
-from qimatch.verify import MatchMode, classical_match
 
 from conftest import make_image, random_instance
 
@@ -117,8 +117,8 @@ class TestPrepareFromImages:
             assert np.array_equal(raw.big, enc.big) and np.array_equal(raw.small, enc.small)
             for step in (lambda s: s, apply_comparison, lambda s: apply_marking(apply_comparison(s))):
                 assert dump_branches(step(raw)) == dump_branches(step(enc))
-            marked = marked_indices(apply_marking(apply_comparison(raw)))
-            assert np.array_equal(marked, marked_indices(apply_marking(apply_comparison(enc))))
+            marked = anchors(big, small)
+            assert np.array_equal(marked, anchors(big, small))
 
     @pytest.mark.parametrize("pair", [
         ([0] * 16, 4, [0] * 16, 4),   # same side
@@ -233,7 +233,7 @@ class TestMarkedIndices:
             m = rng.randint(0, n - 1)
             big, small = random_instance(rng, n, m, rng.choice([1, 2, 12]))
             state = apply_marking(apply_comparison(prepare_initial(big, small)))
-            got = marked_indices(state)
+            got = anchors(big, small)
             assert got.dtype == np.int64 and not got.flags.writeable
             assert got.tolist() == sorted(marked_set(state))
             assert got.tolist() == [k for k, v in enumerate(big.pixels) if v == small.pixels[0]]
@@ -249,9 +249,10 @@ class TestMarkedIndices:
         for anchor, want in ((0x0105, []), (5, [0, 2])):
             small = make_image([anchor], 1, 16)
             state = apply_marking(apply_comparison(prepare_initial(big, small)))
-            assert marked_indices(state).tolist() == want
+            assert anchors(big, small).tolist() == want
+            assert sorted(marked_set(state)) == want
             with pytest.raises(StageError):
-                marked_indices(apply_comparison(prepare_initial(big, small)))
+                marked_set(apply_comparison(prepare_initial(big, small)))
 
 
 class TestInvariants:
@@ -370,8 +371,7 @@ class TestBlockMatches:
     @given(block_pairs())
     def test_equal_to_the_exhaustive_full_block_scan(self, pair):
         big, small = pair
-        anchors = marked_indices(apply_marking(apply_comparison(prepare_initial(big, small))))
-        got = block_matches(big, small, anchors)
+        got = block_matches(big, small, anchors(big, small))
         want = classical_match(big, small, MatchMode.FULL_BLOCK).locations
         assert got.dtype == np.int64 and not got.flags.writeable
         assert got.tolist() == [y * big.width + x for x, y in want]

@@ -3,13 +3,16 @@
 import inspect
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import qimatch
-from qimatch import grover, images, pipeline, sample, verify
+from qimatch import grover, images, marking, pipeline, sample, verify
 from qimatch.cli import main
 from qimatch.grover import PlanMode, success_probability
 from qimatch.images import Image, ValidationError, write_pgm
@@ -218,3 +221,22 @@ def test_each_name_has_one_home():
     functions = {name for name, obj in vars(images).items()
                  if inspect.isfunction(obj) and obj.__module__ == images.__name__ and name[0] != "_"}
     assert functions == {"load_pgm", "validate_pair", "write_pgm"}
+
+
+def test_match_path_loads_no_oracle_and_no_cli():
+    probe = ("import sys, qimatch.pipeline; "
+             "print(sorted(m for m in ('qimatch.cli', 'qimatch.verify') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"
+
+
+def test_marking_holds_only_the_hot_path():
+    public = {name for name, obj in vars(marking).items()
+              if callable(obj) and obj.__module__ == marking.__name__ and name[0] != "_"}
+    assert public == {"anchors", "block_matches"}
+    # the branch walk through the circuit's stages is an oracle, kept in verify alone
+    walk = ("Stage", "StageError", "Branch", "JointState", "prepare_initial",
+            "apply_comparison", "apply_marking", "marked_set", "dump_branches")
+    assert all(hasattr(verify, name) and not hasattr(marking, name) for name in walk)

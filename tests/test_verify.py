@@ -8,26 +8,23 @@ import numpy as np
 import pytest
 
 from qimatch.grover import PlanMode, plan_iterations
-from qimatch.marking import apply_comparison, apply_marking, marked_set, prepare_initial
 from qimatch.sample import sample_pair
 from qimatch.verify import (
     RADICAL_IMAG_TOL,
     MatchMode,
     RegisterLayout,
     apply_cnot,
+    apply_comparison,
     apply_controlled_flip,
+    apply_marking,
     classical_match,
     closed_form_iterations,
     dense_marked_set,
     dense_simulate_marking,
+    prepare_initial,
 )
 
-from conftest import make_image, random_instance
-
-
-def structured_marked(big, small):
-    state = apply_marking(apply_comparison(prepare_initial(big, small)))
-    return marked_set(state)
+from conftest import make_image, random_instance, structured_marked
 
 
 class TestRegisterLayout:
@@ -158,8 +155,7 @@ class TestDenseMixedDepths:
             big, small = make_image(big_px, 1 << n, big_depth), make_image(small_px, 1 << m, small_depth)
             dense = dense_simulate_marking(big, small)
             assert dense.layout.bit_depth == max(depths)
-            structured = marked_set(apply_marking(apply_comparison(prepare_initial(big, small))))
-            assert dense_marked_set(dense) == structured
+            assert dense_marked_set(dense) == structured_marked(big, small)
             assert abs(dense.norm_squared() - 1.0) < 1e-10
 
     @pytest.mark.parametrize("depths", [(1, 1), (2, 2), (3, 3), (4, 8), (8, 4), (1, 3), (3, 2)])
