@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import grover, marking, pipeline, verify
+from . import grover, marking, pipeline
 from .images import PgmError, ValidationError, load_pgm
 from .sample import sample_pair
 
@@ -54,13 +54,15 @@ def _match_report(
     """The ``--json`` report of one match run, in fixed key order."""
     dims = outcome.dims
     top = outcome.final.top_index()
+    # The plan's bound holds for the rounds it planned, not for an override.
+    planned = outcome.rounds == outcome.plan.iterations
     report = {
         "dims": {"n": dims.n, "m": dims.m, "q": dims.bit_depth, "a": dims.side},
         "plan": {
             "mode": outcome.plan.mode.value,
             "iterations": outcome.rounds,
             "predicted_success": outcome.predicted_success,
-            "lower_bound": outcome.plan.lower_bound,
+            "lower_bound": outcome.plan.lower_bound if planned else None,
         },
         "result": {
             "top_index": top,
@@ -114,12 +116,13 @@ def cmd_match(args: argparse.Namespace) -> int:
     report = _match_report(outcome, args.seed, verification, timings if args.timings else None)
     plan, result = report["plan"], report["result"]
     no_match = result["top_index"] is None
+    bound = "n/a" if plan["lower_bound"] is None else f"{plan['lower_bound']:.6f}"
 
     print(f"instance: big {big.width}x{big.height}, small {small.width}x{small.height}, "
           f"bit depth {outcome.dims.bit_depth}")
     print(f"plan: mode={plan['mode']} iterations={plan['iterations']} "
           f"predicted_success={plan['predicted_success']:.6f} "
-          f"lower_bound={plan['lower_bound']:.6f}")
+          f"lower_bound={bound}")
     print(f"marked positions: {result['marked_count']}")
     if no_match:
         print("no match: no position was flagged; final state stays uniform")
@@ -159,11 +162,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     a = 4
     while a <= a_max:
-        plans = {m: grover.plan_iterations(a, m) for m in modes}
-        lead = plans[modes[0]]
+        # Only the lead mode's success and bound are printed, so only it gets a full plan.
+        lead = grover.plan_iterations(a, modes[0])
         rows.append(
-            [str(a)]
-            + [str(plans[m].iterations) for m in modes]
+            [str(a), str(lead.iterations)]
+            + [str(grover.planned_rounds(a, m)[1]) for m in modes[1:]]
             + [repr(lead.predicted_success), repr(lead.lower_bound)]
         )
         a *= 2
@@ -180,6 +183,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
+    from . import verify  # the vector-engine oracle; no other command needs it
+
     big, small = sample_pair()
     outcome = pipeline.match(big, small)
     dims, marked, plan = outcome.dims, outcome.final.marked.tolist(), outcome.plan
@@ -254,8 +259,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     sweep = args.sweep_i if args.sweep_i is not None else 2 * a
     if sweep < 0:
         raise ValidationError(f"--sweep-i must be non-negative, got {sweep}")
-    plan_exact = grover.plan_iterations(a, grover.PlanMode.EXACT)
-    plan_opt = grover.plan_iterations(a, grover.PlanMode.OPTIMAL)
+    _, exact = grover.planned_rounds(a, grover.PlanMode.EXACT)
+    _, peak = grover.planned_rounds(a, grover.PlanMode.OPTIMAL)
 
     print(f"{'i':>6}  {'unmarked':>22}  {'marked':>22}  {'marked^2':>22}  flags")
     p = grover.initial_pair(a)
@@ -263,14 +268,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if i:
             p = grover.recurrence_step(p)
         flags = []
-        if p.iteration == plan_opt.iterations:
+        if p.iteration == peak:
             flags.append("peak")
-        if p.iteration == plan_exact.iterations:
+        if p.iteration == exact:
             flags.append("plan")
         print(f"{p.iteration:>6}  {p.unmarked:>22.16f}  {p.marked:>22.16f}  "
               f"{p.marked * p.marked:>22.16f}  {','.join(flags)}")
-    print(f"first local maximum of marked^2: i={plan_opt.iterations}")
-    print(f"planned rounds (exact): i={plan_exact.iterations}")
+    print(f"first local maximum of marked^2: i={peak}")
+    print(f"planned rounds (exact): i={exact}")
     return EXIT_OK
 
 

@@ -40,9 +40,12 @@ Iteration planning offers three rules for a single marked index:
 
 * ``EXACT``: smallest integer i >= 1 with
   i**4 + 4i**3 + (2-3a**2)i**2 + (-1-6a**2)i + 1.5a**4 - 1.5a**2 < 0,
-  located by integer bisection in exact arithmetic.  The closed radical form
-  of the same quartic's root, :func:`qimatch.verify.closed_form_iterations`,
-  is a float oracle that tests compare against; planning never evaluates it.
+  located in exact integer arithmetic.  A seed from integer square roots,
+  right at every power-of-two side up to 2**537, is confirmed by the signs
+  at i and i - 1; where it is not right, a doubling bracket and bisection
+  find the sign change.  The closed radical form of the same quartic's root,
+  :func:`qimatch.verify.closed_form_iterations`, is a float oracle that
+  tests compare against; planning never evaluates it.
 * ``FIT``: round(0.7962*a - 0.6057), a published linear fit of the exact
   mode.  It sits within +/-1 of the exact count up to side 32768 and 2 below
   it at 65536 (52179 vs 52181); it sits within +/-1 of the frozen reference
@@ -331,16 +334,35 @@ def _quartic_doubled(i: int, a: int) -> int:
     )
 
 
+def _root_seed(a: int) -> int:
+    """Where the planning quartic changes sign: floor(x*a) or one more, x = sqrt((3 - sqrt(3))/2).
+
+    x*a is the root to leading order (x**4 - 3x**2 + 3/2 = 0), and the next
+    order moves it to x*a - 1 + O(1/a), so the first integer past it is
+    usually ceil(x*a) - 1 = floor(x*a).  In integer square roots the seed is
+    floor(x*a) or one more at every side; a float x*a drifts by a * 2**-53.
+    """
+    a2 = a * a
+    return math.isqrt((3 * a2 - math.isqrt(3 * a2 * a2)) // 2)
+
+
 def _scan_exact(a: int) -> int:
     """Smallest integer i >= 1 making the planning quartic negative.
 
-    The quartic decreases monotonically on [1, a] (its derivative stays
-    negative until well past the crossing) and is provably negative at i = a,
-    so bisection over exact integers finds the sign change.
+    The quartic is positive at 0 (3a**4 - 3a**2), negative at a
+    (-a**4 - 4a**3 + a**2 - 2a) and decreasing in between, so it changes sign
+    once on [0, a].  The search starts at i = :func:`_root_seed` and confirms
+    it by the exact integer signs at i and i - 1: two evaluations wherever
+    the seed is right.  Where it is not, the bracket widens by doubling steps,
+    held inside [0, a], until the signs hold, and integer bisection closes it.
+    So the count is exact from any seed in [1, a]; the seed only sets the cost.
     """
-    if _quartic_doubled(1, a) < 0:
-        return 1
-    lo, hi = 1, a
+    lo = max(1, _root_seed(a)) - 1
+    hi, step = lo + 1, 1
+    while _quartic_doubled(hi, a) >= 0:
+        lo, hi, step = hi, min(a, hi + step), 2 * step
+    while _quartic_doubled(lo, a) < 0:
+        lo, hi, step = max(0, lo - step), lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _quartic_doubled(mid, a) < 0:
@@ -388,15 +410,12 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
     return math.sin(_phase(marked, positions, rounds)) ** 2
 
 
-def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
-    """Choose an iteration count for ``marked`` positions at width ``side`` <= MAX_PLAN_SIDE.
+def planned_rounds(side: int, mode: PlanMode, marked: int = 1) -> tuple[PlanMode, int]:
+    """The rule that runs for ``marked`` positions at width ``side`` <= MAX_PLAN_SIDE, and its rounds.
 
     ``mode`` picks the rule for one marked position.  Any other count runs the
     OPTIMAL rule, the peak of sin**2((2r+1)*theta) (0 rounds with none), and
-    the plan's ``mode`` names the rule that ran.  The predicted success is the
-    marked set's probability at the chosen count.  The lower bound is the
-    closed-form guarantee of the paper for one mark, cos**2(theta) = 1 - M/N
-    (which the peak count always reaches) for more, and 0 for none.
+    the returned mode names it.
     """
     if side < 2 or side & (side - 1):
         raise ValueError(f"side must be a power of two >= 2, got {side}")
@@ -405,18 +424,26 @@ def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1)
     positions = side * side
     if not 0 <= marked <= positions:
         raise ValueError(f"marked count must be in [0, {positions}], got {marked}")
-    if marked != 1:
-        mode = PlanMode.OPTIMAL
-    if mode is PlanMode.EXACT:
-        iterations = _scan_exact(side)
-    elif mode is PlanMode.FIT:
-        iterations = max(1, math.floor(0.7962 * side - 0.6057 + 0.5))
-    else:
-        iterations = _peak_rounds(marked, positions)
+    if marked == 1 and mode is PlanMode.EXACT:
+        return mode, _scan_exact(side)
+    if marked == 1 and mode is PlanMode.FIT:
+        return mode, max(1, math.floor(0.7962 * side - 0.6057 + 0.5))
+    return PlanMode.OPTIMAL, _peak_rounds(marked, positions)
+
+
+def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
+    """:func:`planned_rounds` with the success it predicts and the bound it guarantees.
+
+    The predicted success is the marked set's probability at the chosen
+    count.  The lower bound is the closed-form guarantee of the paper for one
+    mark, cos**2(theta) = 1 - M/N (which the peak count always reaches) for
+    more, and 0 for none.
+    """
+    mode, iterations = planned_rounds(side, mode, marked)
     if marked == 1:
         bound = probability_lower_bound(side)
     else:
-        bound = 1.0 - marked / positions if marked else 0.0
+        bound = 1.0 - marked / (side * side) if marked else 0.0
     return IterationPlan(
         mode=mode,
         iterations=iterations,

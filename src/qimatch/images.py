@@ -8,9 +8,11 @@ Every image holds its pixels as one read-only numpy array (``uint8`` up to 8
 bits, native ``uint16`` above), and that array is the image's GQIR encoding:
 entry k is the intensity at position k, and every position carries the
 implicit amplitude 1/side.  Marking and the classical scans read the array
-directly; there is no separate encoding step.  A P5 raster is decoded by one
-``np.frombuffer`` over the stream and range-checked by one ``max()``; no
-per-pixel Python object is built on the way from file to marks.
+directly; there is no separate encoding step.  An 8-bit P5 raster is a
+``np.frombuffer`` view of the stream; a 16-bit one is byteswapped into its
+native array through a small aligned buffer.  One ``max()`` range-checks
+either, and only when maxval leaves room above it (not 255 or 65535 then);
+no per-pixel Python object is built on the way from file to marks.
 
 Position convention: k = y * side + x with y the row counted from the top,
 i.e. plain row-major order.  A column-major reading would permute k but leaves
@@ -137,6 +139,29 @@ def _header_tokens(data: bytes) -> Iterator[tuple[bytes, int]]:
             i = j
 
 
+# Pixels per step of the 16-bit decode, so its aligned staging buffer is 32 KiB.
+_DECODE_CHUNK = 1 << 14
+
+
+def _decode_be16(data: bytes, offset: int, count: int) -> np.ndarray:
+    """The big-endian 16-bit raster at ``offset`` as a read-only native uint16 array.
+
+    An odd header length leaves the raster unaligned, and numpy byteswaps an
+    unaligned view several times slower than an aligned one.  So each chunk
+    is copied as is into one aligned buffer and byteswapped from there into
+    the output: peak memory is the output plus _DECODE_CHUNK pixels.
+    """
+    raw = np.frombuffer(data, dtype=">u2", count=count, offset=offset)
+    pixels = np.empty(count, dtype=np.uint16)
+    buffer = np.empty(min(count, _DECODE_CHUNK), dtype=">u2")
+    for start in range(0, count, _DECODE_CHUNK):
+        stop = min(start + _DECODE_CHUNK, count)
+        staged = buffer[: stop - start]
+        staged[...] = raw[start:stop]
+        pixels[start:stop] = staged
+    return _frozen(pixels)
+
+
 def load_pgm(data: bytes) -> Image:
     """Parse a PGM stream (P2 ASCII or P5 binary) into an :class:`Image`.
 
@@ -206,11 +231,14 @@ def load_pgm(data: bytes) -> Image:
     stride = 2 if maxval > 255 else 1
     if len(data) - offset < count * stride:
         raise PgmError(f"raster too short: {len(data) - offset} bytes for {count} pixels")
-    raw = np.frombuffer(data, dtype=">u2" if stride == 2 else np.uint8, count=count, offset=offset)
     # A view of an immutable stream is shared; a 16-bit raster is byteswapped
     # into its one native uint16 copy, and the range check reads that copy.
-    pixels = _frozen(raw.astype(np.uint16)) if stride == 2 else raw
-    if pixels.max() > maxval:
+    if stride == 2:
+        pixels = _decode_be16(data, offset, count)
+    else:
+        pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
+    # A maxval that fills the dtype (255 or 65535) leaves no value to reject.
+    if maxval < (1 << 8 * stride) - 1 and pixels.max() > maxval:
         bad = int(pixels[np.argmax(pixels > maxval)])
         raise PgmError(f"pixel value {bad} outside [0, {maxval}]")
     return Image(width, height, maxval.bit_length(), pixels)

@@ -449,9 +449,9 @@ def closed_form_iterations(a: int) -> complex:
 
     Evaluated with complex arithmetic and principal roots; the imaginary part
     of the combined value should be negligible.  An oracle for the planner's
-    exact integer bisection: the ceiling of its real part equals the
-    bisection's count at every power of two from 2 to 2**44, but from side
-    2**32 on the imaginary part exceeds :data:`RADICAL_IMAG_TOL`.
+    exact integer search: the ceiling of its real part equals the planned
+    count at every power of two from 2 to 2**44, but from side 2**32 on the
+    imaginary part exceeds :data:`RADICAL_IMAG_TOL`.
     """
     c = 2.0 - 3.0 * a * a
     d = -1.0 - 6.0 * a * a

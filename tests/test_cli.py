@@ -52,6 +52,23 @@ class TestMatchCommand:
                   out.splitlines()[-1].split(": ", 1)[1].split(", ")]
         assert max(counts) < 4000 * 0.15
 
+    @pytest.mark.parametrize("rounds, bound", [("0", None), ("2", None), ("3", 0.897638), (None, 0.897638)])
+    def test_lower_bound_only_for_the_planned_rounds(self, sample_paths, tmp_path, capsys, rounds, bound):
+        # The paper's bound holds at the planned count (3 here); an override
+        # reports none instead of pairing it with the override's success.
+        path = tmp_path / "r.json"
+        argv = ["match", "--big", sample_paths[0], "--small", sample_paths[1], "--json", str(path)]
+        assert main(argv + ([] if rounds is None else ["--iterations", rounds])) == 0
+        text = capsys.readouterr().out
+        plan = json.loads(path.read_text())["plan"]
+        assert list(plan) == ["mode", "iterations", "predicted_success", "lower_bound"]
+        if bound is None:
+            assert plan["lower_bound"] is None and "lower_bound=n/a\n" in text
+        else:
+            assert plan["lower_bound"] == grover.probability_lower_bound(4)
+            assert f"lower_bound={bound:.6f}\n" in text
+            assert plan["predicted_success"] >= plan["lower_bound"]
+
     def test_planted_instance_verifies(self, tmp_path, capsys):
         rng = random.Random(606)
         big, small, loc = planted_instance(rng, 3, 1, 3)
@@ -264,6 +281,22 @@ class TestTable1Command:
                                     "predicted_success", "lower_bound"]
         assert lines[1].split()[:4] == ["4", "3", "3", "3"]
         assert lines[3].split()[:4] == ["16", "12", "12", "12"]
+
+    def test_one_full_plan_per_row(self, monkeypatch, capsys):
+        # only the lead mode's success and bound are printed, so only it is planned in full
+        leads = []
+        plan = grover.plan_iterations
+        monkeypatch.setattr(grover, "plan_iterations", lambda a, mode: leads.append(mode) or plan(a, mode))
+        assert main(["table1", "--max-a", "64", "--modes", "fit,exact,optimal"]) == 0
+        assert leads == [grover.PlanMode.FIT] * 5
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        for row in rows:
+            a = int(row[0])
+            want = [plan(a, m).iterations for m in (grover.PlanMode.FIT, grover.PlanMode.EXACT,
+                                                    grover.PlanMode.OPTIMAL)]
+            assert [int(v) for v in row[1:4]] == want
+            assert row[4:] == [repr(plan(a, grover.PlanMode.FIT).predicted_success),
+                               repr(plan(a, grover.PlanMode.FIT).lower_bound)]
 
     def test_csv_idempotent(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

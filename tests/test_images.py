@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qimatch.images import (
+    _DECODE_CHUNK,
     Image,
     PgmError,
     ValidationError,
@@ -274,6 +275,28 @@ class TestPixelArray:
             tracemalloc.stop()
         assert img.array.nbytes == len(raster)
         assert peak < 2 * len(raster)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_sixteen_bit_decode_across_the_chunk_edge(self, extra):
+        # A 3-byte header comment moves the raster from an odd offset to an even
+        # one; the reference reads each pixel's two big-endian bytes by hand.
+        count = _DECODE_CHUNK + extra
+        raster = random.Random(count).randbytes(2 * count)
+        want = [raster[2 * k] << 8 | raster[2 * k + 1] for k in range(count)]
+        offsets = set()
+        for comment in (b"", b"#x\n"):
+            header = b"P5\n%d 1\n" % count + comment + b"65535\n"
+            img = load_pgm(header + raster)
+            assert img.array.dtype == np.uint16 and not img.array.flags.writeable
+            assert img.array.tolist() == want
+            offsets.add(len(header) % 2)
+        assert offsets == {0, 1}
+
+    def test_sixteen_bit_range_check_names_the_first_bad_value_past_the_first_chunk(self):
+        values = [7] * (_DECODE_CHUNK + 3)
+        values[_DECODE_CHUNK + 1], values[_DECODE_CHUNK + 2] = 65001, 65002
+        with pytest.raises(PgmError, match=r"^pixel value 65001 outside \[0, 65000\]$"):
+            load_pgm(p5_bytes(len(values), 1, 65000, values))
 
     @pytest.mark.parametrize("bit_depth", [1, 3, 8, 9, 12, 16])
     def test_write_matches_the_per_pixel_serializer(self, bit_depth):

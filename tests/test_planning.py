@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from qimatch import grover
 from qimatch.cli import main
 from qimatch.grover import (
+    MAX_PLAN_SIDE,
     PlanMode,
     initial_pair,
     plan_iterations,
+    planned_rounds,
     probability_lower_bound,
     recurrence_step,
 )
@@ -64,6 +67,38 @@ class TestExactMode:
         for a, i in EXACT_COUNTS.items():
             assert quartic_doubled(i, a) < 0
             assert quartic_doubled(i - 1, a) >= 0 or i == 1
+        # every power-of-two side of the planning domain, 2 to MAX_PLAN_SIDE
+        for k in range(1, MAX_PLAN_SIDE.bit_length()):
+            a = 1 << k
+            i = plan_iterations(a, PlanMode.EXACT).iterations
+            assert quartic_doubled(i, a) < 0, k
+            assert quartic_doubled(i - 1, a) >= 0 or i == 1, k
+
+    def test_scan_matches_linear_scan_at_every_side_to_2048(self):
+        # non-powers of two too: there the seed can miss by one and the bracket widens
+        assert [grover._scan_exact(a) for a in range(2, 2049)] == [scan_linear(a) for a in range(2, 2049)]
+
+    def test_at_most_three_quartic_evaluations_per_side(self, monkeypatch):
+        # every side of the planning domain and every width 2..2048
+        calls = []
+        quartic = grover._quartic_doubled
+        monkeypatch.setattr(grover, "_quartic_doubled", lambda i, a: calls.append(i) or quartic(i, a))
+        for a in [1 << k for k in range(1, MAX_PLAN_SIDE.bit_length())] + list(range(2, 2049)):
+            calls.clear()
+            grover._scan_exact(a)
+            assert len(calls) <= 3, a
+
+    @pytest.mark.parametrize("a", [2, 4, 8, 64, 1304, 2048, 1 << 20, 1 << 64, MAX_PLAN_SIDE])
+    def test_exact_from_any_seed(self, monkeypatch, a):
+        # The seed sets only the cost: from far below or above the crossing the
+        # doubling bracket and bisection still land on the first sign change.
+        # From seed 1 at width 1304 a doubling step would jump from 1024, below
+        # the crossing, to 2048, past the quartic's next root; [0, a] holds it.
+        want = grover._scan_exact(a)
+        for seed in sorted({1, 2, a // 3, a // 2, want - 2, want + 2, a - 1, a}):
+            if 1 <= seed <= a:
+                monkeypatch.setattr(grover, "_root_seed", lambda _, s=seed: s)
+                assert grover._scan_exact(a) == want, seed
 
     def test_radical_agrees_with_scan(self):
         for a in (4, 16, 128, 1024, 16384, 65536):
@@ -132,6 +167,17 @@ class TestPlanContract:
     def test_invalid_side_rejected(self, bad):
         with pytest.raises(ValueError):
             plan_iterations(bad, PlanMode.EXACT)
+        with pytest.raises(ValueError):
+            planned_rounds(bad, PlanMode.EXACT)
+
+    def test_planned_rounds_are_the_plans_rule_and_count(self):
+        for a in (2, 4, 64, 1 << 20, MAX_PLAN_SIDE):
+            for mode in PlanMode:
+                for marked in (0, 1, 2, 4):
+                    plan = plan_iterations(a, mode, marked)
+                    assert planned_rounds(a, mode, marked) == (plan.mode, plan.iterations), (a, mode, marked)
+        with pytest.raises(ValueError):
+            planned_rounds(2, PlanMode.EXACT, 5)
 
     def test_predicted_success_from_recurrence(self):
         plan = plan_iterations(4, PlanMode.EXACT)

@@ -312,7 +312,7 @@ class TestRadicalRoot:
 
     def test_exact_plan_is_silent_where_the_radical_drifts(self):
         # from side 2**32 the float radical keeps an imaginary part above the
-        # tolerance; the integer bisection plan must not warn about it
+        # tolerance; the exact integer plan must not warn about it
         assert abs(closed_form_iterations(1 << 32).imag) > RADICAL_IMAG_TOL
         with warnings.catch_warnings():
             warnings.simplefilter("error")
