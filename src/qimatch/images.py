@@ -73,9 +73,11 @@ class Image:
         if arr.shape != (width * height,):
             raise ValueError("pixel count does not match dimensions")
         # A shared array whose dtype is exactly bit_depth wide cannot hold an
-        # out-of-range value, so only narrower depths need the range pass.
+        # out-of-range value, so only narrower depths need the range pass.  An
+        # unsigned array has no negative value to look for.
         if arr.size and not (shared and dtype.itemsize * 8 == bit_depth):
-            low, high = int(arr.min()), int(arr.max())
+            low = 0 if arr.dtype.kind == "u" else int(arr.min())
+            high = int(arr.max())
             if low < 0 or high >> bit_depth:
                 bad = low if low < 0 else high
                 raise ValueError(f"pixel value {bad} outside [0, {(1 << bit_depth) - 1}]")

@@ -241,6 +241,16 @@ class TestPixelArray:
         with pytest.raises(ValueError, match=f"pixel value {value} outside"):
             Image(2, 2, bit_depth, shared)
 
+    def test_out_of_range_messages_name_the_bad_value(self):
+        # A shared unsigned array skips the search for negatives; a 12-bit P5
+        # above maxval and a negative int in a sequence are still rejected.
+        with pytest.raises(PgmError, match=r"^pixel value 4096 outside \[0, 4095\]$"):
+            load_pgm(p5_bytes(2, 2, 4095, [0, 4096, 1, 2]))
+        with pytest.raises(ValueError, match=r"^pixel value -1 outside \[0, 4095\]$"):
+            Image(2, 2, 12, [-1, 0, 1, 2])
+        with pytest.raises(ValueError, match=r"^pixel value -1 outside \[0, 15\]$"):
+            Image(2, 2, 4, np.array([-1, 0, 1, 16]))
+
     def test_caller_arrays_are_copied_unless_read_only(self):
         mine = np.array([5, 6, 7, 8], dtype=np.uint8)
         img = Image(2, 2, 8, mine)
