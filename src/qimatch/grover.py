@@ -75,9 +75,12 @@ import numpy as np
 Amplitude = float | Fraction
 
 # Past MAX_SAMPLES numpy's binomial draw of the marked hits overflows int64,
-# and past MAX_ROUNDS float(2r+1) overflows.  Near MAX_ROUNDS (2r+1)*theta
-# overflows too once theta > 1, and _phase rejects those rounds.
+# and past MAX_ROUNDS float(2r+1) overflows.  Long before MAX_ROUNDS the phase
+# (2r+1)*theta stops resolving its angle: _phase rejects a phase whose float64
+# spacing exceeds PHASE_ULP_TOL radians, which keeps the six printed decimals
+# of a success probability meaningful, and a phase that overflows outright.
 MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
+PHASE_ULP_TOL = 2.0**-20
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +89,19 @@ MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
 
 
 def _phase(marked: int, positions: int, rounds: int) -> float:
-    """(2r+1)*theta after ``rounds``, theta = asin(sqrt(M/N)); ValueError past float64."""
+    """(2r+1)*theta after ``rounds``, theta = asin(sqrt(M/N)).
+
+    ValueError when the phase overflows float64 or its spacing there exceeds
+    PHASE_ULP_TOL, so that its sine would be noise.
+    """
     theta = math.asin(math.sqrt(marked / positions))
     turn = (2 * rounds + 1) * theta
     if math.isinf(turn):
         raise ValueError(f"phase (2r+1)*theta overflows float64 at theta = {theta:.6f} "
                          f"({marked} of {positions} positions marked)")
+    if math.ulp(turn) > PHASE_ULP_TOL:
+        raise ValueError(f"phase (2r+1)*theta = {turn:.6g} rad after {rounds} rounds has lost "
+                         f"its precision: float64 spacing {math.ulp(turn):.3g} rad > 2^-20")
     return turn
 
 
@@ -100,15 +110,16 @@ class TwoValueState:
     """State amplified from uniform: one amplitude on the marked set, one elsewhere.
 
     ``marked`` holds the distinct marked indices in increasing order (a
-    read-only int64 array), and ``probability`` is the marked set's
-    probability, the one :func:`sample_groups` draws with.  With no marks
-    ``marked_amplitude`` has no position to sit on, and with every position
-    marked ``unmarked_amplitude`` has none; both are then kept at the value
-    the vector engine would give such positions if they existed.
+    read-only int64 array), ``rounds`` the rounds applied and ``probability``
+    the marked set's probability after them, which :func:`sample_groups`
+    draws with.  With no marks ``marked_amplitude`` has no position, and with
+    every position marked ``unmarked_amplitude`` has none; both then keep the
+    value the vector engine would give such positions if they existed.
     """
 
     n: int
     marked: np.ndarray
+    rounds: int
     marked_amplitude: float
     unmarked_amplitude: float
     probability: float
@@ -186,7 +197,7 @@ def amplify(n: int, marked: Iterable[int], rounds: int) -> TwoValueState:
         turn = _phase(count, size, rounds)
         marked_amp = math.sin(turn) / math.sqrt(count)
         unmarked_amp = math.cos(turn) / math.sqrt(size - count)
-    return TwoValueState(n, ms, marked_amp, unmarked_amp, probability)
+    return TwoValueState(n, ms, rounds, marked_amp, unmarked_amp, probability)
 
 
 def _spread(rng: np.random.Generator, draws: int, members: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,7 +411,8 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
     """Probability of the whole marked set after ``rounds`` at width ``side``.
 
     sin**2((2r+1)*theta) with theta = asin(sqrt(M/side**2)), but exactly M/N
-    at 0 rounds or with M in {0, side**2}.  ValueError past MAX_ROUNDS or float64.
+    at 0 rounds or with M in {0, side**2}.  ValueError past MAX_ROUNDS or where
+    :func:`_phase` loses its precision.
     """
     if not 0 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"iteration count must be in [0, MAX_ROUNDS], got {rounds}")

@@ -18,13 +18,13 @@ from .images import Image, MatchDims, ValidationError, validate_pair
 class Outcome:
     """What one run produced; ``timings_ms`` gives each stage's wall time in run order.
 
-    The marked indices are held once, as the sorted array ``final.marked``.
+    ``plan`` holds what was planned and ``final`` what was applied: the
+    marked indices (``final.marked``, sorted), the rounds run
+    (``final.rounds``) and the success they predict (``final.probability``).
     """
 
     dims: MatchDims
     plan: grover.IterationPlan
-    rounds: int
-    predicted_success: float
     final: grover.TwoValueState
     counts: dict[int, int]
     timings_ms: dict[str, float]
@@ -44,9 +44,9 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     The plan is made for the marked count, and ``iterations`` overrides its
     rounds.  The predicted success is the final state's marked probability,
     the one the samples are drawn with.  Raises ValidationError for a bad pair,
-    for an ``iterations`` outside [0, MAX_ROUNDS] or whose phase (2r+1)*theta
-    overflows float64, for a ``samples`` outside [1, MAX_SAMPLES] and for a
-    ``seed`` that is not a non-negative integer.
+    for an ``iterations`` outside [0, MAX_ROUNDS] or past the float64 precision
+    of its phase, for a ``samples`` outside [1, MAX_SAMPLES] and for a ``seed``
+    that is not a non-negative integer.
     """
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
@@ -69,4 +69,4 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     lap(timings, "sample", start)
-    return Outcome(dims, plan, rounds, final.probability, final, counts, timings)
+    return Outcome(dims, plan, final, counts, timings)

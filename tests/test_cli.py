@@ -110,15 +110,44 @@ class TestMatchCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag, limit", [("--samples", grover.MAX_SAMPLES), ("--iterations", grover.MAX_ROUNDS)]
+        "flag, limit, code",
+        [pytest.param("--samples", grover.MAX_SAMPLES, 0,
+                      id=f"--samples-{grover.MAX_SAMPLES}"),
+         # one mark in 16 at MAX_ROUNDS: the phase is far past its float64 precision
+         pytest.param("--iterations", grover.MAX_ROUNDS, 2,
+                      id=f"--iterations-{grover.MAX_ROUNDS}")],
     )
-    def test_float64_limits(self, sample_paths, tmp_path, flag, limit, capsys):
+    def test_float64_limits(self, sample_paths, tmp_path, flag, limit, code, capsys):
         missing = str(tmp_path / "nope.pgm")
         assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
-                     flag, str(limit)]) == 0
+                     flag, str(limit)]) == code
+        assert capsys.readouterr().err.count("\n") == (code == 2)
         # refused before either image is read: missing files would exit 1
         assert main(["match", "--big", missing, "--small", missing, flag, str(limit + 1)]) == 2
         assert "error: " + flag in capsys.readouterr().err
+
+    def test_phase_precision_edge(self, sample_paths, tmp_path, capsys):
+        # One mark in 16: theta = asin(1/4).  The last round count whose phase
+        # (2r+1)*theta keeps a float64 spacing of at most 2^-20 rad exits 0, and
+        # the next one exits 2 rather than report a success that is noise.
+        top = grover.PHASE_ULP_TOL * 2.0**53  # the first float64 spaced wider than the tolerance
+        assert math.ulp(math.nextafter(top, 0)) <= grover.PHASE_ULP_TOL < math.ulp(top)
+        theta = math.asin(1 / 4)
+        edge = math.floor((top / theta - 1) / 2)
+        assert math.ulp((2 * edge + 1) * theta) <= grover.PHASE_ULP_TOL
+        assert math.ulp((2 * edge + 3) * theta) > grover.PHASE_ULP_TOL
+        argv = ["match", "--big", sample_paths[0], "--small", sample_paths[1], "--iterations"]
+        rp = tmp_path / "r.json"
+        assert main(argv + [str(edge), "--json", str(rp)]) == 0
+        assert capsys.readouterr().err == ""
+        plan = json.loads(rp.read_text())["plan"]
+        assert plan["iterations"] == edge
+        assert plan["predicted_success"] == math.sin((2 * edge + 1) * theta) ** 2
+        for rounds in (edge + 1, 10**15, 10**17):
+            assert main(argv + [str(rounds)]) == 2
+            out, err = capsys.readouterr()
+            assert err.startswith("error: phase (2r+1)*theta") and err.count("\n") == 1, err
+            assert "lost its precision" in err and out == ""
 
     def test_phase_overflow_exits_two(self, tmp_path, capsys):
         # 13 of 16 positions marked: theta = asin(sqrt(13/16)) > 1, so at

@@ -1,5 +1,6 @@
 """Amplification engine: vector operations, recurrence, closed forms, sampling."""
 
+import math
 import random
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ import pytest
 from qimatch.grover import (
     MAX_ROUNDS,
     MAX_SAMPLES,
+    PHASE_ULP_TOL,
     AmplitudePair,
     PlanMode,
     amplify,
@@ -485,11 +487,41 @@ class TestGroupSampling:
             sample_groups(state, seed=0, samples=MAX_SAMPLES + 1)
 
     def test_round_limit(self):
-        assert amplify(2, {5}, MAX_ROUNDS).marked_amplitude**2 == success_probability(4, MAX_ROUNDS)
+        # one mark in 16: at MAX_ROUNDS the phase is far past its float64 precision
+        with pytest.raises(ValueError, match="lost its precision"):
+            amplify(2, {5}, MAX_ROUNDS)
+        with pytest.raises(ValueError, match="lost its precision"):
+            success_probability(4, MAX_ROUNDS)
         with pytest.raises(ValueError):
             amplify(2, {5}, MAX_ROUNDS + 1)
         with pytest.raises(ValueError):
             success_probability(4, MAX_ROUNDS + 1)
+
+    @pytest.mark.parametrize("n, count", [(2, 1), (2, 13), (5, 3), (10, 1)])
+    def test_phase_precision_edge(self, n, count):
+        # The last round count whose phase (2r+1)*theta is spaced at most
+        # PHASE_ULP_TOL apart in float64 is served; the next one is refused.
+        size = 1 << (2 * n)
+        theta = math.asin(math.sqrt(count / size))
+        top = PHASE_ULP_TOL * 2.0**53  # the first float64 spaced wider than the tolerance
+        assert math.ulp(math.nextafter(top, 0)) <= PHASE_ULP_TOL < math.ulp(top)
+        edge = math.floor((top / theta - 1) / 2)
+        while math.ulp((2 * edge + 1) * theta) > PHASE_ULP_TOL:
+            edge -= 1
+        state = amplify(n, range(count), edge)
+        assert state.rounds == edge
+        assert state.probability == success_probability(1 << n, edge, count)
+        assert state.probability == math.sin((2 * edge + 1) * theta) ** 2
+        with pytest.raises(ValueError, match="lost its precision"):
+            amplify(n, range(count), edge + 1)
+        with pytest.raises(ValueError, match="lost its precision"):
+            success_probability(1 << n, edge + 1, count)
+
+    def test_uniform_and_all_marked_never_reach_the_phase(self):
+        for marks in ((), range(16)):
+            state = amplify(2, marks, MAX_ROUNDS)
+            assert state.rounds == MAX_ROUNDS
+            assert state.probability == len(marks) / 16
 
     def test_phase_overflow_names_the_phase(self):
         # 13 of 16 marked: theta = asin(sqrt(13/16)) > 1, so at MAX_ROUNDS the

@@ -1,5 +1,7 @@
 """The one match pipeline: what it returns, and that every match run goes through it."""
 
+import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import qimatch
-from qimatch import grover, images, marking, pipeline, sample, verify
+from qimatch import cli, grover, images, marking, pipeline, sample, verify
 from qimatch.cli import main
 from qimatch.grover import PlanMode, success_probability
 from qimatch.images import Image, ValidationError, write_pgm
@@ -45,15 +47,15 @@ FLAGS = [
 
 def expected_report(outcome, seed):
     """The --json report written out from the outcome's fields."""
-    dims, top = outcome.dims, outcome.final.top_index()
+    dims, final, top = outcome.dims, outcome.final, outcome.final.top_index()
     return {
         "dims": {"n": dims.n, "m": dims.m, "q": dims.bit_depth, "a": dims.side},
         "plan": {
             "mode": outcome.plan.mode.value,
-            "iterations": outcome.rounds,
-            "predicted_success": outcome.predicted_success,
+            "iterations": final.rounds,
+            "predicted_success": final.probability,
             # the plan's bound holds only for the rounds it planned
-            "lower_bound": outcome.plan.lower_bound if outcome.rounds == outcome.plan.iterations else None,
+            "lower_bound": outcome.plan.lower_bound if final.rounds == outcome.plan.iterations else None,
         },
         "result": {
             "top_index": top,
@@ -94,10 +96,18 @@ def test_outcome_gives_the_cli_report(name, flags, tmp_path):
 def test_iteration_override_predicts_its_own_count():
     big, small = multi_mark_pair()
     outcome = pipeline.match(big, small, iterations=5)
-    assert outcome.rounds == 5
+    assert outcome.final.rounds == 5
     assert outcome.plan.iterations == 3
-    assert outcome.predicted_success == success_probability(8, 5, 4)
-    assert outcome.final.probability == pytest.approx(outcome.predicted_success, abs=1e-12)
+    assert outcome.final.probability == success_probability(8, 5, 4)
+    assert pipeline.match(big, small).final.rounds == 3
+
+
+def test_outcome_holds_each_value_once():
+    # the plan holds what was planned and the final state what was applied
+    names = [f.name for f in dataclasses.fields(pipeline.Outcome)]
+    assert names == ["dims", "plan", "final", "counts", "timings_ms"]
+    assert [f.name for f in dataclasses.fields(grover.IterationPlan)] == [
+        "mode", "iterations", "predicted_success", "lower_bound"]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -110,9 +120,11 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
         big = Image(1 << n, 1 << n, 1, pixels)
         for iterations in (None, 0, 1, 3, 10**6):
             outcome = pipeline.match(big, small, mode=PlanMode.OPTIMAL, iterations=iterations)
+            rounds = outcome.plan.iterations if iterations is None else iterations
             want = outcome.final.probability
-            assert outcome.predicted_success == want, (n, count, iterations)
-            if outcome.rounds == 0:
+            assert outcome.final.rounds == rounds, (n, count, iterations)
+            assert want == success_probability(1 << n, rounds, count), (n, count, iterations)
+            if rounds == 0:
                 assert want == count / size, (n, count)
             if count == size:
                 assert want == 1.0, (n, iterations)
@@ -141,7 +153,7 @@ def test_counts_are_a_seeded_draw_from_the_final_state():
 def test_no_marks_point_nowhere():
     outcome = pipeline.match(make_image([1, 2, 3, 1], 2, 2), make_image([0], 1, 2))
     assert outcome.final.marked.tolist() == []
-    assert outcome.rounds == 0
+    assert outcome.final.rounds == 0
     assert outcome.final.top_index() is None
 
 
@@ -185,7 +197,7 @@ def test_vector_engine_stays_off_the_match_path(tmp_path, monkeypatch, capsys):
     assert "(x=1, y=1)" in capsys.readouterr().out
     outcome = pipeline.match(*sample_pair(), samples=1000)
     assert outcome.final.top_index() == 5
-    assert math.isclose(outcome.predicted_success, 0.9613189697265625)
+    assert math.isclose(outcome.final.probability, 0.9613189697265625)
 
 
 def test_match_never_builds_the_pixel_tuple(tmp_path, monkeypatch, capsys):
@@ -199,7 +211,7 @@ def test_match_never_builds_the_pixel_tuple(tmp_path, monkeypatch, capsys):
     assert outcome.final.top_index() == 3 * 8 + 6
     assert main(["match", "--big", bp, "--small", sp, "--verify"]) == 0
     out = capsys.readouterr().out
-    assert "(x=6, y=3)" in out and "classical full-block matches: [[6, 3]]" in out
+    assert "(x=6, y=3)" in out and "full-block matches: [[6, 3]]" in out
 
 
 def test_marks_are_held_once_as_a_sorted_array():
@@ -233,8 +245,30 @@ def test_match_path_loads_no_oracle_and_no_cli():
                               check=True, env=env).stdout.strip()
 
     assert loaded("qimatch.pipeline", ("qimatch.cli", "qimatch.verify")) == "[]"
-    # the command line loads the oracles only for the one command that runs them
     assert loaded("qimatch.cli", ("qimatch.verify",)) == "[]"
+
+
+def test_no_command_loads_an_oracle(tmp_path):
+    # One fresh process runs every command through main; the oracles in verify
+    # are for tests alone, so none of them may be imported.
+    bp, sp = write_pair(tmp_path, *sample_pair())
+    runs = [["match", "--big", bp, "--small", sp, "--verify", "--json", str(tmp_path / "r.json")],
+            ["table1", "--max-a", "64", "--csv", str(tmp_path / "t.csv")],
+            ["example"],
+            ["analyze", "--a", "8", "--sweep-i", "4"]]
+    probe = ("import sys; from qimatch.cli import main; "
+             f"codes = [main(argv) for argv in {runs!r}]; "
+             "print(codes, 'qimatch.verify' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert done.stderr == ""
+    tree = ast.parse(inspect.getsource(cli))
+    imported = {(getattr(node, "module", None) or "") + "." + alias.name
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not any("verify" in name for name in imported), imported
 
 
 def test_marking_holds_only_the_hot_path():
