@@ -2,11 +2,11 @@
 
 Compares the three planning modes across image sizes and shows the guaranteed
 floor under the achieved success probability.  The exact mode locates the sign
-change of a quartic in exact integer arithmetic and cross-checks it against
-the closed radical form of the same root; the fit mode is a linear shortcut;
-the optimal mode takes the peak of the success probability sin^2((2r+1)theta)
-in closed form.  The table is the ``table1`` command's; ``table1 --csv`` writes
-the same rows as CSV.
+change of a quartic in exact integer arithmetic, and the demo prints the
+closed radical form of the same root beside the exact count; the fit mode is a
+linear shortcut; the optimal mode takes the peak of the success probability
+sin^2((2r+1)theta) in closed form.  The table is the ``table1`` command's;
+``table1 --csv`` writes the same rows as CSV.
 """
 
 from qimatch import PlanMode

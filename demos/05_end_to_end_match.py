@@ -31,7 +31,7 @@ outcome = pipeline.match(big, small, seed=rng.randint(0, 2**31))
 dims, plan = outcome.dims, outcome.plan
 print(f"marking stage flagged positions: {outcome.final.marked.tolist()}")
 print(f"plan: {plan.iterations} rounds, predicted success "
-      f"{plan.predicted_success:.4f}, guaranteed at least {plan.lower_bound:.4f}")
+      f"{outcome.final.probability:.4f}, guaranteed at least {plan.lower_bound:.4f}")
 
 top_index = outcome.final.top_index()
 x, y = top_index % dims.side, top_index // dims.side

@@ -38,7 +38,9 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NO_MATCH = 3
 
-_MODES = {m.value: m for m in grover.PlanMode}
+# Without --sweep-i, analyze prints rounds 0..min(2*a, SWEEP_CAP), so its
+# default output stays bounded at every side it accepts.
+SWEEP_CAP = 4096
 
 
 def _locations(indices: np.ndarray, side: int) -> list[list[int]]:
@@ -101,8 +103,8 @@ def cmd_match(args: argparse.Namespace) -> int:
         small = load_pgm(fh.read())
     pipeline.lap(timings, "load", start)
 
-    outcome = pipeline.match(big, small, mode=_MODES[args.mode], iterations=args.iterations,
-                             seed=args.seed, samples=args.samples)
+    outcome = pipeline.match(big, small, mode=grover.PlanMode(args.mode),
+                             iterations=args.iterations, seed=args.seed, samples=args.samples)
     timings.update(outcome.timings_ms)
 
     verification = None
@@ -151,9 +153,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
     modes = []
     for name in args.modes.split(","):
         name = name.strip()
-        if name not in _MODES:
-            raise ValidationError(f"unknown mode {name!r}")
-        modes.append(_MODES[name])
+        try:
+            modes.append(grover.PlanMode(name))
+        except ValueError:
+            raise ValidationError(f"unknown mode {name!r}") from None
     a_max = args.max_a
     if a_max < 4 or a_max & (a_max - 1):
         raise ValidationError(f"--max-a must be a power of two >= 4, got {a_max}")
@@ -164,12 +167,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     a = 4
     while a <= a_max:
-        # Only the lead mode's success and bound are printed, so only it gets a full plan.
-        lead = grover.plan_iterations(a, modes[0])
+        plans = [grover.plan_iterations(a, m) for m in modes]
+        lead = plans[0]
         rows.append(
-            [str(a), str(lead.iterations)]
-            + [str(grover.planned_rounds(a, m)[1]) for m in modes[1:]]
-            + [repr(lead.predicted_success), repr(lead.lower_bound)]
+            [str(a)] + [str(p.iterations) for p in plans]
+            + [repr(grover.success_probability(a, lead.iterations)), repr(lead.lower_bound)]
         )
         a *= 2
 
@@ -253,11 +255,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValidationError(f"--a must be a power of two >= 2, got {a}")
     if a > grover.MAX_RECURRENCE_SIDE:
         raise ValidationError(f"--a 2^{a.bit_length() - 1} is past the float64 limit 2^511")
-    sweep = args.sweep_i if args.sweep_i is not None else 2 * a
+    sweep = args.sweep_i if args.sweep_i is not None else min(2 * a, SWEEP_CAP)
     if sweep < 0:
         raise ValidationError(f"--sweep-i must be non-negative, got {sweep}")
-    _, exact = grover.planned_rounds(a, grover.PlanMode.EXACT)
-    _, peak = grover.planned_rounds(a, grover.PlanMode.OPTIMAL)
+    exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
+    peak = grover.plan_iterations(a, grover.PlanMode.OPTIMAL).iterations
 
     print(f"{'i':>6}  {'unmarked':>22}  {'marked':>22}  {'marked^2':>22}  flags")
     p = grover.initial_pair(a)
@@ -288,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", help="match a small PGM inside a big PGM")
     p_match.add_argument("--big", required=True, help="path to the big image (PGM)")
     p_match.add_argument("--small", required=True, help="path to the small image (PGM)")
-    p_match.add_argument("--mode", choices=sorted(_MODES), default="exact",
+    p_match.add_argument("--mode", choices=[m.value for m in grover.PlanMode], default="exact",
                          help="planning rule for one marked position (default: exact); "
                          "other counts use optimal, and the report names the rule applied")
     p_match.add_argument("--iterations", type=int, default=None,
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="sweep the amplification recurrence")
     p_analyze.add_argument("--a", type=int, required=True, help="side length (power of two)")
     p_analyze.add_argument("--sweep-i", type=int, default=None,
-                           help="largest round index to print (default: 2*a)")
+                           help=f"largest round index to print (default: 2*a, at most {SWEEP_CAP})")
     p_analyze.set_defaults(func=cmd_analyze)
 
     return parser

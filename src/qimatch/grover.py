@@ -36,7 +36,9 @@ x = 1/a, its values after i rounds are Chebyshev polynomials in x: marked
 (-1)**i * T_2i+1(x) and unmarked (-1)**i * x * U_2i(x), which
 :func:`closed_form_pair` evaluates for every i >= 1.
 
-Iteration planning offers three rules for a single marked index:
+Iteration planning is one call, :func:`plan_iterations`, which returns the
+rule it ran, the rounds and the success the rule guarantees.  It offers three
+rules for a single marked index:
 
 * ``EXACT``: smallest integer i >= 1 with
   i**4 + 4i**3 + (2-3a**2)i**2 + (-1-6a**2)i + 1.5a**4 - 1.5a**2 < 0,
@@ -56,10 +58,10 @@ Iteration planning offers three rules for a single marked index:
 
 The quartic is the paper's rule for one marked index only.  With M != 1 marks
 every mode runs the OPTIMAL rule, floor(pi/(4*theta)) rounds (0 with no marks
-and once 2M >= N), and the plan's ``mode`` says so.  The predicted success is
-always :func:`success_probability`, sin**2((2r+1)*theta) (exactly M/N at 0
-rounds, 1 for M = N), the marked-set probability that :func:`sample_groups`
-draws with.
+and once 2M >= N), and the plan's ``mode`` says so.  The plan holds no
+success: :func:`success_probability` alone computes it, sin**2((2r+1)*theta)
+(exactly M/N at 0 rounds, 1 for M = N), and :func:`amplify` stores it in the
+state as the marked-set probability that :func:`sample_groups` draws with.
 """
 
 from __future__ import annotations
@@ -325,11 +327,14 @@ class PlanMode(enum.Enum):
 
 @dataclass(frozen=True)
 class IterationPlan:
-    """A planned round count; ``mode`` is the rule that chose ``iterations``."""
+    """A planned round count; ``mode`` is the rule that chose ``iterations``.
+
+    ``lower_bound`` is the success the rule guarantees; the success itself is
+    :func:`success_probability`, carried by the amplified state.
+    """
 
     mode: PlanMode
     iterations: int
-    predicted_success: float
     lower_bound: float
 
 
@@ -422,12 +427,14 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
     return math.sin(_phase(marked, positions, rounds)) ** 2
 
 
-def planned_rounds(side: int, mode: PlanMode, marked: int = 1) -> tuple[PlanMode, int]:
-    """The rule that runs for ``marked`` positions at width ``side`` <= MAX_PLAN_SIDE, and its rounds.
+def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
+    """The rule, rounds and bound for ``marked`` positions at width ``side`` <= MAX_PLAN_SIDE.
 
     ``mode`` picks the rule for one marked position.  Any other count runs the
     OPTIMAL rule, the peak of sin**2((2r+1)*theta) (0 rounds with none), and
-    the returned mode names it.
+    the returned mode names it.  The lower bound is the closed-form guarantee
+    of the paper for one mark, cos**2(theta) = 1 - M/N (which the peak count
+    always reaches) for more, and 0 for none.
     """
     if side < 2 or side & (side - 1):
         raise ValueError(f"side must be a power of two >= 2, got {side}")
@@ -436,29 +443,14 @@ def planned_rounds(side: int, mode: PlanMode, marked: int = 1) -> tuple[PlanMode
     positions = side * side
     if not 0 <= marked <= positions:
         raise ValueError(f"marked count must be in [0, {positions}], got {marked}")
-    if marked == 1 and mode is PlanMode.EXACT:
-        return mode, _scan_exact(side)
-    if marked == 1 and mode is PlanMode.FIT:
-        return mode, max(1, math.floor(0.7962 * side - 0.6057 + 0.5))
-    return PlanMode.OPTIMAL, _peak_rounds(marked, positions)
-
-
-def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
-    """:func:`planned_rounds` with the success it predicts and the bound it guarantees.
-
-    The predicted success is the marked set's probability at the chosen
-    count.  The lower bound is the closed-form guarantee of the paper for one
-    mark, cos**2(theta) = 1 - M/N (which the peak count always reaches) for
-    more, and 0 for none.
-    """
-    mode, iterations = planned_rounds(side, mode, marked)
     if marked == 1:
         bound = probability_lower_bound(side)
     else:
-        bound = 1.0 - marked / (side * side) if marked else 0.0
-    return IterationPlan(
-        mode=mode,
-        iterations=iterations,
-        predicted_success=success_probability(side, iterations, marked),
-        lower_bound=bound,
-    )
+        bound = 1.0 - marked / positions if marked else 0.0
+    if marked == 1 and mode is PlanMode.EXACT:
+        rounds = _scan_exact(side)
+    elif marked == 1 and mode is PlanMode.FIT:
+        rounds = max(1, math.floor(0.7962 * side - 0.6057 + 0.5))
+    else:
+        mode, rounds = PlanMode.OPTIMAL, _peak_rounds(marked, positions)
+    return IterationPlan(mode, rounds, bound)

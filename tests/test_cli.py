@@ -311,20 +311,18 @@ class TestTable1Command:
         assert lines[1].split()[:4] == ["4", "3", "3", "3"]
         assert lines[3].split()[:4] == ["16", "12", "12", "12"]
 
-    def test_one_full_plan_per_row(self, monkeypatch, capsys):
-        # only the lead mode's success and bound are printed, so only it is planned in full
-        leads = []
-        plan = grover.plan_iterations
-        monkeypatch.setattr(grover, "plan_iterations", lambda a, mode: leads.append(mode) or plan(a, mode))
+    def test_one_full_plan_per_row(self, capsys):
+        # the success and bound columns are the lead mode's, here fit
         assert main(["table1", "--max-a", "64", "--modes", "fit,exact,optimal"]) == 0
-        assert leads == [grover.PlanMode.FIT] * 5
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == [4, 8, 16, 32, 64]
+        plan = grover.plan_iterations
         for row in rows:
             a = int(row[0])
             want = [plan(a, m).iterations for m in (grover.PlanMode.FIT, grover.PlanMode.EXACT,
                                                     grover.PlanMode.OPTIMAL)]
             assert [int(v) for v in row[1:4]] == want
-            assert row[4:] == [repr(plan(a, grover.PlanMode.FIT).predicted_success),
+            assert row[4:] == [repr(grover.success_probability(a, want[0])),
                                repr(plan(a, grover.PlanMode.FIT).lower_bound)]
 
     def test_csv_idempotent(self, tmp_path):
@@ -415,6 +413,17 @@ class TestAnalyzeCommand:
     def test_negative_sweep_exit_two(self, sweep, capsys):
         assert main(["analyze", "--a", "4", "--sweep-i", sweep]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("a", [2048, 1 << 40])
+    def test_default_sweep_stops_at_the_cap(self, a, capsys):
+        # 2a rounds up to side 2048, then cli.SWEEP_CAP = 4096 at every larger side
+        assert main(["analyze", "--a", str(a)]) == 0
+        header, *rows, peak, plan = capsys.readouterr().out.splitlines()
+        assert header.split()[:4] == ["i", "unmarked", "marked", "marked^2"]
+        assert [int(row.split()[0]) for row in rows] == list(range(4097))
+        exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
+        assert peak.startswith("first local maximum of marked^2: i=")
+        assert plan == f"planned rounds (exact): i={exact}"
 
     def test_long_sweep_runs_in_bounded_memory(self):
         with open(os.devnull, "w") as sink, redirect_stdout(sink):

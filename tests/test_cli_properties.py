@@ -117,9 +117,10 @@ def table1_runs(draw):
 
 @st.composite
 def analyze_runs(draw):
-    # --sweep-i is always given: its default, 2a rows, has no bound
-    return ["analyze", "--a", str(draw(st.sampled_from(ANALYZE_A))),
-            "--sweep-i", str(draw(st.sampled_from(ANALYZE_SWEEP_I)))], None
+    argv = ["analyze", "--a", str(draw(st.sampled_from(ANALYZE_A)))]
+    if draw(st.booleans()):
+        argv += ["--sweep-i", str(draw(st.sampled_from(ANALYZE_SWEEP_I)))]
+    return argv, None
 
 
 # (argv with {big}, {small} and {out} placeholders, PGM pair or None); half are matches

@@ -574,21 +574,24 @@ class TestMultiMarkPlanning:
             best = max(range(len(probs)), key=lambda i: (probs[i], -i))
             for mode in PlanMode:
                 plan = plan_iterations(side, mode, marked=count)
+                success = success_probability(side, plan.iterations, count)
                 assert plan.iterations == best, (n, count, mode)
-                assert abs(plan.predicted_success - probs[best]) < 1e-12
-                assert plan.lower_bound <= plan.predicted_success
+                assert abs(success - probs[best]) < 1e-12
+                assert plan.lower_bound <= success
 
     def test_half_or_more_marked_plans_no_rounds(self):
         for count in (8, 9, 15, 16):
             plan = plan_iterations(4, PlanMode.OPTIMAL, marked=count)
+            success = success_probability(4, plan.iterations, count)
             assert plan.iterations == 0
-            assert plan.predicted_success == pytest.approx(count / 16, abs=1e-15)
-            assert plan.lower_bound <= plan.predicted_success
+            assert success == pytest.approx(count / 16, abs=1e-15)
+            assert plan.lower_bound <= success
 
     def test_no_marks_plan_no_rounds(self):
         for mode in PlanMode:
             plan = plan_iterations(8, mode, marked=0)
-            assert (plan.iterations, plan.predicted_success, plan.lower_bound) == (0, 0.0, 0.0)
+            success = success_probability(8, plan.iterations, 0)
+            assert (plan.iterations, success, plan.lower_bound) == (0, 0.0, 0.0)
 
     def test_plan_names_the_rule_it_ran(self):
         with warnings.catch_warnings():

@@ -107,7 +107,7 @@ def test_outcome_holds_each_value_once():
     names = [f.name for f in dataclasses.fields(pipeline.Outcome)]
     assert names == ["dims", "plan", "final", "counts", "timings_ms"]
     assert [f.name for f in dataclasses.fields(grover.IterationPlan)] == [
-        "mode", "iterations", "predicted_success", "lower_bound"]
+        "mode", "iterations", "lower_bound"]
 
 
 @pytest.mark.parametrize("n", range(1, 11))

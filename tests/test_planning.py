@@ -13,9 +13,9 @@ from qimatch.grover import (
     PlanMode,
     initial_pair,
     plan_iterations,
-    planned_rounds,
     probability_lower_bound,
     recurrence_step,
+    success_probability,
 )
 from qimatch.verify import closed_form_iterations
 
@@ -167,29 +167,40 @@ class TestPlanContract:
     def test_invalid_side_rejected(self, bad):
         with pytest.raises(ValueError):
             plan_iterations(bad, PlanMode.EXACT)
-        with pytest.raises(ValueError):
-            planned_rounds(bad, PlanMode.EXACT)
 
-    def test_planned_rounds_are_the_plans_rule_and_count(self):
+    def test_plan_names_the_rule_and_count(self):
+        def optimal_rounds(a, marked):
+            if marked == 0 or 2 * marked >= a * a:
+                return 0
+            return math.floor(math.pi / (4 * math.asin(math.sqrt(marked / (a * a)))))
+
         for a in (2, 4, 64, 1 << 20, MAX_PLAN_SIDE):
             for mode in PlanMode:
                 for marked in (0, 1, 2, 4):
                     plan = plan_iterations(a, mode, marked)
-                    assert planned_rounds(a, mode, marked) == (plan.mode, plan.iterations), (a, mode, marked)
+                    case = (a, mode, marked)
+                    assert plan.mode is (mode if marked == 1 else PlanMode.OPTIMAL), case
+                    i = plan.iterations
+                    if plan.mode is PlanMode.EXACT:
+                        assert i >= 1 and quartic_doubled(i, a) < 0 <= quartic_doubled(i - 1, a), case
+                    elif plan.mode is PlanMode.FIT:
+                        assert i == max(1, math.floor(0.7962 * a - 0.6057 + 0.5)), case
+                    else:
+                        assert i == optimal_rounds(a, marked), case
         with pytest.raises(ValueError):
-            planned_rounds(2, PlanMode.EXACT, 5)
+            plan_iterations(2, PlanMode.EXACT, 5)
 
     def test_predicted_success_from_recurrence(self):
         plan = plan_iterations(4, PlanMode.EXACT)
         assert plan.iterations == 3
-        assert abs(plan.predicted_success - float(Fraction(251, 256) ** 2)) < 1e-15
+        assert abs(success_probability(4, plan.iterations) - float(Fraction(251, 256) ** 2)) < 1e-15
 
     def test_fields_in_range(self):
         for mode in PlanMode:
             for a in (2, 4, 64):
                 plan = plan_iterations(a, mode)
                 assert plan.iterations >= 1
-                assert 0.0 <= plan.predicted_success <= 1.0
+                assert 0.0 <= success_probability(a, plan.iterations) <= 1.0
                 # the closed-form bound only drops below 1 from side 4 on
                 assert plan.lower_bound > 0.0
                 if a >= 4:
@@ -214,7 +225,7 @@ class TestLowerBound:
         a = 4
         while a <= 4096:
             plan = plan_iterations(a, PlanMode.EXACT)
-            assert plan.predicted_success >= plan.lower_bound, a
+            assert success_probability(a, plan.iterations) >= plan.lower_bound, a
             a *= 2
 
 
@@ -228,9 +239,10 @@ class TestLargeSides:
         a = 1 << k
         plan = plan_iterations(a, mode)
         r = plan.iterations
+        success = success_probability(a, r)
         # theta = asin(1/a) = 1/a to float precision this far out.
-        assert abs(plan.predicted_success - math.sin(float(Fraction(2 * r + 1, a))) ** 2) < 1e-12
-        assert plan.predicted_success > plan.lower_bound == 0.9194**2
+        assert abs(success - math.sin(float(Fraction(2 * r + 1, a))) ** 2) < 1e-12
+        assert success > plan.lower_bound == 0.9194**2
         ratio = {PlanMode.EXACT: math.sqrt((3 - math.sqrt(3)) / 2), PlanMode.FIT: 0.7962,
                  PlanMode.OPTIMAL: math.pi / 4}[mode]
         assert abs(float(Fraction(r, a)) - ratio) < 1e-12
@@ -304,4 +316,11 @@ class TestPlanCsv:
             for name, cell in zip(header[1:4], row[1:4]):
                 assert int(cell) == plan_iterations(a, PlanMode(name[2:])).iterations
             exact = plan_iterations(a, PlanMode.EXACT)
-            assert (float(row[4]), float(row[5])) == (exact.predicted_success, exact.lower_bound)
+            assert (float(row[4]), float(row[5])) == (success_probability(a, exact.iterations),
+                                                      exact.lower_bound)
+
+    def test_success_column_over_the_whole_planning_domain(self, tmp_path):
+        _, *rows = table1_csv_rows(tmp_path, MAX_PLAN_SIDE)
+        assert [int(row[0]) for row in rows] == [4 << k for k in range(536)]
+        for a, i_exact, _, _, success, _ in rows:
+            assert success == repr(success_probability(int(a), int(i_exact))), a
