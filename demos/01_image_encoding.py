@@ -17,12 +17,10 @@ print("parsed small image:", small.width, "x", small.height, "bit depth", small.
 print()
 
 print("big image pixels (row-major):")
-for y in range(big.height):
-    row = big.pixels[y * big.width : (y + 1) * big.width]
+for row in big.array.reshape(big.height, big.width).tolist():
     print("   ", " ".join(f"{v:3d}" for v in row))
 print("small image pixels:")
-for y in range(small.height):
-    row = small.pixels[y * small.width : (y + 1) * small.width]
+for row in small.array.reshape(small.height, small.width).tolist():
     print("   ", " ".join(f"{v:3d}" for v in row))
 print()
 

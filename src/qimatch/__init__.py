@@ -11,8 +11,9 @@
 
 :mod:`qimatch.verify` carries the independent oracles (the structured branch
 walk through the circuit's stages, a dense gate-level simulator, the
-exhaustive classical matcher, the full-vector engine and the planning
-quartic's radical root) used to cross-check the pipeline, and
+exhaustive classical matcher, the full-vector engine, the planning quartic's
+radical root and the recurrence's Chebyshev closed form) used to cross-check
+the pipeline, and
 :mod:`qimatch.cli` exposes everything as a command line tool.
 
 The package namespace holds the pipeline, its input and error types and the

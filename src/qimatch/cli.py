@@ -7,12 +7,12 @@ Subcommands:
 * ``example``  run the built-in pair end to end with exact fractions
 * ``analyze``  sweep the two-value recurrence for one image size
 
-Exit codes: 0 success, 1 I/O error (or, for ``example``, a drifted frozen
-value), 2 validation error (a bad PGM or pair, an argument out of range, or an
-``--iterations`` count whose phase float64 can no longer resolve), 3 no match
-found.  Commands raise OSError, PgmError and ValidationError; :func:`main`
-alone turns those into an exit code and one ``error:`` stderr line.  No
-command loads the test oracles in :mod:`qimatch.verify`.
+Exit codes: 0 success, 1 I/O error, 2 validation error (a bad PGM or pair, an
+argument out of range, or an ``--iterations`` count whose phase float64 can no
+longer resolve), 3 no match found.  Commands raise OSError, PgmError and
+ValidationError; :func:`main` alone turns those into an exit code and one
+``error:`` stderr line.  No command compares its output against a frozen value
+or loads the test oracles in :mod:`qimatch.verify`.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call; parsing keeps no state between calls.
@@ -189,63 +189,31 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_example(args: argparse.Namespace) -> int:
     big, small = sample_pair()
     outcome = pipeline.match(big, small)
-    dims, marked, plan = outcome.dims, outcome.final.marked.tolist(), outcome.plan
+    dims, plan = outcome.dims, outcome.plan
 
     print(f"demonstration pair: big {dims.side}x{dims.side}, small "
           f"{small.width}x{small.height}, bit depth {dims.bit_depth}")
-    print(f"marked positions: {marked}")
+    print(f"marked positions: {outcome.final.marked.tolist()}")
     print(f"planned rounds (exact): {plan.iterations}")
 
-    failures = []
-    if marked != [5]:
-        failures.append(f"marked set {marked} != [5]")
-    if plan.iterations != 3:
-        failures.append(f"planned rounds {plan.iterations} != 3")
-
-    expected = [
-        (Fraction(3, 16), Fraction(11, 16)),
-        (Fraction(5, 64), Fraction(61, 64)),
-        (Fraction(-13, 256), Fraction(251, 256)),
-    ]
-    pair = grover.AmplitudePair(
-        unmarked=Fraction(1, 4), marked=Fraction(1, 4), iteration=0, side=4
-    )
-    for want_unmarked, want_marked in expected:
+    uniform = Fraction(1, dims.side)
+    pair = grover.AmplitudePair(unmarked=uniform, marked=uniform, iteration=0, side=dims.side)
+    for _ in range(plan.iterations):
         pair = grover.recurrence_step(pair)
         print(f"round {pair.iteration}: unmarked {pair.unmarked}, marked {pair.marked}")
-        if (pair.unmarked, pair.marked) != (want_unmarked, want_marked):
-            failures.append(
-                f"round {pair.iteration}: got ({pair.unmarked}, {pair.marked}), "
-                f"want ({want_unmarked}, {want_marked})"
-            )
 
     overshoot = grover.recurrence_step(pair)
     print(f"one more round would give marked {overshoot.marked} < {pair.marked}")
-    if overshoot.marked != Fraction(781, 1024):
-        failures.append(f"overshoot {overshoot.marked} != 781/1024")
 
     success = float(pair.marked) ** 2
-    other = float(pair.unmarked) ** 2
     bound = grover.probability_lower_bound(dims.side)
     print(f"success probability ({pair.marked})^2 = {success:.4f}")
-    print(f"other-pixel probability ({pair.unmarked})^2 = {other:.6f}")
+    print(f"other-pixel probability ({pair.unmarked})^2 = {float(pair.unmarked) ** 2:.6f}")
     print(f"guaranteed lower bound at side {dims.side}: {bound:.4f}")
     print(f"bound check: {success:.4f} >= {bound:.4f}")
-    if abs(success - 0.9613) > 1e-4:
-        failures.append(f"success probability {success} not within 1e-4 of 0.9613")
-    if abs(other - 0.002579) > 1e-6:
-        failures.append(f"other-pixel probability {other} not within 1e-6 of 0.002579")
-    if not success >= bound:
-        failures.append(f"success probability {success} below bound {bound}")
 
     top = outcome.final.top_index()
     print(f"target location: index {top} -> (x={top % dims.side}, y={top // dims.side})")
-
-    if failures:
-        for f in failures:
-            print(f"MISMATCH: {f}", file=sys.stderr)
-        return EXIT_IO
-    print("all checks passed")
     return EXIT_OK
 
 

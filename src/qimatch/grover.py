@@ -33,8 +33,8 @@ arithmetic so it runs exactly on :class:`fractions.Fraction` inputs as well as
 on floats; every denominator reachable from 1/a is a power of two, so float64
 results are bit-exact too for moderate iteration counts.  With sin(theta) =
 x = 1/a, its values after i rounds are Chebyshev polynomials in x: marked
-(-1)**i * T_2i+1(x) and unmarked (-1)**i * x * U_2i(x), which
-:func:`closed_form_pair` evaluates for every i >= 1.
+(-1)**i * T_2i+1(x) and unmarked (-1)**i * x * U_2i(x), which the oracle
+:func:`qimatch.verify.closed_form_pair` evaluates for every i >= 1.
 
 Iteration planning is one call, :func:`plan_iterations`, which returns the
 rule it ran, the rounds and the success the rule guarantees.  It offers three
@@ -240,7 +240,7 @@ def sample_groups(state: TwoValueState, seed: int, samples: int) -> dict[int, in
 
 
 # ---------------------------------------------------------------------------
-# Two-value recurrence and its closed forms
+# Two-value recurrence
 # ---------------------------------------------------------------------------
 
 
@@ -274,38 +274,6 @@ def recurrence_step(pair: AmplitudePair) -> AmplitudePair:
         marked=shift + 2 * t + t0,
         iteration=pair.iteration + 1,
         side=pair.side,
-    )
-
-
-def _chebyshev(x: Amplitude, first: Amplitude, k: int) -> Amplitude:
-    """P_k(x) for k >= 1, with P_0 = 1, P_1 = ``first`` and P_j+1 = 2x*P_j - P_j-1.
-
-    ``first`` = x gives the Chebyshev polynomial T_k, ``first`` = 2x gives U_k.
-    """
-    prev, cur = 1, first
-    for _ in range(k - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
-
-
-def closed_form_pair(i: int, side: int | Fraction) -> AmplitudePair:
-    """The recurrence's values after round i >= 1, as polynomials in x = 1/side.
-
-    With sin(theta) = x, marked = sin((2i+1)*theta) = (-1)**i * T_2i+1(x) and
-    unmarked = cos((2i+1)*theta)/sqrt(side**2 - 1) = (-1)**i * x * U_2i(x),
-    for example 3x - 4x**3 and x - 4x**3 at i = 1.  ``side`` may be an int,
-    float, or Fraction; division follows the input type, so Fraction input
-    yields exact output for every i.
-    """
-    if i < 1:
-        raise ValueError(f"closed form needs round i >= 1, got {i}")
-    x = 1 / side
-    sign = -1 if i % 2 else 1
-    return AmplitudePair(
-        unmarked=sign * x * _chebyshev(x, 2 * x, 2 * i),
-        marked=sign * _chebyshev(x, x, 2 * i + 1),
-        iteration=i,
-        side=int(side),
     )
 
 

@@ -47,7 +47,6 @@ class Image:
 
     ``array`` holds the pixels row-major, top-left first, as a read-only
     ``uint8`` array (bit depth up to 8) or native ``uint16`` array (above 8).
-    ``pixels`` gives the same values as a tuple of ints, built on each access.
     ``bit_depth`` is the number of bits per pixel implied by the source
     maxval; every value satisfies 0 <= v < 2**bit_depth.  Squareness and
     power-of-two sides are *not* enforced here; :func:`validate_pair` owns
@@ -87,13 +86,6 @@ class Image:
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "bit_depth", bit_depth)
         object.__setattr__(self, "array", arr)
-
-    @property
-    def pixels(self) -> tuple[int, ...]:
-        return tuple(self.array.tolist())
-
-    def pixel(self, x: int, y: int) -> int:
-        return int(self.array[y * self.width + x])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Image):

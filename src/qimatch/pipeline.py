@@ -46,10 +46,15 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.E
     the one the samples are drawn with.  Raises ValidationError for a bad pair,
     for an ``iterations`` outside [0, MAX_ROUNDS] or past the float64 precision
     of its phase, for a ``samples`` outside [1, MAX_SAMPLES] and for a ``seed``
-    that is not a non-negative integer.
+    that is not a non-negative integer.  A non-integer ``iterations`` or
+    ``samples`` is rejected before the pair is read.
     """
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(samples, numbers.Integral):
+        raise ValidationError(f"samples must be an integer, got {samples!r}")
+    if iterations is not None and not isinstance(iterations, numbers.Integral):
+        raise ValidationError(f"iterations must be an integer or None, got {iterations!r}")
     timings: dict[str, float] = {}
     start = time.perf_counter()
     dims = validate_pair(big, small)

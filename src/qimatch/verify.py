@@ -12,10 +12,12 @@ Three deliberately separate routes find the marked set that the hot path's
 * the exhaustive classical matcher, scanning pixel grids with no quantum
   bookkeeping at all.
 
-Two more check :mod:`qimatch.grover`: the full-vector amplification engine
-(:func:`run_grover` and its parts), O(rounds * 4**n), and
+Three more check :mod:`qimatch.grover`: the full-vector amplification engine
+(:func:`run_grover` and its parts), O(rounds * 4**n),
 :func:`closed_form_iterations`, the planning quartic's radical root in
-complex floats.  Tests compare them with the closed form and the exact plan.
+complex floats, and :func:`closed_form_pair`, the single-mark recurrence's
+values as Chebyshev polynomials.  Tests compare them with the closed form,
+the exact plan and :func:`qimatch.grover.recurrence_step`.
 
 Every route takes the two :class:`~qimatch.images.Image` objects.  The
 structured walk holds O(4**n + 4**m) numbers at any register width.  The dense
@@ -34,10 +36,12 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import grover
 from .images import Image, MatchDims, _frozen, validate_pair
 
 DEFAULT_QUBIT_CAP = 22
@@ -467,4 +471,36 @@ def closed_form_iterations(a: int) -> complex:
         -1.0
         + 0.5 * cmath.sqrt(4.0 - (2.0 / 3.0) * c + big_a + big_b)
         - 0.5 * cmath.sqrt(8.0 - (4.0 / 3.0) * c - big_a - big_b)
+    )
+
+
+def _chebyshev(x: grover.Amplitude, first: grover.Amplitude, k: int) -> grover.Amplitude:
+    """P_k(x) for k >= 1, with P_0 = 1, P_1 = ``first`` and P_j+1 = 2x*P_j - P_j-1.
+
+    ``first`` = x gives the Chebyshev polynomial T_k, ``first`` = 2x gives U_k.
+    """
+    prev, cur = 1, first
+    for _ in range(k - 1):
+        prev, cur = cur, 2 * x * cur - prev
+    return cur
+
+
+def closed_form_pair(i: int, side: int | Fraction) -> grover.AmplitudePair:
+    """The recurrence's values after round i >= 1, as polynomials in x = 1/side.
+
+    With sin(theta) = x, marked = sin((2i+1)*theta) = (-1)**i * T_2i+1(x) and
+    unmarked = cos((2i+1)*theta)/sqrt(side**2 - 1) = (-1)**i * x * U_2i(x),
+    for example 3x - 4x**3 and x - 4x**3 at i = 1.  ``side`` may be an int,
+    float, or Fraction; division follows the input type, so Fraction input
+    yields exact output for every i.
+    """
+    if i < 1:
+        raise ValueError(f"closed form needs round i >= 1, got {i}")
+    x = 1 / side
+    sign = -1 if i % 2 else 1
+    return grover.AmplitudePair(
+        unmarked=sign * x * _chebyshev(x, 2 * x, 2 * i),
+        marked=sign * _chebyshev(x, x, 2 * i + 1),
+        iteration=i,
+        side=int(side),
     )

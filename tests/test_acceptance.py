@@ -167,7 +167,7 @@ def test_criterion_05_closed_form_equivalence():
         pair = grover.initial_pair(side)
         for i in range(1, 5):
             pair = grover.recurrence_step(pair)
-            closed = grover.closed_form_pair(i, side)
+            closed = verify.closed_form_pair(i, side)
             assert abs(closed.marked - pair.marked) < 1e-12
             assert abs(closed.unmarked - pair.unmarked) < 1e-12
 

@@ -16,7 +16,6 @@ from qimatch.grover import (
     AmplitudePair,
     PlanMode,
     amplify,
-    closed_form_pair,
     initial_pair,
     plan_iterations,
     recurrence_step,
@@ -25,6 +24,7 @@ from qimatch.grover import (
 )
 from qimatch.verify import (
     SubspaceState,
+    closed_form_pair,
     diffuse,
     init_subspace,
     phase_flip,

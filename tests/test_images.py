@@ -16,7 +16,7 @@ from qimatch.images import (
     validate_pair,
     write_pgm,
 )
-from qimatch.sample import sample_pair
+from qimatch.sample import SAMPLE_BIG_PGM, sample_pair
 
 from conftest import random_image
 
@@ -39,12 +39,12 @@ class TestLoadPgm:
     def test_small_sample_values(self):
         img = load_pgm(b"P2\n2 2\n255\n160 164 164 165")
         assert (img.width, img.height, img.bit_depth) == (2, 2, 8)
-        assert img.pixels == (160, 164, 164, 165)
+        assert img.array.tolist() == [160, 164, 164, 165]
 
     def test_minimal_image(self):
         img = load_pgm(b"P2\n1 1\n1\n0")
         assert (img.width, img.height, img.bit_depth) == (1, 1, 1)
-        assert img.pixels == (0,)
+        assert img.array.tolist() == [0]
 
     def test_p5_equals_p2_hand_encoded(self):
         # same 2x2 payload, binary raster written out by hand
@@ -60,18 +60,18 @@ class TestLoadPgm:
             a = load_pgm(p2_bytes(w, h, maxval, values))
             b = load_pgm(p5_bytes(w, h, maxval, values))
             assert a == b
-            assert a.pixels == tuple(values)
+            assert a.array.tolist() == values
 
     def test_comments_and_flexible_whitespace(self):
         data = b"P2 # magic\n# a comment line\n 2\t2 # inline\n# another\n3\n0 1\n2 3\n"
         img = load_pgm(data)
-        assert img.pixels == (0, 1, 2, 3)
+        assert img.array.tolist() == [0, 1, 2, 3]
         assert img.bit_depth == 2
 
     def test_sixteen_bit_big_endian(self):
         raster = struct.pack(">HH", 0x0102, 0xFFFE)
         img = load_pgm(b"P5\n2 1\n65535\n" + raster)
-        assert img.pixels == (258, 65534)
+        assert img.array.tolist() == [258, 65534]
         assert img.bit_depth == 16
 
     @pytest.mark.parametrize(
@@ -181,17 +181,19 @@ class TestValidatePair:
 
 class TestEncode:
     def test_position_convention_row_major(self):
+        # row y, column x of the raster as written is position k = y * 4 + x
         big, _ = sample_pair()
+        rows = [line.split() for line in SAMPLE_BIG_PGM.decode().splitlines()[3:]]
         for y in range(4):
             for x in range(4):
-                assert big.array[y * 4 + x] == big.pixel(x, y)
+                assert big.array[y * 4 + x] == int(rows[y][x])
 
 
 def per_pixel_pgm(img, binary):
     """PGM bytes written one pixel at a time, as the serializer did over tuples."""
     maxval = (1 << img.bit_depth) - 1
     header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{maxval}\n".encode()
-    values = img.pixels
+    values = img.array.tolist()
     if not binary:
         rows = [" ".join(str(v) for v in values[y * img.width : (y + 1) * img.width])
                 for y in range(img.height)]
@@ -208,9 +210,9 @@ class TestPixelArray:
         img = Image(2, 2, bit_depth, (0, top, top // 2, 1))
         assert img.array.dtype == dtype and img.array.dtype.isnative
         assert not img.array.flags.writeable
-        assert img.pixels == (0, top, top // 2, 1)
-        assert all(type(v) is int for v in img.pixels)
-        assert img.pixel(1, 0) == top and type(img.pixel(1, 0)) is int
+        assert img.array.tolist() == [0, top, top // 2, 1]
+        assert all(type(v) is int for v in img.array.tolist())
+        assert img.array[0 * 2 + 1] == top  # (x=1, y=0)
         with pytest.raises(ValueError):
             img.array[0] = 1
 
@@ -255,7 +257,7 @@ class TestPixelArray:
         mine = np.array([5, 6, 7, 8], dtype=np.uint8)
         img = Image(2, 2, 8, mine)
         mine[0] = 0
-        assert img.pixels == (5, 6, 7, 8) and mine.flags.writeable
+        assert img.array.tolist() == [5, 6, 7, 8] and mine.flags.writeable
         mine.flags.writeable = False
         assert Image(2, 2, 8, mine).array is mine
 
@@ -266,7 +268,7 @@ class TestPixelArray:
         mutable = bytearray(data)
         img = load_pgm(mutable)
         mutable[-1] = 99
-        assert img.pixels == (1, 2, 3, 4)
+        assert img.array.tolist() == [1, 2, 3, 4]
 
     def test_sixteen_bit_p5_becomes_native(self):
         img = load_pgm(p5_bytes(2, 1, 65535, [0x0102, 0xFFFE]))

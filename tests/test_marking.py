@@ -210,7 +210,7 @@ class TestMarkedSet:
         rng = random.Random(2024)
         big, small = random_instance(rng, 3, 1, 3)
         state = apply_marking(apply_comparison(prepare_initial(big, small)))
-        expected = {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
+        expected = {k for k, v in enumerate(big.array.tolist()) if v == small.array[0]}
         assert marked_set(state) == expected
 
     def test_property_marked_equals_anchor_scan(self):
@@ -221,7 +221,7 @@ class TestMarkedSet:
             q = rng.randint(1, 4)
             big, small = random_instance(rng, n, m, q)
             state = apply_marking(apply_comparison(prepare_initial(big, small)))
-            expected = {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
+            expected = {k for k, v in enumerate(big.array.tolist()) if v == small.array[0]}
             assert marked_set(state) == expected
 
 
@@ -236,7 +236,7 @@ class TestMarkedIndices:
             got = anchors(big, small)
             assert got.dtype == np.int64 and not got.flags.writeable
             assert got.tolist() == sorted(marked_set(state))
-            assert got.tolist() == [k for k, v in enumerate(big.pixels) if v == small.pixels[0]]
+            assert got.tolist() == [k for k, v in enumerate(big.array.tolist()) if v == small.array[0]]
 
     def test_state_reads_the_image_arrays(self):
         big, small = sample_pair()
@@ -302,7 +302,7 @@ class TestFactoredState:
             n = rng.randint(1, 3)
             m = rng.randint(0, n - 1)
             big, small = random_instance(rng, n, m, rng.randint(1, 4))
-            big_px, small_px = big.pixels, small.pixels
+            big_px, small_px = big.array.tolist(), small.array.tolist()
             state = prepare_initial(big, small)
             for step in (apply_comparison, apply_marking, None):
                 for i in range(1 << (2 * n)):
@@ -330,7 +330,7 @@ class TestFactoredState:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert state.branch_count == 1 << 20
-        assert marks == {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
+        assert marks == {k for k, v in enumerate(big.array.tolist()) if v == small.array[0]}
 
 
 @st.composite

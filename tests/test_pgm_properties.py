@@ -45,7 +45,7 @@ def raster_bytes(img):
 def test_write_then_load_round_trips(img, binary):
     back = load_pgm(write_pgm(img, binary=binary))
     assert back == img
-    assert back.pixels == img.pixels
+    assert back.array.tolist() == img.array.tolist()
 
 
 @thorough
@@ -57,7 +57,7 @@ def test_comments_and_whitespace_in_the_header(img, gaps, binary):
     if binary:
         data = head + b"\n" + raster_bytes(img)
     else:
-        data = head + b"\n" + b" ".join(str(v).encode() for v in img.pixels) + b"\n"
+        data = head + b"\n" + b" ".join(str(v).encode() for v in img.array.tolist()) + b"\n"
     assert load_pgm(data) == img
 
 
@@ -87,7 +87,7 @@ def test_truncated_p2_raster_rejected(img, data):
     count = img.width * img.height
     keep = data.draw(st.integers(0, count - 1))
     maxval = (1 << img.bit_depth) - 1
-    body = " ".join(str(v) for v in img.pixels[:keep])
+    body = " ".join(str(v) for v in img.array[:keep].tolist())
     stream = f"P2\n{img.width} {img.height}\n{maxval}\n{body}\n".encode()
     with pytest.raises(PgmError) as err:
         load_pgm(stream)
@@ -177,7 +177,7 @@ def bad_token(maxval):
 @given(images(), st.data())
 def test_p2_raster_loads_like_a_reference_reader(img, data):
     maxval = (1 << img.bit_depth) - 1
-    tokens = [str(v).encode() for v in img.pixels]
+    tokens = [str(v).encode() for v in img.array.tolist()]
     # Mostly count-preserving replacements, so range and token errors show, not only counts.
     for _ in range(data.draw(st.integers(0, 4))):
         at = data.draw(st.integers(0, len(tokens)))

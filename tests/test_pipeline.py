@@ -131,11 +131,13 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
 
 
 @pytest.mark.parametrize("flags,message", [({"samples": 0}, None), ({"samples": 2**63}, None),
+                                           ({"samples": 2.5}, "samples .* got 2.5$"),
                                            ({"seed": -1}, "seed .* got -1$"),
                                            ({"seed": 1.5}, "seed .* got 1.5$"),
-                                           ({"iterations": -1}, None)],
-                         ids=["samples-0", "samples-2^63", "seed-negative", "seed-float",
-                              "iterations-negative"])
+                                           ({"iterations": -1}, None),
+                                           ({"iterations": 2.5}, "iterations .* got 2.5$")],
+                         ids=["samples-0", "samples-2^63", "samples-float", "seed-negative",
+                              "seed-float", "iterations-negative", "iterations-float"])
 def test_bad_run_flags_raise_validation_error(flags, message):
     big, small = sample_pair()
     with pytest.raises(ValidationError, match=message):
@@ -200,18 +202,10 @@ def test_vector_engine_stays_off_the_match_path(tmp_path, monkeypatch, capsys):
     assert math.isclose(outcome.final.probability, 0.9613189697265625)
 
 
-def test_match_never_builds_the_pixel_tuple(tmp_path, monkeypatch, capsys):
-    def refuse(self):
-        raise AssertionError("a match run must read Image.array, not Image.pixels")
-
-    big, small = planted_instance(random.Random(2), 3, 1, 3)[:2]
-    bp, sp = write_pair(tmp_path, big, small)
-    monkeypatch.setattr(Image, "pixels", property(refuse))
-    outcome = pipeline.match(big, small)
-    assert outcome.final.top_index() == 3 * 8 + 6
-    assert main(["match", "--big", bp, "--small", sp, "--verify"]) == 0
-    out = capsys.readouterr().out
-    assert "(x=6, y=3)" in out and "full-block matches: [[6, 3]]" in out
+def test_image_holds_no_pixel_tuple():
+    # an image's read-only array is its only copy of the pixels
+    big, _ = sample_pair()
+    assert not any(hasattr(obj, name) for obj in (Image, big) for name in ("pixels", "pixel"))
 
 
 def test_marks_are_held_once_as_a_sorted_array():
@@ -227,8 +221,8 @@ def test_each_name_has_one_home():
     assert sorted(qimatch.__all__) == sorted([*homes, "pipeline"])
     assert qimatch.pipeline is pipeline
     assert all(getattr(qimatch, name) is getattr(home, name) for name, home in homes.items())
-    oracles = ("RADICAL_IMAG_TOL", "SubspaceState", "closed_form_iterations", "diffuse",
-               "init_subspace", "phase_flip", "run_grover", "sample_measurement")
+    oracles = ("RADICAL_IMAG_TOL", "SubspaceState", "closed_form_iterations", "closed_form_pair",
+               "diffuse", "init_subspace", "phase_flip", "run_grover", "sample_measurement")
     assert all(hasattr(verify, name) and not hasattr(grover, name) for name in oracles)
     # images encodes nothing: an image's array is its encoding
     functions = {name for name, obj in vars(images).items()
@@ -279,3 +273,14 @@ def test_marking_holds_only_the_hot_path():
     walk = ("Stage", "StageError", "Branch", "JointState", "prepare_initial",
             "apply_comparison", "apply_marking", "marked_set", "dump_branches")
     assert all(hasattr(verify, name) and not hasattr(marking, name) for name in walk)
+
+
+def test_grover_holds_only_the_hot_path_and_planning():
+    public = {name for name, obj in vars(grover).items()
+              if callable(obj) and obj.__module__ == grover.__name__ and name[0] != "_"}
+    assert public == {"TwoValueState", "amplify", "sample_groups",
+                      "AmplitudePair", "initial_pair", "recurrence_step",
+                      "PlanMode", "IterationPlan", "plan_iterations", "probability_lower_bound",
+                      "success_probability"}
+    # the recurrence's Chebyshev closed form is an oracle, kept in verify alone
+    assert hasattr(verify, "closed_form_pair") and not hasattr(grover, "_chebyshev")

@@ -135,7 +135,7 @@ class TestDenseSimulation:
             big, small = random_instance(rng, n, m, q)
             dense = dense_marked_set(dense_simulate_marking(big, small))
             structured = structured_marked(big, small)
-            anchor = {k for k, v in enumerate(big.pixels) if v == small.pixels[0]}
+            anchor = {k for k, v in enumerate(big.array.tolist()) if v == small.array[0]}
             assert dense == structured == anchor
 
 
@@ -256,9 +256,9 @@ class TestClassicalMatch:
         for x0, y0 in ((side - b, 0), (0, side - b), (side - b, side - b)):
             for dy in range(b):
                 for dx in range(b):
-                    pixels[(y0 + dy) * side + x0 + dx] = small.pixel(dx, dy)
+                    pixels[(y0 + dy) * side + x0 + dx] = small.array[dy * b + dx]
         for x, y in ((side - 1, 5), (6, side - 1)):  # lone anchors, last column and row
-            pixels[y * side + x] = small.pixel(0, 0)
+            pixels[y * side + x] = small.array[0]
         big = make_image(pixels, side, 8)
 
         full = classical_match(big, small, MatchMode.FULL_BLOCK)
@@ -279,18 +279,19 @@ def test_full_block_equals_literal_nested_scan():
             for trial in range(6):
                 big, small = random_instance(rng, n, m, 1)
                 if trial % 2:  # plant the small image so larger blocks match too
-                    pixels = list(big.pixels)
+                    pixels = big.array.tolist()
                     x0, y0 = rng.randint(0, side - bside), rng.randint(0, side - bside)
                     for dy in range(bside):
                         for dx in range(bside):
-                            pixels[(y0 + dy) * side + x0 + dx] = small.pixels[dy * bside + dx]
+                            pixels[(y0 + dy) * side + x0 + dx] = small.array[dy * bside + dx]
                     big = make_image(pixels, side, 1)
+                big_px, small_px = big.array.tolist(), small.array.tolist()
                 expected = tuple(
                     (x, y)
                     for y in range(side - bside + 1)
                     for x in range(side - bside + 1)
                     if all(
-                        big.pixels[(y + dy) * side + x + dx] == small.pixels[dy * bside + dx]
+                        big_px[(y + dy) * side + x + dx] == small_px[dy * bside + dx]
                         for dy in range(bside)
                         for dx in range(bside)
                     )
