@@ -103,7 +103,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         small = load_pgm(fh.read())
     pipeline.lap(timings, "load", start)
 
-    outcome = pipeline.match(big, small, mode=grover.PlanMode(args.mode),
+    outcome = pipeline.match(big, small, mode=args.mode,
                              iterations=args.iterations, seed=args.seed, samples=args.samples)
     timings.update(outcome.timings_ms)
 

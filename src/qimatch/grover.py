@@ -44,10 +44,10 @@ rules for a single marked index:
   i**4 + 4i**3 + (2-3a**2)i**2 + (-1-6a**2)i + 1.5a**4 - 1.5a**2 < 0,
   located in exact integer arithmetic.  A seed from integer square roots,
   right at every power-of-two side up to 2**537, is confirmed by the signs
-  at i and i - 1; where it is not right, a doubling bracket and bisection
-  find the sign change.  The closed radical form of the same quartic's root,
-  :func:`qimatch.verify.closed_form_iterations`, is a float oracle that
-  tests compare against; planning never evaluates it.
+  at i and i - 1; a seed they refute raises ArithmeticError rather than
+  give an unconfirmed count.  The closed radical form of the same quartic's
+  root, :func:`qimatch.verify.closed_form_iterations`, is a float oracle
+  that tests compare against; planning never evaluates it.
 * ``FIT``: round(0.7962*a - 0.6057), a published linear fit of the exact
   mode.  It sits within +/-1 of the exact count up to side 32768 and 2 below
   it at 65536 (52179 vs 52181); it sits within +/-1 of the frozen reference
@@ -70,7 +70,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -154,40 +153,26 @@ class TwoValueState:
         return int(self.unmarked_index(np.zeros(1, dtype=np.int64))[0])
 
 
-def _distinct_sorted(marked: Iterable[int]) -> np.ndarray:
-    """The distinct values of ``marked`` in increasing order, as a read-only int64 array.
-
-    Sort, then keep each value that differs from its left neighbour: O(M log M)
-    and far cheaper than ``np.unique``, which may hash instead.
-    """
-    if isinstance(marked, np.ndarray):
-        shareable = marked.dtype == np.int64 and marked.ndim == 1 and not marked.flags.writeable
-        if shareable and np.all(marked[1:] > marked[:-1]):
-            return marked
-        ms = marked.astype(np.int64).ravel()
-    else:
-        ms = np.fromiter(marked, dtype=np.int64)
-    ms.sort()
-    if len(ms) > 1:
-        ms = ms[np.concatenate(([True], ms[1:] != ms[:-1]))]
-    ms.flags.writeable = False
-    return ms
-
-
-def amplify(n: int, marked: Iterable[int], rounds: int) -> TwoValueState:
+def amplify(n: int, marked: np.ndarray, rounds: int) -> TwoValueState:
     """The state after ``rounds`` of (phase flip, diffuse) from uniform over 4**n.
 
-    O(1) in ``rounds`` and 4**n.  The marked indices are checked once, and
-    sorted and deduplicated unless they already come as a strictly increasing
-    read-only int64 array (as :func:`qimatch.marking.anchors` gives),
-    which is then shared.  Zero rounds return the uniform state exactly.
+    O(1) in ``rounds`` and 4**n.  ``marked`` must be a strictly increasing
+    1-D int64 array, the form :func:`qimatch.marking.anchors` gives; anything
+    else raises ValueError.  The order is checked once, in O(M).  A read-only
+    array is shared, and a writable one is copied read-only.  Zero rounds
+    return the uniform state exactly.
     """
     size = 1 << (2 * n)
-    ms = _distinct_sorted(marked)
-    if len(ms) and not (0 <= ms[0] and ms[-1] < size):
-        bad = ms[0] if ms[0] < 0 else ms[-1]
+    if not (isinstance(marked, np.ndarray) and marked.dtype == np.int64 and marked.ndim == 1
+            and np.all(marked[1:] > marked[:-1])):
+        raise ValueError("marked indices must be a strictly increasing 1-D int64 array")
+    if marked.flags.writeable:
+        marked = marked.copy()
+        marked.flags.writeable = False
+    if len(marked) and not (0 <= marked[0] and marked[-1] < size):
+        bad = marked[0] if marked[0] < 0 else marked[-1]
         raise ValueError(f"marked index {bad} out of range [0, {size})")
-    count = len(ms)
+    count = len(marked)
     probability = success_probability(1 << n, rounds, count)
     uniform = 1.0 / (1 << n)
     if rounds == 0 or count == 0:
@@ -199,7 +184,7 @@ def amplify(n: int, marked: Iterable[int], rounds: int) -> TwoValueState:
         turn = _phase(count, size, rounds)
         marked_amp = math.sin(turn) / math.sqrt(count)
         unmarked_amp = math.cos(turn) / math.sqrt(size - count)
-    return TwoValueState(n, ms, rounds, marked_amp, unmarked_amp, probability)
+    return TwoValueState(n, marked, rounds, marked_amp, unmarked_amp, probability)
 
 
 def _spread(rng: np.random.Generator, draws: int, members: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,12 +304,14 @@ def _quartic_doubled(i: int, a: int) -> int:
 
 
 def _root_seed(a: int) -> int:
-    """Where the planning quartic changes sign: floor(x*a) or one more, x = sqrt((3 - sqrt(3))/2).
+    """The planning quartic's first negative integer, from integer square roots: about floor(x*a).
 
-    x*a is the root to leading order (x**4 - 3x**2 + 3/2 = 0), and the next
-    order moves it to x*a - 1 + O(1/a), so the first integer past it is
-    usually ceil(x*a) - 1 = floor(x*a).  In integer square roots the seed is
-    floor(x*a) or one more at every side; a float x*a drifts by a * 2**-53.
+    x = sqrt((3 - sqrt(3))/2) makes x*a the root to leading order
+    (x**4 - 3x**2 + 3/2 = 0), and the next order moves it to x*a - 1 + O(1/a),
+    so the first integer past it is usually ceil(x*a) - 1 = floor(x*a).  In
+    integer square roots the seed is that count at every power-of-two side
+    from 2 to 2**537, and among widths 2..2048 it is one too high at 5, 54
+    and 265 only; a float x*a drifts by a * 2**-53.
     """
     a2 = a * a
     return math.isqrt((3 * a2 - math.isqrt(3 * a2 * a2)) // 2)
@@ -335,25 +322,15 @@ def _scan_exact(a: int) -> int:
 
     The quartic is positive at 0 (3a**4 - 3a**2), negative at a
     (-a**4 - 4a**3 + a**2 - 2a) and decreasing in between, so it changes sign
-    once on [0, a].  The search starts at i = :func:`_root_seed` and confirms
-    it by the exact integer signs at i and i - 1: two evaluations wherever
-    the seed is right.  Where it is not, the bracket widens by doubling steps,
-    held inside [0, a], until the signs hold, and integer bisection closes it.
-    So the count is exact from any seed in [1, a]; the seed only sets the cost.
+    once on [0, a].  The count is i = max(1, :func:`_root_seed`), confirmed by
+    the exact integer signs at i and i - 1: at most two evaluations.  Where
+    the signs refute the seed, ArithmeticError; that happens at no side
+    :func:`plan_iterations` accepts, and no count is returned unconfirmed.
     """
-    lo = max(1, _root_seed(a)) - 1
-    hi, step = lo + 1, 1
-    while _quartic_doubled(hi, a) >= 0:
-        lo, hi, step = hi, min(a, hi + step), 2 * step
-    while _quartic_doubled(lo, a) < 0:
-        lo, hi, step = max(0, lo - step), lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _quartic_doubled(mid, a) < 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    i = max(1, _root_seed(a))
+    if _quartic_doubled(i, a) < 0 and (i == 1 or _quartic_doubled(i - 1, a) >= 0):
+        return i
+    raise ArithmeticError(f"seed {i} is not the planning quartic's first negative integer at side {a}")
 
 
 def _peak_rounds(marked: int, positions: int) -> int:
@@ -395,15 +372,17 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
     return math.sin(_phase(marked, positions, rounds)) ** 2
 
 
-def plan_iterations(side: int, mode: PlanMode = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
+def plan_iterations(side: int, mode: PlanMode | str = PlanMode.EXACT, marked: int = 1) -> IterationPlan:
     """The rule, rounds and bound for ``marked`` positions at width ``side`` <= MAX_PLAN_SIDE.
 
-    ``mode`` picks the rule for one marked position.  Any other count runs the
+    ``mode`` picks the rule for one marked position, given as a PlanMode or
+    its value (ValueError for anything else).  Any other count runs the
     OPTIMAL rule, the peak of sin**2((2r+1)*theta) (0 rounds with none), and
     the returned mode names it.  The lower bound is the closed-form guarantee
     of the paper for one mark, cos**2(theta) = 1 - M/N (which the peak count
     always reaches) for more, and 0 for none.
     """
+    mode = PlanMode(mode)
     if side < 2 or side & (side - 1):
         raise ValueError(f"side must be a power of two >= 2, got {side}")
     if side > MAX_PLAN_SIDE:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,9 +93,6 @@ class Image:
         return ((self.width, self.height, self.bit_depth) == (other.width, other.height, other.bit_depth)
                 and np.array_equal(self.array, other.array))
 
-    def __hash__(self) -> int:
-        return hash((self.width, self.height, self.bit_depth, self.array.tobytes()))
-
 
 @dataclass(frozen=True)
 class MatchDims:
@@ -113,24 +110,8 @@ class MatchDims:
 
 # A PGM number is optionally signed decimal digits; int() alone would also take "1_0".
 _NUMBER = re.compile(rb"[+-]?[0-9]+")
-
-
-def _header_tokens(data: bytes) -> Iterator[tuple[bytes, int]]:
-    """Yield (token, end_offset) pairs, skipping whitespace and '#' comments."""
-    i, size = 0, len(data)
-    while i < size:
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            nl = data.find(b"\n", i)
-            i = size if nl < 0 else nl + 1
-        else:
-            j = i
-            while j < size and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            yield data[i:j], j
-            i = j
+# The next header token past any whitespace and '#' comments; empty at the end.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
 
 
 # Pixels per step of the 16-bit decode, so its aligned staging buffer is 32 KiB.
@@ -169,26 +150,23 @@ def load_pgm(data: bytes) -> Image:
     Raises :class:`PgmError` for malformed input.  Geometry (squareness,
     power-of-two sides) is deliberately not checked here.
     """
-    tokens = _header_tokens(data)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise PgmError("empty stream") from None
+    found = _HEADER_TOKEN.match(data)
+    magic = found[1]
+    if not magic:
+        raise PgmError("empty stream")
     if magic not in (b"P2", b"P5"):
         raise PgmError(f"unsupported magic {magic!r}, expected P2 or P5")
 
     header: list[int] = []
-    raster_start = 0
-    for token, end in tokens:
-        if not _NUMBER.fullmatch(token):
-            raise PgmError(f"non-numeric header token {token!r}")
-        header.append(int(token))
-        if len(header) == 3:
-            raster_start = end
-            break
-    if len(header) < 3:
-        raise PgmError("truncated header")
+    for _ in range(3):
+        found = _HEADER_TOKEN.match(data, found.end())
+        if not found[1]:
+            raise PgmError("truncated header")
+        if not _NUMBER.fullmatch(found[1]):
+            raise PgmError(f"non-numeric header token {found[1]!r}")
+        header.append(int(found[1]))
     width, height, maxval = header
+    raster_start = found.end()
     if width <= 0 or height <= 0:
         raise PgmError(f"bad dimensions {width}x{height}")
     if not 1 <= maxval <= 65535:
@@ -197,7 +175,7 @@ def load_pgm(data: bytes) -> Image:
 
     if magic == b"P2":
         # A comment runs from '#' to the end of its line, so cutting each line
-        # at its first '#' and splitting the rest gives the tokenizer's tokens.
+        # at its first '#' and splitting the rest gives _HEADER_TOKEN's tokens.
         # Line by line, only one line's tokens are held at a time.  Past the
         # whitespace that split() removes, int() differs from _NUMBER only on '_'.
         values: list[int] = []

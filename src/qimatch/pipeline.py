@@ -37,18 +37,23 @@ def lap(timings_ms: dict[str, float], stage: str, start: float) -> float:
     return now
 
 
-def match(big: Image, small: Image, *, mode: grover.PlanMode = grover.PlanMode.EXACT,
+def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.PlanMode.EXACT,
           iterations: int | None = None, seed: int = 0, samples: int = 1) -> Outcome:
     """Locate ``small`` inside ``big``; the ``encode`` lap validates the pair.
 
     The plan is made for the marked count, and ``iterations`` overrides its
     rounds.  The predicted success is the final state's marked probability,
-    the one the samples are drawn with.  Raises ValidationError for a bad pair,
-    for an ``iterations`` outside [0, MAX_ROUNDS] or past the float64 precision
-    of its phase, for a ``samples`` outside [1, MAX_SAMPLES] and for a ``seed``
-    that is not a non-negative integer.  A non-integer ``iterations`` or
-    ``samples`` is rejected before the pair is read.
+    the one the samples are drawn with.  ``mode`` is a PlanMode or its value.
+    Raises ValidationError for a bad pair, for an ``iterations`` outside
+    [0, MAX_ROUNDS] or past the float64 precision of its phase, for a
+    ``samples`` outside [1, MAX_SAMPLES], for a ``seed`` that is not a
+    non-negative integer and for an unknown ``mode``.  A bad ``mode`` or a
+    non-integer ``iterations`` or ``samples`` is rejected before the pair is read.
     """
+    try:
+        mode = grover.PlanMode(mode)
+    except ValueError:
+        raise ValidationError(f"mode must be a PlanMode or one of its values, got {mode!r}") from None
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if not isinstance(samples, numbers.Integral):

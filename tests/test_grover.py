@@ -325,6 +325,14 @@ def vector_probability(state, marks):
     return float(np.sum(state.probabilities()[sorted(marks)]))
 
 
+def as_marks(values):
+    """Distinct indices in the form amplify takes, as marking.anchors gives it:
+    a strictly increasing read-only int64 array."""
+    marks = np.array(sorted(values), dtype=np.int64)
+    marks.flags.writeable = False
+    return marks
+
+
 class TestTwoValueAgainstVector:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_values_match_vector_engine(self, n):
@@ -336,7 +344,7 @@ class TestTwoValueAgainstVector:
             plan = plan_iterations(side, PlanMode.OPTIMAL, marked=count).iterations
             state = init_subspace(n, marks)
             for rounds in range(3 * max(plan, 1) + 1):
-                two = amplify(n, marks, rounds)
+                two = amplify(n, as_marks(marks), rounds)
                 if count:
                     got = state.amplitudes[is_marked] - two.marked_amplitude
                     assert np.max(np.abs(got)) < 1e-12, (n, count, rounds)
@@ -349,59 +357,62 @@ class TestTwoValueAgainstVector:
     def test_zero_rounds_is_exactly_uniform(self):
         for n in (2, 3, 10):
             for marks in (set(), {0}, {1, 5, 7}):
-                state = amplify(n, marks, 0)
+                state = amplify(n, as_marks(marks), 0)
                 assert state.marked_amplitude == state.unmarked_amplitude == 1.0 / (1 << n)
 
     def test_no_marks_stay_uniform(self):
         for rounds in (0, 1, 7, 10**9):
-            state = amplify(3, set(), rounds)
+            state = amplify(3, as_marks(set()), rounds)
             assert state.unmarked_amplitude == 1.0 / 8
             assert state.probability == 0.0
             assert state.top_index() is None
 
     def test_all_marked_only_flips_sign(self):
         for rounds in range(6):
-            state = amplify(2, range(16), rounds)
+            state = amplify(2, as_marks(range(16)), rounds)
             assert state.marked_amplitude == (-1) ** rounds / 4
             assert state.probability == 1.0
             assert state.top_index() == 0
 
     def test_worked_example_golden_value(self):
-        state = amplify(2, {5}, 3)
+        state = amplify(2, as_marks({5}), 3)
         assert abs(state.marked_amplitude - 251 / 256) < 1e-15
         assert abs(state.unmarked_amplitude - (-13 / 256)) < 1e-15
 
     def test_input_checks(self):
+        with pytest.raises(ValueError, match=r"^marked index 4 out of range \[0, 4\)$"):
+            amplify(1, as_marks({4}), 1)
+        with pytest.raises(ValueError, match=r"^marked index -1 out of range \[0, 4\)$"):
+            amplify(1, as_marks({-1}), 1)
         with pytest.raises(ValueError):
-            amplify(1, {4}, 1)
-        with pytest.raises(ValueError):
-            amplify(1, {-1}, 1)
-        with pytest.raises(ValueError):
-            amplify(1, {0}, -1)
-        state = amplify(2, [9, 3, 9, 3], 1)
-        assert state.marked.tolist() == [3, 9]
-        assert not state.marked.flags.writeable
+            amplify(1, as_marks({0}), -1)
+        with pytest.raises(ValueError, match="strictly increasing 1-D int64 array"):
+            amplify(2, np.array([9, 3, 9, 3], dtype=np.int64), 1)
 
-    def test_unsorted_duplicates_give_the_unique_values(self):
+    def test_marks_in_any_other_form_are_refused(self):
         rng = np.random.default_rng(11)
         for size, draws in [(1, 5), (16, 40), (4096, 3000), (1 << 20, 10**5)]:
             n = (size.bit_length() - 1) // 2
             raw = rng.integers(0, size, size=draws)
             want = np.unique(raw)
-            for marks in (raw.tolist(), raw, set(raw.tolist())):
-                state = amplify(n, marks, 1)
-                assert np.array_equal(state.marked, want)
-                assert state.marked.dtype == np.int64 and not state.marked.flags.writeable
+            for marks in (raw, raw.tolist(), want.tolist(), set(want.tolist()), range(len(want)),
+                          want.astype(np.int32), want.astype(">i8"), want[None, :]):
+                with pytest.raises(ValueError, match="strictly increasing 1-D int64 array"):
+                    amplify(n, marks, 1)
             assert raw.flags.writeable  # the caller's array is neither frozen...
         assert not np.all(raw[1:] >= raw[:-1])  # ...nor sorted in place
 
     def test_sorted_read_only_marks_are_shared(self):
         marks = np.array([2, 5, 11], dtype=np.int64)
+        copied = amplify(2, marks, 1).marked
+        assert copied is not marks and copied.tolist() == [2, 5, 11]
+        assert not copied.flags.writeable and marks.flags.writeable
         marks.flags.writeable = False
         assert amplify(2, marks, 1).marked is marks
         repeated = np.array([2, 5, 5, 11], dtype=np.int64)
         repeated.flags.writeable = False
-        assert amplify(2, repeated, 1).marked.tolist() == [2, 5, 11]
+        with pytest.raises(ValueError, match="strictly increasing 1-D int64 array"):
+            amplify(2, repeated, 1)
 
 
 class TestTopIndex:
@@ -410,7 +421,7 @@ class TestTopIndex:
             marks = marks_for(2, count)
             state = init_subspace(2, marks)
             for rounds in range(12):
-                two = amplify(2, marks, rounds)
+                two = amplify(2, as_marks(marks), rounds)
                 probs = state.probabilities()
                 p_marked = probs[min(marks)]
                 p_other = np.delete(probs, sorted(marks)).max()
@@ -424,7 +435,7 @@ class TestTopIndex:
         # two marks on 16 positions: after 4 rounds (2r+1)*theta = 3.25 rad is
         # past pi, so each mark holds 0.006 of the probability against 0.071 for
         # every other index, and the smallest unmarked index wins
-        state = amplify(2, {0, 1}, 4)
+        state = amplify(2, as_marks({0, 1}), 4)
         assert state.marked_amplitude**2 < state.unmarked_amplitude**2
         assert state.top_index() == 2
 
@@ -436,11 +447,11 @@ class TestGroupSampling:
             {j, k} for j in range(16) for k in range(j + 1, 16)
         ]
         for marks in sets:
-            state = amplify(2, marks, 1)
+            state = amplify(2, as_marks(marks), 1)
             ranks = np.arange(16 - len(marks), dtype=np.int64)
             assert state.unmarked_index(ranks).tolist() == sorted(everything - marks)
             # the uniform state with enough draws reaches every index
-            counts = sample_groups(amplify(2, marks, 0), seed=len(marks), samples=3200)
+            counts = sample_groups(amplify(2, as_marks(marks), 0), seed=len(marks), samples=3200)
             assert set(counts) == everything, sorted(marks)
             assert sum(counts.values()) == 3200
 
@@ -448,7 +459,7 @@ class TestGroupSampling:
         samples = 10000
         for n, count, rounds in ((2, 1, 3), (3, 3, 2), (3, 16, 1), (4, 2, 5), (5, 1, 7)):
             marks = marks_for(n, count)
-            state = amplify(n, marks, rounds)
+            state = amplify(n, as_marks(marks), rounds)
             p = state.probability
             counts = sample_groups(state, seed=101 + n, samples=samples)
             hits = sum(counts.get(k, 0) for k in marks)
@@ -457,31 +468,31 @@ class TestGroupSampling:
             assert sum(counts.values()) == samples
 
     def test_uniform_within_three_sigma(self):
-        counts = sample_groups(amplify(1, {2}, 0), seed=99, samples=40000)
+        counts = sample_groups(amplify(1, as_marks({2}), 0), seed=99, samples=40000)
         sigma = (40000 * 0.25 * 0.75) ** 0.5
         for idx in range(4):
             assert abs(counts[idx] - 10000) <= 3 * sigma
 
     def test_fixed_seed_gives_same_histogram(self):
         for samples in (1, 50, 100000):
-            state = amplify(4, {3, 77, 200}, 4)
+            state = amplify(4, as_marks({3, 77, 200}), 4)
             a = sample_groups(state, seed=4, samples=samples)
             b = sample_groups(state, seed=4, samples=samples)
             assert a == b
             assert list(a) == sorted(a)
 
     def test_worked_example_concentrates_on_target(self):
-        counts = sample_groups(amplify(2, {5}, 3), seed=7, samples=10000)
+        counts = sample_groups(amplify(2, as_marks({5}), 3), seed=7, samples=10000)
         p = (251 / 256) ** 2
         sigma = (10000 * p * (1 - p)) ** 0.5
         assert abs(counts[5] - 10000 * p) <= 3 * sigma
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
-            sample_groups(amplify(1, set(), 0), seed=0, samples=0)
+            sample_groups(amplify(1, as_marks(set()), 0), seed=0, samples=0)
 
     def test_sample_limit(self):
-        state = amplify(2, {5}, 3)
+        state = amplify(2, as_marks({5}), 3)
         assert sum(sample_groups(state, seed=0, samples=MAX_SAMPLES).values()) == MAX_SAMPLES
         with pytest.raises(ValueError):
             sample_groups(state, seed=0, samples=MAX_SAMPLES + 1)
@@ -489,11 +500,11 @@ class TestGroupSampling:
     def test_round_limit(self):
         # one mark in 16: at MAX_ROUNDS the phase is far past its float64 precision
         with pytest.raises(ValueError, match="lost its precision"):
-            amplify(2, {5}, MAX_ROUNDS)
+            amplify(2, as_marks({5}), MAX_ROUNDS)
         with pytest.raises(ValueError, match="lost its precision"):
             success_probability(4, MAX_ROUNDS)
         with pytest.raises(ValueError):
-            amplify(2, {5}, MAX_ROUNDS + 1)
+            amplify(2, as_marks({5}), MAX_ROUNDS + 1)
         with pytest.raises(ValueError):
             success_probability(4, MAX_ROUNDS + 1)
 
@@ -508,18 +519,18 @@ class TestGroupSampling:
         edge = math.floor((top / theta - 1) / 2)
         while math.ulp((2 * edge + 1) * theta) > PHASE_ULP_TOL:
             edge -= 1
-        state = amplify(n, range(count), edge)
+        state = amplify(n, as_marks(range(count)), edge)
         assert state.rounds == edge
         assert state.probability == success_probability(1 << n, edge, count)
         assert state.probability == math.sin((2 * edge + 1) * theta) ** 2
         with pytest.raises(ValueError, match="lost its precision"):
-            amplify(n, range(count), edge + 1)
+            amplify(n, as_marks(range(count)), edge + 1)
         with pytest.raises(ValueError, match="lost its precision"):
             success_probability(1 << n, edge + 1, count)
 
     def test_uniform_and_all_marked_never_reach_the_phase(self):
         for marks in ((), range(16)):
-            state = amplify(2, marks, MAX_ROUNDS)
+            state = amplify(2, as_marks(marks), MAX_ROUNDS)
             assert state.rounds == MAX_ROUNDS
             assert state.probability == len(marks) / 16
 
@@ -527,14 +538,14 @@ class TestGroupSampling:
         # 13 of 16 marked: theta = asin(sqrt(13/16)) > 1, so at MAX_ROUNDS the
         # phase (2r+1)*theta overflows float64 while 2r+1 itself does not.
         with pytest.raises(ValueError, match=r"phase \(2r\+1\)\*theta overflows float64"):
-            amplify(2, range(13), MAX_ROUNDS)
+            amplify(2, as_marks(range(13)), MAX_ROUNDS)
         with pytest.raises(ValueError, match=r"phase \(2r\+1\)\*theta overflows float64"):
             success_probability(4, MAX_ROUNDS, 13)
-        state = amplify(2, range(16), MAX_ROUNDS)
+        state = amplify(2, as_marks(range(16)), MAX_ROUNDS)
         assert state.probability == success_probability(4, MAX_ROUNDS, 16) == 1.0
 
     def test_memory_bounded_by_positions_not_samples(self):
-        state = amplify(6, {5, 77}, 0)
+        state = amplify(6, as_marks({5, 77}), 0)
         tracemalloc.start()
         try:
             counts = sample_groups(state, seed=3, samples=10**7)
@@ -615,4 +626,4 @@ class TestMultiMarkPlanning:
         for count, rounds in ((1, 3), (2, 4), (5, 0), (5, 9)):
             marks = marks_for(3, count)
             got = success_probability(8, rounds, count)
-            assert abs(got - amplify(3, marks, rounds).probability) < 1e-12
+            assert abs(got - amplify(3, as_marks(marks), rounds).probability) < 1e-12

@@ -216,10 +216,11 @@ class TestPixelArray:
         with pytest.raises(ValueError):
             img.array[0] = 1
 
-    def test_equality_and_hash_follow_the_values(self):
+    def test_equality_follows_the_values(self):
         a = Image(2, 2, 4, (1, 2, 3, 4))
         assert a == Image(2, 2, 4, [1, 2, 3, 4]) == Image(2, 2, 4, np.array([1, 2, 3, 4]))
-        assert hash(a) == hash(Image(2, 2, 4, (1, 2, 3, 4)))
+        with pytest.raises(TypeError):
+            hash(a)  # nothing hashes an image, and a hash would copy every pixel
         assert a != Image(2, 2, 4, (1, 2, 3, 5))
         assert a != Image(2, 2, 5, (1, 2, 3, 4))
         assert a != Image(4, 1, 4, (1, 2, 3, 4))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qimatch.images import Image, PgmError, _header_tokens, load_pgm, write_pgm
+from qimatch.images import _HEADER_TOKEN, Image, PgmError, load_pgm, write_pgm
 
 # Tracing memory makes single examples slow; no example has a deadline.
 thorough = settings(max_examples=150, deadline=None)
@@ -218,5 +218,9 @@ def test_p2_raster_loads_like_a_reference_reader(img, data):
 def test_p2_raster_reads_the_header_tokenizers_tokens(width, height, maxval, raster):
     stream = f"P2\n{width} {height}\n{maxval}".encode() + b" " + raster
     img = Image(width, height, maxval.bit_length(), [0] * (width * height))
-    want = expected_p2(img, [t for t, _ in _header_tokens(b" " + raster)])
+    tokens, found = [], _HEADER_TOKEN.match(raster)
+    while found[1]:
+        tokens.append(found[1])
+        found = _HEADER_TOKEN.match(raster, found.end())
+    want = expected_p2(img, tokens)
     assert outcome(stream) == want

@@ -135,13 +135,42 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
                                            ({"seed": -1}, "seed .* got -1$"),
                                            ({"seed": 1.5}, "seed .* got 1.5$"),
                                            ({"iterations": -1}, None),
-                                           ({"iterations": 2.5}, "iterations .* got 2.5$")],
+                                           ({"iterations": 2.5}, "iterations .* got 2.5$"),
+                                           ({"mode": "bogus"}, "mode .* got 'bogus'$")],
                          ids=["samples-0", "samples-2^63", "samples-float", "seed-negative",
-                              "seed-float", "iterations-negative", "iterations-float"])
+                              "seed-float", "iterations-negative", "iterations-float", "mode-bogus"])
 def test_bad_run_flags_raise_validation_error(flags, message):
     big, small = sample_pair()
     with pytest.raises(ValidationError, match=message):
         pipeline.match(big, small, **flags)
+
+
+def test_a_mode_value_plans_like_its_member(monkeypatch):
+    big, small = sample_pair()
+    for mode in PlanMode:
+        assert grover.plan_iterations(1024, mode.value) == grover.plan_iterations(1024, mode)
+        assert pipeline.match(big, small, mode=mode.value).plan == pipeline.match(big, small, mode=mode).plan
+    assert grover.plan_iterations(1024, "exact").iterations == 815
+    with pytest.raises(ValueError):
+        grover.plan_iterations(1024, "bogus")
+
+    def refuse(*args):
+        raise AssertionError("a bad mode must be refused before the anchor scan")
+
+    monkeypatch.setattr(marking, "anchors", refuse)
+    with pytest.raises(ValidationError, match="mode"):
+        pipeline.match(big, small, mode="bogus")
+
+
+@pytest.mark.parametrize("name,count", [("sample", 1), ("multi-mark", 4)])
+def test_amplify_gets_the_anchor_array_itself(name, count, monkeypatch):
+    # no copy and no re-sort between the anchor scan and the amplified state
+    returned = []
+    real = marking.anchors
+    monkeypatch.setattr(marking, "anchors", lambda big, small: returned.append(real(big, small)) or returned[-1])
+    outcome = pipeline.match(*PAIRS[name]())
+    assert len(returned) == 1 and len(returned[0]) == count
+    assert outcome.final.marked is returned[0]
 
 
 def test_counts_are_a_seeded_draw_from_the_final_state():

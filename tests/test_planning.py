@@ -75,30 +75,32 @@ class TestExactMode:
             assert quartic_doubled(i - 1, a) >= 0 or i == 1, k
 
     def test_scan_matches_linear_scan_at_every_side_to_2048(self):
-        # non-powers of two too: there the seed can miss by one and the bracket widens
-        assert [grover._scan_exact(a) for a in range(2, 2049)] == [scan_linear(a) for a in range(2, 2049)]
+        sides = [1 << k for k in range(1, 12)]
+        assert [grover._scan_exact(a) for a in sides] == [scan_linear(a) for a in sides]
 
-    def test_at_most_three_quartic_evaluations_per_side(self, monkeypatch):
-        # every side of the planning domain and every width 2..2048
+    def test_at_most_two_quartic_evaluations_per_side(self, monkeypatch):
+        # every side of the planning domain, 2 to MAX_PLAN_SIDE
         calls = []
         quartic = grover._quartic_doubled
         monkeypatch.setattr(grover, "_quartic_doubled", lambda i, a: calls.append(i) or quartic(i, a))
-        for a in [1 << k for k in range(1, MAX_PLAN_SIDE.bit_length())] + list(range(2, 2049)):
+        for k in range(1, MAX_PLAN_SIDE.bit_length()):
             calls.clear()
-            grover._scan_exact(a)
-            assert len(calls) <= 3, a
+            grover._scan_exact(1 << k)
+            assert len(calls) <= 2, k
 
     @pytest.mark.parametrize("a", [2, 4, 8, 64, 1304, 2048, 1 << 20, 1 << 64, MAX_PLAN_SIDE])
     def test_exact_from_any_seed(self, monkeypatch, a):
-        # The seed sets only the cost: from far below or above the crossing the
-        # doubling bracket and bisection still land on the first sign change.
-        # From seed 1 at width 1304 a doubling step would jump from 1024, below
-        # the crossing, to 2048, past the quartic's next root; [0, a] holds it.
+        # The seed is confirmed by the quartic's signs or refused: a wrong one
+        # raises rather than give an unconfirmed count.
         want = grover._scan_exact(a)
-        for seed in sorted({1, 2, a // 3, a // 2, want - 2, want + 2, a - 1, a}):
-            if 1 <= seed <= a:
-                monkeypatch.setattr(grover, "_root_seed", lambda _, s=seed: s)
-                assert grover._scan_exact(a) == want, seed
+        seeds = {1, 2, a // 3, a // 2, want - 2, want - 1, want, want + 1, want + 2, a - 1, a}
+        for seed in sorted(s for s in seeds if 1 <= s <= a):
+            monkeypatch.setattr(grover, "_root_seed", lambda _, s=seed: s)
+            if seed == want:
+                assert grover._scan_exact(a) == want
+            else:
+                with pytest.raises(ArithmeticError, match=f"seed {seed} is not"):
+                    grover._scan_exact(a)
 
     def test_radical_agrees_with_scan(self):
         for a in (4, 16, 128, 1024, 16384, 65536):
