@@ -23,8 +23,9 @@ big, small = sample_pair()
 dims = validate_pair(big, small)
 
 state = prepare_initial(big, small)
+norm = sum(b.amplitude ** 2 for b in state.branches())
 print(f"prepared state: {state.branch_count} branches, amplitude "
-      f"{state.branch(0, 0).amplitude} each, squared norm {state.norm_squared():.12f}")
+      f"{state.branch(0, 0).amplitude} each, squared norm {norm:.12f}")
 
 state = apply_comparison(state)
 print("\nafter comparison, the big-intensity register holds XOR differences:")

@@ -349,7 +349,8 @@ def probability_lower_bound(a: int) -> float:
     """Closed-form floor under the success probability at the exact-mode count.
 
     Only a true bound from side 4 upward (at side 2 the expression exceeds 1
-    while the actual success probability is exactly 1 after one round).
+    while the actual success probability is exactly 1 after one round), so
+    :func:`plan_iterations` bounds side 2 by 1 - M/N instead.
     """
     if a < 2:
         raise ValueError("side must be at least 2")
@@ -379,8 +380,8 @@ def plan_iterations(side: int, mode: PlanMode | str = PlanMode.EXACT, marked: in
     its value (ValueError for anything else).  Any other count runs the
     OPTIMAL rule, the peak of sin**2((2r+1)*theta) (0 rounds with none), and
     the returned mode names it.  The lower bound is the closed-form guarantee
-    of the paper for one mark, cos**2(theta) = 1 - M/N (which the peak count
-    always reaches) for more, and 0 for none.
+    of the paper for one mark from side 4 on, cos**2(theta) = 1 - M/N (which
+    the peak count always reaches) for more marks or side 2, and 0 for none.
     """
     mode = PlanMode(mode)
     if side < 2 or side & (side - 1):
@@ -390,7 +391,7 @@ def plan_iterations(side: int, mode: PlanMode | str = PlanMode.EXACT, marked: in
     positions = side * side
     if not 0 <= marked <= positions:
         raise ValueError(f"marked count must be in [0, {positions}], got {marked}")
-    if marked == 1:
+    if marked == 1 and side >= 4:
         bound = probability_lower_bound(side)
     else:
         bound = 1.0 - marked / positions if marked else 0.0

@@ -53,8 +53,9 @@ class Image:
     those checks so that a parseable but unusable file is reported as a
     validation error, not a parse error.
 
-    ``pixels`` may be any int sequence.  A read-only array of the storage
-    dtype is shared rather than copied.
+    ``pixels`` is a sequence or array of integers or bools; any other numpy
+    dtype (floats, strings, ints past 64 bits) raises ValueError.  A
+    read-only array of the storage dtype is shared rather than copied.
     """
 
     width: int
@@ -68,7 +69,9 @@ class Image:
             raise ValueError(f"bit depth {bit_depth} outside [1, 16]")
         dtype = np.dtype(np.uint8 if bit_depth <= 8 else np.uint16)
         shared = isinstance(pixels, np.ndarray) and pixels.dtype == dtype and not pixels.flags.writeable
-        arr = pixels if shared else np.array(pixels, dtype=np.int64)
+        arr = pixels if shared else np.asarray(pixels)
+        if arr.size and arr.dtype.kind not in "biu":
+            raise ValueError(f"pixels must be integers, got dtype {arr.dtype}")
         if arr.shape != (width * height,):
             raise ValueError("pixel count does not match dimensions")
         # A shared array whose dtype is exactly bit_depth wide cannot hold an

@@ -47,8 +47,9 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.Plan
     Raises ValidationError for a bad pair, for an ``iterations`` outside
     [0, MAX_ROUNDS] or past the float64 precision of its phase, for a
     ``samples`` outside [1, MAX_SAMPLES], for a ``seed`` that is not a
-    non-negative integer and for an unknown ``mode``.  A bad ``mode`` or a
-    non-integer ``iterations`` or ``samples`` is rejected before the pair is read.
+    non-negative integer and for an unknown ``mode``.  Every flag check but
+    the phase precision's, which depends on the marked count, runs before
+    the pair is read.
     """
     try:
         mode = grover.PlanMode(mode)
@@ -56,10 +57,11 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.Plan
         raise ValidationError(f"mode must be a PlanMode or one of its values, got {mode!r}") from None
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(samples, numbers.Integral):
-        raise ValidationError(f"samples must be an integer, got {samples!r}")
-    if iterations is not None and not isinstance(iterations, numbers.Integral):
-        raise ValidationError(f"iterations must be an integer or None, got {iterations!r}")
+    if not isinstance(samples, numbers.Integral) or not 1 <= samples <= grover.MAX_SAMPLES:
+        raise ValidationError(f"samples must be an integer in [1, MAX_SAMPLES], got {samples!r}")
+    if iterations is not None and not (isinstance(iterations, numbers.Integral)
+                                       and 0 <= iterations <= grover.MAX_ROUNDS):
+        raise ValidationError(f"iterations must be None or an integer in [0, MAX_ROUNDS], got {iterations!r}")
     timings: dict[str, float] = {}
     start = time.perf_counter()
     dims = validate_pair(big, small)

@@ -4,7 +4,8 @@ Three deliberately separate routes find the marked set that the hot path's
 :func:`qimatch.marking.anchors` computes in one pass:
 
 * the structured branch walk, which steps a :class:`JointState` through the
-  circuit's stages (:func:`prepare_initial` to :func:`marked_set`),
+  circuit's stages and is read only through :meth:`JointState.branch`
+  (:func:`marked_set` collects the flags it raises),
 * a dense statevector simulator that lays out the full qubit register
   (kickback ancilla, flag, both intensity registers, both position registers)
   and applies the comparison CNOTs and the multi-controlled flag flip as
@@ -226,10 +227,6 @@ class JointState:
     def _weight(self) -> float:
         return 1.0 / (1 << (self.dims.n + self.dims.m))
 
-    def norm_squared(self) -> float:
-        # Every branch carries the same power-of-two weight, so this is exact.
-        return self.branch_count * self._weight * self._weight
-
     def branches(self) -> Iterator[Branch]:
         for pos_a in range(len(self.big)):
             for pos_b in range(len(self.small)):
@@ -280,26 +277,15 @@ def apply_marking(state: JointState) -> JointState:
 
 
 def marked_set(state: JointState) -> set[int]:
-    """The paper's marked set, read from the flag's own predicate.
+    """The paper's marked set: the big positions whose flag :meth:`JointState.branch` raises.
 
-    These are the big positions whose branch at small position 0 has an
-    all-zero XOR difference register.  It does not call
-    :func:`qimatch.marking.anchors`, so the two routes stay independent.
+    The flag can rise only at small position 0, so that branch is read at
+    every big position.  Nothing here recomputes the flag's predicate, so this
+    route stays independent of :func:`qimatch.marking.anchors`.
     """
     if state.stage is not Stage.MARKED:
         raise StageError(f"marked set needs a marked state, got {state.stage.value}")
-    return set(np.flatnonzero((state.big ^ state.small[0]) == 0).tolist())
-
-
-def dump_branches(state: JointState) -> str:
-    """Debug dump: one line per branch, "flag val_a pos_a val_b pos_b amplitude".
-
-    Lines appear in (pos_a, pos_b) lexicographic order.
-    """
-    lines = []
-    for b in state.branches():
-        lines.append(f"{b.flag} {b.val_a} {b.pos_a} {b.val_b} {b.pos_b} {b.amplitude!r}")
-    return "\n".join(lines) + "\n"
+    return {k for k in range(len(state.big)) if state.branch(k, 0).flag == 1}
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ def test_demo_scripts_present():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
+    # every warning is an error, so a clean run leaves stderr empty
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=60
+        [sys.executable, "-W", "error", str(script)], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""

@@ -236,6 +236,18 @@ class TestPixelArray:
         with pytest.raises(ValueError):
             Image(2, 2, 4, pixels)
 
+    @pytest.mark.parametrize("pixels", [[1.5, 2.7], [1.0, 2.0], ["3", "4"], [2**70, 0], [None, 1],
+                                        np.array([1.0, 2.0])],
+                             ids=["fractions", "whole-floats", "strings", "past-64-bits", "none", "float-array"])
+    def test_pixels_that_are_not_integers_rejected(self, pixels):
+        with pytest.raises(ValueError, match="^pixels must be integers, got dtype "):
+            Image(2, 1, 8, pixels)
+
+    def test_bools_and_the_empty_sequence_accepted(self):
+        assert Image(2, 1, 1, [True, False]).array.tolist() == [1, 0]
+        assert Image(2, 1, 8, np.array([True, False])).array.tolist() == [1, 0]
+        assert Image(0, 0, 8, []).array.tolist() == []
+
     @pytest.mark.parametrize("bit_depth,dtype,value", [(4, np.uint8, 200), (1, np.uint8, 2),
                                                        (12, np.uint16, 4096)])
     def test_shared_array_narrower_than_its_dtype_is_range_checked(self, bit_depth, dtype, value):

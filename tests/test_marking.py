@@ -13,13 +13,13 @@ from qimatch.images import Image, ValidationError, validate_pair
 from qimatch.marking import _FEW_HITS, _SCAN_CHUNK, anchors, block_matches
 from qimatch.sample import sample_pair
 from qimatch.verify import (
+    JointState,
     MatchMode,
     Stage,
     StageError,
     apply_comparison,
     apply_marking,
     classical_match,
-    dump_branches,
     marked_set,
     prepare_initial,
 )
@@ -68,15 +68,20 @@ def sample_state(stage=Stage.MARKED):
     return apply_marking(state)
 
 
-def expected_dump(rows, flagged=None):
-    lines = []
+def listing(state):
+    """Every branch as (flag, val_a, pos_a, val_b, pos_b, amplitude), in (pos_a, pos_b) order."""
+    return [(b.flag, b.val_a, b.pos_a, b.val_b, b.pos_b, b.amplitude) for b in state.branches()]
+
+
+def expected_listing(rows, flagged=None):
+    listed = []
     for pos_a in range(16):
         for pos_b in range(4):
             flag = 1 if flagged == (pos_a, pos_b) else 0
             val_a = int(rows[pos_a][pos_b], 2) if isinstance(rows[pos_a], list) else int(rows[pos_a], 2)
             val_b = int(SMALL_BITS[pos_b], 2)
-            lines.append(f"{flag} {val_a} {pos_a} {val_b} {pos_b} 0.125")
-    return "\n".join(lines) + "\n"
+            listed.append((flag, val_a, pos_a, val_b, pos_b, 0.125))
+    return listed
 
 
 class TestPrepare:
@@ -88,7 +93,7 @@ class TestPrepare:
         assert (b.flag, b.val_a, b.val_b, b.amplitude) == (0, 162, 160, 0.125)
 
     def test_prepared_dump_matches_golden(self):
-        assert dump_branches(sample_state(Stage.PREPARED)) == expected_dump(BIG_BITS)
+        assert listing(sample_state(Stage.PREPARED)) == expected_listing(BIG_BITS)
 
     def test_two_by_two_over_single_pixel(self):
         big = make_image([1, 2, 3, 0], 2, 2)
@@ -104,21 +109,14 @@ class TestPrepare:
 
 
 class TestPrepareFromImages:
-    def test_raw_images_equal_the_encoded_route(self):
+    def test_state_shares_the_pair_and_its_dims(self):
         rng = random.Random(31)
         for big_depth, small_depth in ((8, 8), (4, 8), (8, 4), (8, 16), (16, 3)):
             big = make_image([rng.randrange(1 << big_depth) for _ in range(16)], 4, big_depth)
             small = make_image([rng.randrange(1 << small_depth) for _ in range(4)], 2, small_depth)
-            dims = validate_pair(big, small)
-            raw = prepare_initial(big, small)
-            enc = prepare_initial(big, small)
-            assert raw.dims == enc.dims == dims
-            assert raw.big is big.array and raw.small is small.array
-            assert np.array_equal(raw.big, enc.big) and np.array_equal(raw.small, enc.small)
-            for step in (lambda s: s, apply_comparison, lambda s: apply_marking(apply_comparison(s))):
-                assert dump_branches(step(raw)) == dump_branches(step(enc))
-            marked = anchors(big, small)
-            assert np.array_equal(marked, anchors(big, small))
+            state = prepare_initial(big, small)
+            assert state.dims == validate_pair(big, small)
+            assert state.big is big.array and state.small is small.array
 
     @pytest.mark.parametrize("pair", [
         ([0] * 16, 4, [0] * 16, 4),   # same side
@@ -147,7 +145,7 @@ class TestComparison:
 
     def test_compared_dump_matches_golden(self):
         state = sample_state(Stage.COMPARED)
-        assert dump_branches(state) == expected_dump(XOR_BITS)
+        assert listing(state) == expected_listing(XOR_BITS)
 
     def test_xor_is_involution(self):
         prepared = sample_state(Stage.PREPARED)
@@ -181,7 +179,7 @@ class TestMarking:
 
     def test_marked_dump_matches_golden(self):
         state = sample_state(Stage.MARKED)
-        assert dump_branches(state) == expected_dump(XOR_BITS, flagged=FLAGGED_BRANCH)
+        assert listing(state) == expected_listing(XOR_BITS, flagged=FLAGGED_BRANCH)
 
     def test_only_flag_field_changes(self):
         compared = sample_state(Stage.COMPARED)
@@ -199,6 +197,16 @@ class TestMarking:
 class TestMarkedSet:
     def test_sample_pair_marks_position_five(self):
         assert marked_set(sample_state()) == {5}
+
+    def test_reads_the_flags_that_branch_raises(self, monkeypatch):
+        real = JointState.branch
+
+        def one_more_flag(state, pos_a, pos_b):
+            b = real(state, pos_a, pos_b)
+            return replace(b, flag=1) if (pos_a, pos_b) == (9, 0) else b
+
+        monkeypatch.setattr(JointState, "branch", one_more_flag)
+        assert marked_set(sample_state()) == {5, 9}
 
     def test_multiplicity(self):
         big = make_image([7, 1, 7, 2, 7, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1], 4, 3)
@@ -264,12 +272,12 @@ class TestInvariants:
             big, small = random_instance(rng, n, m, 3)
             state = prepare_initial(big, small)
             count = 1 << (2 * n + 2 * m)
-            for step in (apply_comparison, apply_marking):
+            for step in (apply_comparison, apply_marking, None):
+                # the amplitudes are powers of two, so the sum is exact
                 assert state.branch_count == count
-                assert abs(state.norm_squared() - 1.0) < 1e-12
-                state = step(state)
-            assert state.branch_count == count
-            assert abs(state.norm_squared() - 1.0) < 1e-12
+                assert sum(b.amplitude ** 2 for b in state.branches()) == 1.0
+                if step is not None:
+                    state = step(state)
 
     def test_stage_machine_rejects_out_of_order(self):
         prepared = sample_state(Stage.PREPARED)

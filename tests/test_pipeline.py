@@ -130,19 +130,36 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
                 assert want == 1.0, (n, iterations)
 
 
-@pytest.mark.parametrize("flags,message", [({"samples": 0}, None), ({"samples": 2**63}, None),
+@pytest.mark.parametrize("flags,message", [({"samples": 0}, "samples .* got 0$"),
+                                           ({"samples": 2**63}, f"samples .* got {2**63}$"),
                                            ({"samples": 2.5}, "samples .* got 2.5$"),
                                            ({"seed": -1}, "seed .* got -1$"),
                                            ({"seed": 1.5}, "seed .* got 1.5$"),
-                                           ({"iterations": -1}, None),
+                                           ({"iterations": -1}, "iterations .* got -1$"),
+                                           ({"iterations": 2**1100}, f"iterations .* got {2**1100}$"),
                                            ({"iterations": 2.5}, "iterations .* got 2.5$"),
                                            ({"mode": "bogus"}, "mode .* got 'bogus'$")],
                          ids=["samples-0", "samples-2^63", "samples-float", "seed-negative",
-                              "seed-float", "iterations-negative", "iterations-float", "mode-bogus"])
-def test_bad_run_flags_raise_validation_error(flags, message):
+                              "seed-float", "iterations-negative", "iterations-2^1100",
+                              "iterations-float", "mode-bogus"])
+def test_bad_run_flags_raise_validation_error(flags, message, monkeypatch):
+    # every one is refused before the anchor scan reads the pair
+    scans = []
+    real = marking.anchors
+    monkeypatch.setattr(marking, "anchors", lambda big, small: scans.append(1) or real(big, small))
     big, small = sample_pair()
     with pytest.raises(ValidationError, match=message):
         pipeline.match(big, small, **flags)
+    assert scans == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_bound_never_exceeds_the_success(n):
+    size = 1 << (2 * n)
+    for count in sorted({0, 1, 2, size // 2, size}):
+        big = Image(1 << n, 1 << n, 1, [1] * count + [0] * (size - count))
+        outcome = pipeline.match(big, Image(1, 1, 1, [1]))
+        assert outcome.plan.lower_bound <= outcome.final.probability, (n, count)
 
 
 def test_a_mode_value_plans_like_its_member(monkeypatch):
@@ -300,7 +317,7 @@ def test_marking_holds_only_the_hot_path():
     assert public == {"anchors", "block_matches"}
     # the branch walk through the circuit's stages is an oracle, kept in verify alone
     walk = ("Stage", "StageError", "Branch", "JointState", "prepare_initial",
-            "apply_comparison", "apply_marking", "marked_set", "dump_branches")
+            "apply_comparison", "apply_marking", "marked_set")
     assert all(hasattr(verify, name) and not hasattr(marking, name) for name in walk)
 
 

@@ -201,12 +201,11 @@ class TestPlanContract:
         for mode in PlanMode:
             for a in (2, 4, 64):
                 plan = plan_iterations(a, mode)
+                success = success_probability(a, plan.iterations)
                 assert plan.iterations >= 1
-                assert 0.0 <= success_probability(a, plan.iterations) <= 1.0
-                # the closed-form bound only drops below 1 from side 4 on
-                assert plan.lower_bound > 0.0
-                if a >= 4:
-                    assert plan.lower_bound < 1.0
+                assert 0.0 <= success <= 1.0
+                assert 0.0 < plan.lower_bound <= success
+                assert plan.lower_bound < 1.0
 
 
 class TestLowerBound:
@@ -222,6 +221,14 @@ class TestLowerBound:
     def test_small_side_rejected(self):
         with pytest.raises(ValueError):
             probability_lower_bound(1)
+
+    @pytest.mark.parametrize("mode", list(PlanMode))
+    def test_never_above_the_planned_success(self, mode):
+        # side 2 takes 1 - M/N: the closed form reads 1.0022 there
+        assert plan_iterations(2, mode).lower_bound == 0.75
+        for k in range(1, 538):
+            plan = plan_iterations(1 << k, mode)
+            assert plan.lower_bound <= success_probability(1 << k, plan.iterations), k
 
     def test_holds_along_exact_plans(self):
         a = 4
