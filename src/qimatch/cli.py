@@ -153,6 +153,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
     modes = []
     for name in args.modes.split(","):
         name = name.strip()
+        if name in (m.value for m in modes):
+            raise ValidationError(f"repeated mode {name!r}")
         try:
             modes.append(grover.PlanMode(name))
         except ValueError:

@@ -84,6 +84,11 @@ MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
 PHASE_ULP_TOL = 2.0**-20
 
 
+def is_count(value: object) -> bool:
+    """Whether ``value`` is an int or a numpy integer but not a bool, as every count must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Two-value closed form (the hot path)
 # ---------------------------------------------------------------------------
@@ -211,8 +216,8 @@ def sample_groups(state: TwoValueState, seed: int, samples: int) -> dict[int, in
     Deterministic for a fixed seed; time and memory are
     O(min(samples, 4**n)).  Returns a sparse histogram in index order.
     """
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"sample count must be in [1, MAX_SAMPLES], got {samples}")
+    if not (is_count(samples) and 1 <= samples <= MAX_SAMPLES):
+        raise ValueError(f"sample count must be an integer in [1, MAX_SAMPLES], got {samples!r}")
     rng = np.random.default_rng(seed)
     count = len(state.marked)
     hits = int(rng.binomial(samples, state.probability))
@@ -362,11 +367,11 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
     """Probability of the whole marked set after ``rounds`` at width ``side``.
 
     sin**2((2r+1)*theta) with theta = asin(sqrt(M/side**2)), but exactly M/N
-    at 0 rounds or with M in {0, side**2}.  ValueError past MAX_ROUNDS or where
-    :func:`_phase` loses its precision.
+    at 0 rounds or with M in {0, side**2}.  ValueError for rounds that are no
+    count (:func:`is_count`) or past MAX_ROUNDS, or where :func:`_phase` fails.
     """
-    if not 0 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"iteration count must be in [0, MAX_ROUNDS], got {rounds}")
+    if not (is_count(rounds) and 0 <= rounds <= MAX_ROUNDS):
+        raise ValueError(f"iteration count must be an integer in [0, MAX_ROUNDS], got {rounds!r}")
     positions = side * side
     if rounds == 0 or marked in (0, positions):
         return marked / positions
@@ -384,13 +389,13 @@ def plan_iterations(side: int, mode: PlanMode | str = PlanMode.EXACT, marked: in
     the peak count always reaches) for more marks or side 2, and 0 for none.
     """
     mode = PlanMode(mode)
-    if side < 2 or side & (side - 1):
-        raise ValueError(f"side must be a power of two >= 2, got {side}")
+    if not is_count(side) or side < 2 or side & (side - 1):
+        raise ValueError(f"side must be a power of two >= 2, got {side!r}")
     if side > MAX_PLAN_SIDE:
         raise ValueError(f"side 2^{side.bit_length() - 1} is past the float64 limit 2^537")
     positions = side * side
-    if not 0 <= marked <= positions:
-        raise ValueError(f"marked count must be in [0, {positions}], got {marked}")
+    if not (is_count(marked) and 0 <= marked <= positions):
+        raise ValueError(f"marked count must be an integer in [0, {positions}], got {marked!r}")
     if marked == 1 and side >= 4:
         bound = probability_lower_bound(side)
     else:

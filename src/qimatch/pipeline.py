@@ -6,7 +6,6 @@
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -47,19 +46,19 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.Plan
     Raises ValidationError for a bad pair, for an ``iterations`` outside
     [0, MAX_ROUNDS] or past the float64 precision of its phase, for a
     ``samples`` outside [1, MAX_SAMPLES], for a ``seed`` that is not a
-    non-negative integer and for an unknown ``mode``.  Every flag check but
-    the phase precision's, which depends on the marked count, runs before
-    the pair is read.
+    non-negative integer (a bool is none) and for an unknown ``mode``.  Every
+    flag check but the phase precision's, which depends on the marked count,
+    runs before the pair is read.
     """
     try:
         mode = grover.PlanMode(mode)
     except ValueError:
         raise ValidationError(f"mode must be a PlanMode or one of its values, got {mode!r}") from None
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not grover.is_count(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(samples, numbers.Integral) or not 1 <= samples <= grover.MAX_SAMPLES:
+    if not grover.is_count(samples) or not 1 <= samples <= grover.MAX_SAMPLES:
         raise ValidationError(f"samples must be an integer in [1, MAX_SAMPLES], got {samples!r}")
-    if iterations is not None and not (isinstance(iterations, numbers.Integral)
+    if iterations is not None and not (grover.is_count(iterations)
                                        and 0 <= iterations <= grover.MAX_ROUNDS):
         raise ValidationError(f"iterations must be None or an integer in [0, MAX_ROUNDS], got {iterations!r}")
     timings: dict[str, float] = {}

@@ -11,11 +11,12 @@ import time
 import tracemalloc
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from qimatch import cli, grover, verify
 from qimatch.cli import build_parser, main
-from qimatch.images import write_pgm
+from qimatch.images import Image, write_pgm
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM, sample_pair
 
 from conftest import make_image, planted_instance
@@ -101,13 +102,10 @@ class TestMatchCommand:
         small.write_bytes(SAMPLE_SMALL_PGM)
         assert main(["match", "--big", str(bad), "--small", str(small)]) == 2
 
-    @pytest.mark.parametrize(
-        "extra",
-        [["--samples", "0"], ["--seed", "-1"], ["--iterations", "-2"]],
-    )
-    def test_bad_flag_values_exit_two(self, sample_paths, extra):
-        code = main(["match", "--big", sample_paths[0], "--small", sample_paths[1]] + extra)
-        assert code == 2
+    @pytest.mark.parametrize("mode", [m.value for m in grover.PlanMode])
+    def test_each_mode_runs_its_rule_on_one_mark(self, sample_paths, mode, capsys):
+        assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1], "--mode", mode]) == 0
+        assert f"\nplan: mode={mode} " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag, limit, code",
@@ -190,6 +188,21 @@ class TestMatchCommand:
         assert "no match" in out
 
 
+def _sparse_pixels():
+    # 17 anchors around the anchor scan's 64 Ki-pixel chunk edges, the last at the final pixel
+    pixels = np.random.default_rng(2).integers(0, 255, 512 * 512)
+    pixels[[0, *(c + e for c in (1 << 16, 2 << 16, 3 << 16) for e in range(-2, 3)), -1]] = 255
+    return pixels.reshape(512, 512)
+
+
+# name: (big pixels, bit depth, small side cut from the corner, anchors, full blocks)
+VERIFY_PAIRS = {
+    "constant": (np.full((16, 16), 3), 2, 2, 16 * 16, 15 * 15),
+    "stripes": (np.tile(np.arange(64) // 2 % 2 * 3, (64, 1)), 2, 4, 64 * 32, 16 * 61),
+    "sparse": (_sparse_pixels(), 8, 2, 17, 1),
+}
+
+
 class TestMatchJson:
     def test_schema_and_round_trip(self, sample_paths, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -212,8 +225,10 @@ class TestMatchJson:
         # fixed key order makes re-serialization byte-identical
         assert json.dumps(data, indent=2) + "\n" == raw
 
-    def test_verify_lists_equal_the_exhaustive_scans_on_constant_content(self, tmp_path, capsys):
-        big, small = make_image([3] * 256, 16, 2), make_image([3] * 4, 2, 2)
+    @pytest.mark.parametrize("name", VERIFY_PAIRS)
+    def test_verify_lists_equal_the_exhaustive_scans(self, name, tmp_path):
+        pixels, depth, m, anchors, blocks = VERIFY_PAIRS[name]
+        big, small = (Image(len(a), len(a), depth, a.ravel()) for a in (pixels, pixels[:m, :m]))
         bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
         bp.write_bytes(write_pgm(big))
         sp.write_bytes(write_pgm(small))
@@ -225,7 +240,7 @@ class TestMatchJson:
         want = {mode.value: [list(loc) for loc in verify.classical_match(big, small, mode).locations]
                 for mode in verify.MatchMode}
         assert got == {"full_block": want["full_block"], "anchor": want["anchor_pixel"]}
-        assert len(got["full_block"]) == 15 * 15 and len(got["anchor"]) == 16 * 16
+        assert (len(got["anchor"]), len(got["full_block"])) == (anchors, blocks)
 
     def test_timings_key_opt_in(self, sample_paths, tmp_path):
         path = tmp_path / "t.json"
@@ -299,6 +314,16 @@ class TestMatchMultiMark:
         assert hits > 900
         assert data["verify"]["full_block"] == [[5, 2]]
 
+    @pytest.mark.filterwarnings("error")
+    def test_many_anchors_plan_without_a_warning(self, tmp_path, capsys):
+        pixels = np.random.default_rng(1).integers(0, 16, (64, 64))
+        bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
+        bp.write_bytes(write_pgm(Image(64, 64, 4, pixels.ravel())))
+        sp.write_bytes(write_pgm(Image(4, 4, 4, pixels[:4, :4].ravel())))
+        assert main(["match", "--big", str(bp), "--small", str(sp), "--json", str(rp)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(rp.read_text())["result"]["marked_count"] > 16
+
 
 class TestTable1Command:
     def test_small_table(self, capsys):
@@ -351,7 +376,7 @@ class TestTable1Command:
         assert main(["table1", "--max-a", "8", "--csv", str(tmp_path / "missing" / "t.csv")]) == 1
         assert "error: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["3", "2", "0", "-8"])
+    @pytest.mark.parametrize("bad", ["3"])
     def test_invalid_max_a_exit_two(self, bad, capsys):
         assert main(["table1", "--max-a", bad]) == 2
 
@@ -404,7 +429,7 @@ class TestAnalyzeCommand:
     def test_invalid_side_exit_two(self):
         assert main(["analyze", "--a", "5"]) == 2
 
-    @pytest.mark.parametrize("sweep", ["-1", "-5"])
+    @pytest.mark.parametrize("sweep", ["-1"])
     def test_negative_sweep_exit_two(self, sweep, capsys):
         assert main(["analyze", "--a", "4", "--sweep-i", sweep]) == 2
         assert capsys.readouterr().out == ""
@@ -444,7 +469,7 @@ class TestLargeSides:
         assert abs(float(predicted) - math.sin(turn) ** 2) < 1e-12
         assert float(bound) == 0.9194**2
 
-    @pytest.mark.parametrize("k", [538, 1024])
+    @pytest.mark.parametrize("k", [538])
     def test_table1_past_the_planner_limit_exit_two(self, k, capsys):
         assert main(["table1", "--max-a", str(1 << k)]) == 2
         out, err = capsys.readouterr()
@@ -459,7 +484,7 @@ class TestLargeSides:
         exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
         assert f"planned rounds (exact): i={exact}" in out
 
-    @pytest.mark.parametrize("k", [512, 538, 1024])
+    @pytest.mark.parametrize("k", [512])
     def test_analyze_past_the_recurrence_limit_exit_two(self, k, capsys):
         assert main(["analyze", "--a", str(1 << k), "--sweep-i", "2"]) == 2
         out, err = capsys.readouterr()
@@ -468,7 +493,7 @@ class TestLargeSides:
 
 
 def _error_paths(tmp_path):
-    """The files the error-exit cases name, written into ``tmp_path``."""
+    """The files the error-exit and entry-point cases name, written into ``tmp_path``."""
     files = {
         "big": SAMPLE_BIG_PGM,
         "small": SAMPLE_SMALL_PGM,
@@ -476,6 +501,7 @@ def _error_paths(tmp_path):
         "garbage": b"P7\nnot a pgm\n",
         "big13": write_pgm(make_image([7] * 13 + [1, 2, 3], 4, 8)),
         "small7": write_pgm(make_image([7], 1, 8)),
+        "small0": b"P2\n1 1\n255\n0\n",
     }
     paths = {"dir": str(tmp_path), "nope": str(tmp_path / "nope.pgm"),
              "missing": str(tmp_path / "missing" / "out")}
@@ -497,6 +523,12 @@ ERROR_EXITS = [
     _exit("seed", "match --big {nope} --small {nope} --seed -1", 2, "--seed must be non-negative"),
     _exit("iterations", "match --big {nope} --small {nope} --iterations -2",
           2, "--iterations must be in [0, 2^1023 - 2^969 - 1]"),
+    _exit("samples with files", "match --big {big} --small {small} --samples 0",
+          2, "--samples must be in [1, 2^63 - 1]"),
+    _exit("seed with files", "match --big {big} --small {small} --seed -1",
+          2, "--seed must be non-negative"),
+    _exit("iterations with files", "match --big {big} --small {small} --iterations -2",
+          2, "--iterations must be in [0, 2^1023 - 2^969 - 1]"),
     _exit("missing file", "match --big {nope} --small {small}", 1, "[Errno 2] No such file"),
     _exit("directory as big", "match --big {dir} --small {small}", 1, "[Errno 21] Is a directory"),
     _exit("malformed pgm", "match --big {garbage} --small {small}", 2, "unsupported magic b'P7'"),
@@ -509,14 +541,22 @@ ERROR_EXITS = [
     _exit("csv into missing dir", "table1 --max-a 8 --csv {missing}",
           1, "[Errno 2] No such file", quiet=False),
     _exit("bad modes", "table1 --max-a 8 --modes bogus", 2, "unknown mode 'bogus'"),
+    _exit("repeated mode", "table1 --max-a 8 --modes exact,fit,exact", 2, "repeated mode 'exact'"),
     _exit("bad max-a", "table1 --max-a 3", 2, "--max-a must be a power of two >= 4, got 3"),
+    *(_exit(f"max-a {bad}", f"table1 --max-a {bad}",
+            2, f"--max-a must be a power of two >= 4, got {bad}") for bad in (2, 0, -8)),
     _exit("max-a past 2^537", f"table1 --max-a {1 << 538}",
           2, "--max-a 2^538 is past the float64 limit 2^537"),
+    _exit("max-a 2^1024", f"table1 --max-a {1 << 1024}",
+          2, "--max-a 2^1024 is past the float64 limit 2^537"),
     _exit("bad a", "analyze --a 5", 2, "--a must be a power of two >= 2, got 5"),
     _exit("a past 2^511", f"analyze --a {1 << 512}",
           2, "--a 2^512 is past the float64 limit 2^511"),
+    *(_exit(f"a 2^{k}", f"analyze --a {1 << k} --sweep-i 2",
+            2, f"--a 2^{k} is past the float64 limit 2^511") for k in (538, 1024)),
     _exit("negative sweep-i", "analyze --a 4 --sweep-i -1",
           2, "--sweep-i must be non-negative, got -1"),
+    _exit("sweep-i -5", "analyze --a 4 --sweep-i -5", 2, "--sweep-i must be non-negative, got -5"),
 ]
 
 
@@ -528,6 +568,31 @@ def test_error_exits(template, code, message, quiet, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error: " + message) and err.count("\n") == 1, err
     assert (out == "") == quiet
+
+
+def _python(*args):
+    """A fresh interpreter run on this process's import path, its output captured as text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("template, code", [
+    ("match --big {big} --small {small} --verify --json {dir}/r.json", 0),
+    ("example", 0),
+    ("match --big {nope} --small {small}", 1),
+    (f"match --big {{big}} --small {{small}} --iterations {10**15}", 2),
+    ("match --big {big} --small {small0}", 3),
+], ids=["match", "example", "missing big", "phase precision", "no match"])
+def test_module_entry_point(template, code, tmp_path, capsys):
+    """``python -m qimatch`` exits and prints what ``main`` returns and prints in process."""
+    argv = [word.format(**_error_paths(tmp_path)) for word in template.split()]
+    run = _python("-m", "qimatch", *argv)
+    assert (run.returncode, run.stdout, run.stderr) == (main(argv), *capsys.readouterr())
+    assert run.returncode == code
+    if code in (1, 2):
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    else:
+        assert run.stderr == ""
 
 
 def _run(argv, parser=None):
@@ -565,10 +630,7 @@ class TestParserReuse:
 
     def test_not_built_at_import(self):
         probe = "import qimatch.cli as c; print(c.build_parser.cache_info().currsize)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True, env=env).stdout
-        assert out.strip() == "0"
+        assert _python("-c", probe).stdout == "0\n"
 
     def test_calls_in_one_process_match_a_fresh_parser(self, sample_paths, tmp_path):
         report = tmp_path / "r.json"
@@ -597,8 +659,9 @@ class TestParserReuse:
         verified, plain, fit, default = results
         assert "timings_ms" in verified[2] and verified[1][-1].startswith("timings_ms: load")
         # Flags of an earlier call do not carry over to a later one.
-        assert plain[2] is False and not any("timings_ms" in line or "classical" in line
-                                             for line in plain[1])
+        assert plain[2] is False and not any(
+            "timings_ms" in line or line.startswith(("full-block matches:", "anchor matches:"))
+            for line in plain[1])
         assert fit[1][0].split() == ["a", "i_fit", "predicted_success", "lower_bound"]
         assert default[2] is False
         assert default[1][0].split()[1:4] == ["i_exact", "i_fit", "i_optimal"]

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qimatch import pipeline
 from qimatch.grover import (
     MAX_ROUNDS,
     MAX_SAMPLES,
@@ -22,6 +23,7 @@ from qimatch.grover import (
     sample_groups,
     success_probability,
 )
+from qimatch.sample import sample_pair
 from qimatch.verify import (
     SubspaceState,
     closed_form_pair,
@@ -627,3 +629,31 @@ class TestMultiMarkPlanning:
             marks = marks_for(3, count)
             got = success_probability(8, rounds, count)
             assert abs(got - amplify(3, as_marks(marks), rounds).probability) < 1e-12
+
+
+NOT_COUNTS = {
+    "success_probability rounds 2.5": lambda: success_probability(4, 2.5),
+    "amplify rounds 2.5": lambda: amplify(2, as_marks([1]), 2.5),
+    "plan_iterations marked 1.5": lambda: plan_iterations(4, marked=1.5),
+    "plan_iterations marked True": lambda: plan_iterations(4, marked=True),
+    "plan_iterations side 4.0": lambda: plan_iterations(4.0),
+    "sample_groups samples 2.5": lambda: sample_groups(amplify(2, as_marks([1]), 2), 0, 2.5),
+    "match iterations True": lambda: pipeline.match(*sample_pair(), iterations=True),
+    "match samples True": lambda: pipeline.match(*sample_pair(), samples=True),
+    "match seed True": lambda: pipeline.match(*sample_pair(), seed=True),
+}
+
+
+@pytest.mark.parametrize("call", NOT_COUNTS.values(), ids=NOT_COUNTS.keys())
+def test_counts_must_be_integers(call):
+    # a float or a bool is refused by the range check it would have passed
+    with pytest.raises(ValueError, match="integer|power of two"):
+        call()
+
+
+def test_numpy_integers_are_counts():
+    four, three, one = np.int64(4), np.int64(3), np.int64(1)
+    assert plan_iterations(four, marked=one) == plan_iterations(4)
+    assert success_probability(4, three) == success_probability(4, 3)
+    state = amplify(2, as_marks([1]), three)
+    assert sample_groups(state, 0, np.int32(10)) == sample_groups(state, 0, 10)

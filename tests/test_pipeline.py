@@ -327,6 +327,6 @@ def test_grover_holds_only_the_hot_path_and_planning():
     assert public == {"TwoValueState", "amplify", "sample_groups",
                       "AmplitudePair", "initial_pair", "recurrence_step",
                       "PlanMode", "IterationPlan", "plan_iterations", "probability_lower_bound",
-                      "success_probability"}
+                      "success_probability", "is_count"}
     # the recurrence's Chebyshev closed form is an oracle, kept in verify alone
     assert hasattr(verify, "closed_form_pair") and not hasattr(grover, "_chebyshev")
