@@ -84,9 +84,11 @@ MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
 PHASE_ULP_TOL = 2.0**-20
 
 
-def is_count(value: object) -> bool:
-    """Whether ``value`` is an int or a numpy integer but not a bool, as every count must be."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def as_count(value: object, name: str, low: int, high: float = math.inf, shown: str = "") -> int:
+    """``value`` as a Python int if its type is int or a numpy integer (no bool) in [low, high]."""
+    if (type(value) is int or isinstance(value, np.integer)) and low <= (count := int(value)) <= high:
+        return count
+    raise ValueError(f"{name} must be an integer in [{low}, {shown or high}], got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,8 @@ def amplify(n: int, marked: np.ndarray, rounds: int) -> TwoValueState:
     array is shared, and a writable one is copied read-only.  Zero rounds
     return the uniform state exactly.
     """
+    n = as_count(n, "n", 0)
+    rounds = as_count(rounds, "iteration count", 0, MAX_ROUNDS, "MAX_ROUNDS")
     size = 1 << (2 * n)
     if not (isinstance(marked, np.ndarray) and marked.dtype == np.int64 and marked.ndim == 1
             and np.all(marked[1:] > marked[:-1])):
@@ -216,8 +220,7 @@ def sample_groups(state: TwoValueState, seed: int, samples: int) -> dict[int, in
     Deterministic for a fixed seed; time and memory are
     O(min(samples, 4**n)).  Returns a sparse histogram in index order.
     """
-    if not (is_count(samples) and 1 <= samples <= MAX_SAMPLES):
-        raise ValueError(f"sample count must be an integer in [1, MAX_SAMPLES], got {samples!r}")
+    samples = as_count(samples, "sample count", 1, MAX_SAMPLES, "MAX_SAMPLES")
     rng = np.random.default_rng(seed)
     count = len(state.marked)
     hits = int(rng.binomial(samples, state.probability))
@@ -357,9 +360,7 @@ def probability_lower_bound(a: int) -> float:
     while the actual success probability is exactly 1 after one round), so
     :func:`plan_iterations` bounds side 2 by 1 - M/N instead.
     """
-    if a < 2:
-        raise ValueError("side must be at least 2")
-    x = 1 / a  # a**3 as a float would overflow from side 2**342
+    x = 1 / as_count(a, "side", 2)  # a**3 as a float would overflow from side 2**342
     return (0.9194 + 0.0567 * x + 0.2302 * x * x - 0.0336 * x**3) ** 2
 
 
@@ -367,12 +368,13 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
     """Probability of the whole marked set after ``rounds`` at width ``side``.
 
     sin**2((2r+1)*theta) with theta = asin(sqrt(M/side**2)), but exactly M/N
-    at 0 rounds or with M in {0, side**2}.  ValueError for rounds that are no
-    count (:func:`is_count`) or past MAX_ROUNDS, or where :func:`_phase` fails.
+    at 0 rounds or with M in {0, side**2}.  ValueError for a count out of its
+    range (:func:`as_count`: side >= 1, rounds <= MAX_ROUNDS, M <= side**2)
+    or where :func:`_phase` fails.
     """
-    if not (is_count(rounds) and 0 <= rounds <= MAX_ROUNDS):
-        raise ValueError(f"iteration count must be an integer in [0, MAX_ROUNDS], got {rounds!r}")
-    positions = side * side
+    positions = as_count(side, "side", 1) ** 2
+    rounds = as_count(rounds, "iteration count", 0, MAX_ROUNDS, "MAX_ROUNDS")
+    marked = as_count(marked, "marked count", 0, positions)
     if rounds == 0 or marked in (0, positions):
         return marked / positions
     return math.sin(_phase(marked, positions, rounds)) ** 2
@@ -389,13 +391,13 @@ def plan_iterations(side: int, mode: PlanMode | str = PlanMode.EXACT, marked: in
     the peak count always reaches) for more marks or side 2, and 0 for none.
     """
     mode = PlanMode(mode)
-    if not is_count(side) or side < 2 or side & (side - 1):
+    side = as_count(side, "side", 2)
+    if side & (side - 1):
         raise ValueError(f"side must be a power of two >= 2, got {side!r}")
     if side > MAX_PLAN_SIDE:
         raise ValueError(f"side 2^{side.bit_length() - 1} is past the float64 limit 2^537")
     positions = side * side
-    if not (is_count(marked) and 0 <= marked <= positions):
-        raise ValueError(f"marked count must be an integer in [0, {positions}], got {marked!r}")
+    marked = as_count(marked, "marked count", 0, positions)
     if marked == 1 and side >= 4:
         bound = probability_lower_bound(side)
     else:

@@ -200,7 +200,7 @@ def load_pgm(data: bytes) -> Image:
         return Image(width, height, maxval.bit_length(), values)
 
     # Exactly one whitespace byte separates maxval from the raster.
-    if raster_start >= len(data) or not data[raster_start : raster_start + 1].isspace():
+    if not data[raster_start : raster_start + 1].isspace():
         raise PgmError("missing raster separator")
     offset = raster_start + 1
     stride = 2 if maxval > 255 else 1

@@ -43,24 +43,22 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.Plan
     The plan is made for the marked count, and ``iterations`` overrides its
     rounds.  The predicted success is the final state's marked probability,
     the one the samples are drawn with.  ``mode`` is a PlanMode or its value.
-    Raises ValidationError for a bad pair, for an ``iterations`` outside
-    [0, MAX_ROUNDS] or past the float64 precision of its phase, for a
-    ``samples`` outside [1, MAX_SAMPLES], for a ``seed`` that is not a
-    non-negative integer (a bool is none) and for an unknown ``mode``.  Every
-    flag check but the phase precision's, which depends on the marked count,
-    runs before the pair is read.
+    Raises ValidationError for a bad pair, an unknown ``mode``, a count out
+    of its range (:func:`grover.as_count`) and an ``iterations`` past the
+    float64 precision of its phase; every check but the last, which depends
+    on the marked count, runs before the pair is read.
     """
     try:
         mode = grover.PlanMode(mode)
     except ValueError:
         raise ValidationError(f"mode must be a PlanMode or one of its values, got {mode!r}") from None
-    if not grover.is_count(seed) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not grover.is_count(samples) or not 1 <= samples <= grover.MAX_SAMPLES:
-        raise ValidationError(f"samples must be an integer in [1, MAX_SAMPLES], got {samples!r}")
-    if iterations is not None and not (grover.is_count(iterations)
-                                       and 0 <= iterations <= grover.MAX_ROUNDS):
-        raise ValidationError(f"iterations must be None or an integer in [0, MAX_ROUNDS], got {iterations!r}")
+    try:
+        seed = grover.as_count(seed, "seed", 0)
+        samples = grover.as_count(samples, "samples", 1, grover.MAX_SAMPLES, "MAX_SAMPLES")
+        if iterations is not None:
+            iterations = grover.as_count(iterations, "iterations", 0, grover.MAX_ROUNDS, "MAX_ROUNDS")
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     timings: dict[str, float] = {}
     start = time.perf_counter()
     dims = validate_pair(big, small)

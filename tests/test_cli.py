@@ -187,6 +187,15 @@ class TestMatchCommand:
         assert code == 3
         assert "no match" in out
 
+    def test_verify_without_a_match_warns_of_nothing(self, tmp_path, capsys):
+        bp, sp = tmp_path / "b.pgm", tmp_path / "s.pgm"
+        bp.write_bytes(write_pgm(make_image([1, 2, 3, 1], 2, 2)))
+        sp.write_bytes(write_pgm(make_image([0], 1, 2)))
+        assert main(["match", "--big", str(bp), "--small", str(sp), "--verify"]) == 3
+        out, err = capsys.readouterr()
+        assert "full-block matches: []" in out
+        assert err == ""
+
 
 def _sparse_pixels():
     # 17 anchors around the anchor scan's 64 Ki-pixel chunk edges, the last at the final pixel
@@ -313,6 +322,8 @@ class TestMatchMultiMark:
         hits = sum(data["samples"]["counts"].get(str(k), 0) for k in marked)
         assert hits > 900
         assert data["verify"]["full_block"] == [[5, 2]]
+        # the top, a decoy anchor, is not the full-block match
+        assert capsys.readouterr().err == "verification: top position is NOT a full-block match\n"
 
     @pytest.mark.filterwarnings("error")
     def test_many_anchors_plan_without_a_warning(self, tmp_path, capsys):
@@ -425,6 +436,25 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "first local maximum of marked^2: i=100" in out
         assert "planned rounds (exact): i=101" in out
+
+    @pytest.mark.parametrize("a", [2, 4, 64])
+    def test_default_sweep_is_twice_the_side(self, a, capsys):
+        assert main(["analyze", "--a", str(a)]) == 0
+        header, *rows, peak, plan = capsys.readouterr().out.splitlines()
+        assert [int(row.split()[0]) for row in rows] == list(range(2 * a + 1))
+
+    def test_zero_sweep_prints_the_start_row_only(self, capsys):
+        assert main(["analyze", "--a", "4", "--sweep-i", "0"]) == 0
+        header, *rows, peak, plan = capsys.readouterr().out.splitlines()
+        assert [row.split()[:4] for row in rows] == [["0", "0.2500000000000000", "0.2500000000000000",
+                                                     "0.0625000000000000"]]
+
+    def test_marked_squared_column(self, capsys):
+        assert main(["analyze", "--a", "16", "--sweep-i", "40"]) == 0
+        header, *rows, peak, plan = capsys.readouterr().out.splitlines()
+        for row in rows:
+            marked, squared = map(float, row.split()[2:4])
+            assert abs(squared - marked * marked) < 1e-15, row
 
     def test_invalid_side_exit_two(self):
         assert main(["analyze", "--a", "5"]) == 2

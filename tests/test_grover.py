@@ -23,6 +23,7 @@ from qimatch.grover import (
     sample_groups,
     success_probability,
 )
+from qimatch.images import ValidationError
 from qimatch.sample import sample_pair
 from qimatch.verify import (
     SubspaceState,
@@ -457,6 +458,18 @@ class TestGroupSampling:
             assert set(counts) == everything, sorted(marks)
             assert sum(counts.values()) == 3200
 
+    def test_every_rank_of_a_group_can_be_drawn_by_single_picks(self):
+        # 4 draws per seed stay fewer than the 8 marked and 56 unmarked
+        # members, so each group is drawn one pick at a time, never by multinomial cells
+        marks = set(range(1, 64, 8))
+        state = amplify(3, as_marks(marks), 0)
+        seen = set()
+        for seed in range(400):
+            counts = sample_groups(state, seed=seed, samples=4)
+            assert len(counts) <= 4
+            seen.update(counts)
+        assert seen == set(range(64))
+
     def test_marked_hits_within_three_sigma(self):
         samples = 10000
         for n, count, rounds in ((2, 1, 3), (3, 3, 2), (3, 16, 1), (4, 2, 5), (5, 1, 7)):
@@ -600,6 +613,13 @@ class TestMultiMarkPlanning:
             assert success == pytest.approx(count / 16, abs=1e-15)
             assert plan.lower_bound <= success
 
+    def test_a_third_to_a_half_marked_plans_a_round_that_helps(self):
+        # N/3 <= M < N/2: theta is in [pi/6, pi/4), so one round still raises the success
+        for count in range(86, 128):
+            plan = plan_iterations(16, PlanMode.OPTIMAL, marked=count)
+            assert plan.iterations >= 1, count
+            assert success_probability(16, plan.iterations, count) > count / 256, count
+
     def test_no_marks_plan_no_rounds(self):
         for mode in PlanMode:
             plan = plan_iterations(8, mode, marked=0)
@@ -623,6 +643,8 @@ class TestMultiMarkPlanning:
     def test_marked_count_out_of_range_rejected(self, count):
         with pytest.raises(ValueError):
             plan_iterations(4, PlanMode.EXACT, marked=count)
+        with pytest.raises(ValueError, match=rf"^marked count must be an integer in \[0, 16\], got {count}$"):
+            success_probability(4, 1, count)
 
     def test_success_probability_matches_state(self):
         for count, rounds in ((1, 3), (2, 4), (5, 0), (5, 9)):
@@ -638,6 +660,9 @@ NOT_COUNTS = {
     "plan_iterations marked True": lambda: plan_iterations(4, marked=True),
     "plan_iterations side 4.0": lambda: plan_iterations(4.0),
     "sample_groups samples 2.5": lambda: sample_groups(amplify(2, as_marks([1]), 2), 0, 2.5),
+    "success_probability marked 2.5": lambda: success_probability(4, 1, 2.5),
+    "success_probability side 4.0": lambda: success_probability(4.0, 1, 1),
+    "amplify n 2.0": lambda: amplify(2.0, as_marks([1]), 1),
     "match iterations True": lambda: pipeline.match(*sample_pair(), iterations=True),
     "match samples True": lambda: pipeline.match(*sample_pair(), samples=True),
     "match seed True": lambda: pipeline.match(*sample_pair(), seed=True),
@@ -657,3 +682,20 @@ def test_numpy_integers_are_counts():
     assert success_probability(4, three) == success_probability(4, 3)
     state = amplify(2, as_marks([1]), three)
     assert sample_groups(state, 0, np.int32(10)) == sample_groups(state, 0, 10)
+
+
+@pytest.mark.parametrize("kind", [int, np.int64], ids=["int", "int64"])
+def test_a_count_runs_python_arithmetic_whatever_its_type(kind):
+    # numpy counts are converted once, so no side * side or 2r+1 wraps in int64
+    for k in (32, 62):
+        side = 1 << k
+        assert plan_iterations(kind(side)) == plan_iterations(side)
+        assert success_probability(kind(side), kind(3)) == success_probability(side, 3)
+    state = amplify(kind(32), as_marks([1]), kind(1))
+    want = amplify(32, as_marks([1]), 1)
+    assert type(state.n) is type(state.rounds) is int
+    assert (state.n, state.rounds, state.probability) == (want.n, want.rounds, want.probability)
+    assert (state.marked_amplitude, state.unmarked_amplitude) == (want.marked_amplitude,
+                                                                  want.unmarked_amplitude)
+    with pytest.raises(ValidationError, match="lost its precision"):
+        pipeline.match(*sample_pair(), iterations=kind(2**63 - 1))

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ def test_bad_run_flags_raise_validation_error(flags, message, monkeypatch):
     with pytest.raises(ValidationError, match=message):
         pipeline.match(big, small, **flags)
     assert scans == []
+
+
+def test_timings_are_milliseconds_of_their_stage():
+    big, small = sample_pair()
+    start = time.perf_counter()
+    timings = pipeline.match(big, small, samples=1000).timings_ms
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    assert list(timings) == ["encode", "mark", "plan", "amplify", "sample"]
+    assert all(ms >= 0 for ms in timings.values()), timings
+    # each stage is rounded to the microsecond
+    assert 0 < sum(timings.values()) <= wall_ms + 0.0005 * len(timings), (timings, wall_ms)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -327,6 +339,6 @@ def test_grover_holds_only_the_hot_path_and_planning():
     assert public == {"TwoValueState", "amplify", "sample_groups",
                       "AmplitudePair", "initial_pair", "recurrence_step",
                       "PlanMode", "IterationPlan", "plan_iterations", "probability_lower_bound",
-                      "success_probability", "is_count"}
+                      "success_probability", "as_count"}
     # the recurrence's Chebyshev closed form is an oracle, kept in verify alone
     assert hasattr(verify, "closed_form_pair") and not hasattr(grover, "_chebyshev")
