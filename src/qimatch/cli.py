@@ -16,6 +16,9 @@ or loads the test oracles in :mod:`qimatch.verify`.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call; parsing keeps no state between calls.
+When ``argv[0]`` names a command, :func:`main` hands ``argv[1:]`` straight
+to that command's parser, so the arguments are parsed once; any other argv
+goes through the top-level parser, which prints the usage or the error.
 """
 
 from __future__ import annotations
@@ -77,10 +80,8 @@ def _match_report(
     }
     if verification is not None:
         report["verify"] = verification
-    report["samples"] = {
-        "seed": seed,
-        "counts": {str(k): c for k, c in outcome.counts.items()},
-    }
+    # json writes the int keys as the decimal strings str() gives.
+    report["samples"] = {"seed": seed, "counts": outcome.counts}
     if timings_ms is not None:
         report["timings_ms"] = timings_ms
     return report
@@ -145,7 +146,7 @@ def cmd_match(args: argparse.Namespace) -> int:
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+            fh.write(json.dumps(report) + "\n")
     return EXIT_NO_MATCH if no_match else EXIT_OK
 
 
@@ -256,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulated amplitude-amplification pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for main
 
     p_match = sub.add_parser("match", help="match a small PGM inside a big PGM")
     p_match.add_argument("--big", required=True, help="path to the big image (PGM)")
@@ -300,7 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; see the module docstring."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (OSError, PgmError, ValidationError) as exc:

@@ -173,7 +173,7 @@ def amplify(n: int, marked: np.ndarray, rounds: int) -> TwoValueState:
     rounds = as_count(rounds, "iteration count", 0, MAX_ROUNDS, "MAX_ROUNDS")
     size = 1 << (2 * n)
     if not (isinstance(marked, np.ndarray) and marked.dtype == np.int64 and marked.ndim == 1
-            and np.all(marked[1:] > marked[:-1])):
+            and (len(marked) < 2 or np.all(marked[1:] > marked[:-1]))):
         raise ValueError("marked indices must be a strictly increasing 1-D int64 array")
     if marked.flags.writeable:
         marked = marked.copy()
@@ -200,10 +200,14 @@ def _spread(rng: np.random.Generator, draws: int, members: int) -> tuple[np.ndar
     """Spread ``draws`` uniform picks over ranks 0..members-1: (ranks hit, counts).
 
     Memory is O(min(draws, members)): one pick per draw while draws are
-    fewer than members, one multinomial cell per member otherwise.
+    fewer than members, one multinomial cell per member otherwise.  A single
+    member takes every draw without a call to ``rng``: a one-cell multinomial
+    draws no random numbers, so the generator's state is the same either way.
     """
     if draws == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if members == 1:
+        return np.zeros(1, dtype=np.int64), np.array([draws], dtype=np.int64)
     if draws < members:
         return np.unique(rng.integers(0, members, size=draws), return_counts=True)
     counts = rng.multinomial(draws, np.full(members, 1.0 / members))
@@ -217,19 +221,22 @@ def sample_groups(state: TwoValueState, seed: int, samples: int) -> dict[int, in
     The number of marked hits is binomial in ``samples`` with the marked-set
     probability; the hits and the misses then spread uniformly over their
     group.  That is the same distribution as a draw from the full vector.
-    Deterministic for a fixed seed; time and memory are
-    O(min(samples, 4**n)).  Returns a sparse histogram in index order.
+    ``seed`` is a count in [0, inf] (:func:`as_count`), and a fixed seed
+    gives a fixed histogram; time and memory are O(min(samples, 4**n)).
+    Returns a sparse histogram in index order.
     """
     samples = as_count(samples, "sample count", 1, MAX_SAMPLES, "MAX_SAMPLES")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     count = len(state.marked)
     hits = int(rng.binomial(samples, state.probability))
     hit_ranks, hit_counts = _spread(rng, hits, count)
-    miss_ranks, miss_counts = _spread(rng, samples - hits, state.size - count)
-    indices = np.concatenate([state.marked[hit_ranks], state.unmarked_index(miss_ranks)])
-    counts = np.concatenate([hit_counts, miss_counts])
-    order = np.argsort(indices)
-    return {int(i): int(c) for i, c in zip(indices[order], counts[order])}
+    indices, counts = state.marked[hit_ranks], hit_counts
+    if hits < samples:
+        miss_ranks, miss_counts = _spread(rng, samples - hits, state.size - count)
+        indices = np.concatenate([indices, state.unmarked_index(miss_ranks)])
+        order = np.argsort(indices)
+        indices, counts = indices[order], np.concatenate([counts, miss_counts])[order]
+    return dict(zip(indices.tolist(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------

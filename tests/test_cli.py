@@ -1,5 +1,6 @@
 """Command line surface: subcommands, exit codes, JSON and CSV artifacts."""
 
+import argparse
 import io
 import json
 import math
@@ -232,7 +233,22 @@ class TestMatchJson:
         assert data["samples"]["seed"] == 5
         assert sum(data["samples"]["counts"].values()) == 100
         # fixed key order makes re-serialization byte-identical
-        assert json.dumps(data, indent=2) + "\n" == raw
+        assert json.dumps(data) + "\n" == raw
+
+    def test_verify_report_is_one_line_with_counts_in_index_order(self, tmp_path):
+        big = make_image([3, 1, 3, 2] * 4, 4, 8)
+        bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
+        bp.write_bytes(write_pgm(big))
+        sp.write_bytes(write_pgm(make_image([3], 1, 8)))
+        argv = ["match", "--big", str(bp), "--small", str(sp), "--verify", "--iterations", "0",
+                "--samples", "400", "--seed", "2", "--json", str(rp)]
+        assert main(argv) == 0
+        raw = rp.read_text()
+        assert raw.count("\n") == 1 and raw.endswith("}\n")
+        keys = list(json.loads(raw)["samples"]["counts"])
+        # 400 uniform draws over 16 positions reach every one, so the keys
+        # run past one digit and string order would differ from index order.
+        assert keys == [str(k) for k in range(16)]
 
     @pytest.mark.parametrize("name", VERIFY_PAIRS)
     def test_verify_lists_equal_the_exhaustive_scans(self, name, tmp_path):
@@ -705,3 +721,61 @@ class TestParserReuse:
         assert "--big" in capsys.readouterr().err
         assert _run(argv) == _run(argv, build_parser.__wrapped__())
         assert _run(argv)[0] == 0
+
+
+def _outcome(call, capsys):
+    """Exit code, stdout and stderr of ``call()``; an argparse exit gives its code."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _two_passes(argv):
+    """One command run through a fresh top-level parser, which parses ``argv`` twice."""
+    args = build_parser.__wrapped__().parse_args(argv)
+    return args.func(args)
+
+
+MATCH = "match --big {big} --small {small}"
+
+# Usage, help and argparse errors at both levels, abbreviations and ``--``.
+DISPATCH = [
+    "", "-h", "--help", "nope", "mat", "-x", "match", "match -h", f"{MATCH} --bogus",
+    f"{MATCH} x --y=2", f"-- {MATCH}", "match --bi {big} --small {small}",
+    f"{MATCH} --mode bad", f"{MATCH} --samples x", f"{MATCH} --samples", f"{MATCH} -- x",
+    "--mode bad", "--samples x", "table1 --max-a 8 extra", "table1 -- x", "table1 -h",
+    "example x", "analyze", "analyze --a 4 -- x",
+]
+
+
+class TestOneParsePass:
+    @pytest.mark.parametrize("template", DISPATCH)
+    def test_same_outcome_as_two_passes(self, template, sample_paths, capsys):
+        big, small = sample_paths
+        argv = template.format(big=big, small=small).split()
+        assert _outcome(lambda: main(argv), capsys) == _outcome(lambda: _two_passes(argv), capsys)
+
+    @pytest.mark.parametrize("template", [
+        f"{MATCH} --samples 30 --seed 4", "table1 --max-a 8", "example", "analyze --a 4",
+    ])
+    def test_a_command_is_parsed_once(self, template, sample_paths, monkeypatch, capsys):
+        parsed = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        argv = template.format(big=sample_paths[0], small=sample_paths[1]).split()
+        assert main(argv) == 0
+        assert parsed == [f"qimatch {argv[0]}"]
+
+    def test_no_argv_reads_sys_argv(self, sample_paths, monkeypatch, capsys):
+        argv = MATCH.format(big=sample_paths[0], small=sample_paths[1]).split() + ["--seed", "6"]
+        want = _outcome(lambda: main(argv), capsys)
+        monkeypatch.setattr(sys, "argv", ["qimatch", *argv])
+        assert _outcome(main, capsys) == want
+        assert want[0] == 0

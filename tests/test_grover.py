@@ -584,6 +584,46 @@ class TestGroupSampling:
         assert 0 < sum(c for i, c in counts.items() if i % 2) < 1000
         assert peak < 1.5 * marks.nbytes
 
+    def test_one_cell_multinomial_draws_no_random_numbers(self):
+        # A group of one member takes every draw without a call to the
+        # generator; the histograms stay the same because this call would
+        # not have moved the generator either.
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        for draws in (1, 7, MAX_SAMPLES):
+            assert rng.multinomial(draws, [1.0]).tolist() == [draws]
+        assert rng.bit_generator.state == before
+
+    # (n, marked set, rounds, seed, samples) -> the histogram drawn when every
+    # group, even one of one member, went through numpy and every draw was sorted.
+    FROZEN_HISTOGRAMS = {
+        "one mark, one draw": ((2, {5}, 3, 0, 1), {5: 1}),
+        "one mark, no misses": ((2, {5}, 3, 2, 20), {5: 20}),
+        "one mark with misses": ((2, {5}, 3, 7, 100), {5: 96, 9: 1, 11: 1, 12: 1, 14: 1}),
+        "four marks": ((3, {3, 10, 40, 63}, 1, 2, 40), {
+            3: 3, 4: 1, 10: 6, 11: 1, 13: 1, 14: 1, 15: 1, 17: 1, 18: 1, 20: 1, 22: 1, 27: 2,
+            35: 2, 38: 1, 40: 2, 42: 1, 43: 2, 46: 1, 47: 1, 51: 1, 55: 1, 59: 1, 62: 1, 63: 6}),
+        "four marks, single picks": ((3, {3, 10, 40, 63}, 1, 11, 3), {31: 1, 37: 1, 50: 1}),
+        "zero rounds": ((2, {5}, 0, 3, 12), {
+            0: 1, 1: 1, 2: 2, 3: 1, 4: 1, 7: 1, 8: 1, 9: 1, 10: 1, 13: 1, 14: 1}),
+        "no marks": ((2, set(), 2, 4, 6), {8: 1, 11: 1, 14: 1, 15: 3}),
+        "every position marked": ((1, {0, 1, 2, 3}, 3, 5, 30), {0: 10, 1: 7, 2: 5, 3: 8}),
+    }
+
+    @pytest.mark.parametrize("case", FROZEN_HISTOGRAMS)
+    def test_frozen_histograms(self, case):
+        (n, marks, rounds, seed, samples), want = self.FROZEN_HISTOGRAMS[case]
+        counts = sample_groups(amplify(n, as_marks(marks), rounds), seed=seed, samples=samples)
+        assert counts == want
+        assert list(counts) == sorted(counts)
+        assert all(type(k) is int and type(c) is int for k, c in counts.items())
+
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, "3", None])
+    def test_seed_is_a_count(self, seed):
+        state = amplify(2, as_marks({5}), 3)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, inf\]"):
+            sample_groups(state, seed=seed, samples=5)
+
 
 class TestMultiMarkPlanning:
     @pytest.mark.parametrize("count", [2, 4, 16])
@@ -682,6 +722,7 @@ def test_numpy_integers_are_counts():
     assert success_probability(4, three) == success_probability(4, 3)
     state = amplify(2, as_marks([1]), three)
     assert sample_groups(state, 0, np.int32(10)) == sample_groups(state, 0, 10)
+    assert sample_groups(state, three, 500) == sample_groups(state, 3, 500)
 
 
 @pytest.mark.parametrize("kind", [int, np.int64], ids=["int", "int64"])
