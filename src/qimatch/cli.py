@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 I/O error, 2 validation error (a bad PGM or pair, an
 argument out of range, or an ``--iterations`` count whose phase float64 can no
 longer resolve), 3 no match found.  Commands raise OSError, PgmError and
 ValidationError; :func:`main` alone turns those into an exit code and one
-``error:`` stderr line.  No command compares its output against a frozen value
-or loads the test oracles in :mod:`qimatch.verify`.
+``error:`` stderr line.  Every argument rule but ``--modes`` list syntax is
+the library's, message included (``images.as_count``/``as_side``).  No
+command compares its output against a frozen value or loads the test oracles
+in :mod:`qimatch.verify`.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call; parsing keeps no state between calls.
@@ -33,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import grover, marking, pipeline
-from .images import PgmError, ValidationError, load_pgm
+from .images import PgmError, ValidationError, as_count, as_side, load_pgm
 from .sample import sample_pair
 
 EXIT_OK = 0
@@ -89,12 +91,7 @@ def _match_report(
 
 def cmd_match(args: argparse.Namespace) -> int:
     # Checked before either image is read, so a bad flag never costs a load.
-    if not 1 <= args.samples <= grover.MAX_SAMPLES:
-        raise ValidationError("--samples must be in [1, 2^63 - 1]")
-    if args.seed < 0:
-        raise ValidationError("--seed must be non-negative")
-    if args.iterations is not None and not 0 <= args.iterations <= grover.MAX_ROUNDS:
-        raise ValidationError("--iterations must be in [0, 2^1023 - 2^969 - 1]")
+    pipeline.check_args(args.mode, args.iterations, args.seed, args.samples)
 
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -160,11 +157,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             modes.append(grover.PlanMode(name))
         except ValueError:
             raise ValidationError(f"unknown mode {name!r}") from None
-    a_max = args.max_a
-    if a_max < 4 or a_max & (a_max - 1):
-        raise ValidationError(f"--max-a must be a power of two >= 4, got {a_max}")
-    if a_max > grover.MAX_PLAN_SIDE:
-        raise ValidationError(f"--max-a 2^{a_max.bit_length() - 1} is past the float64 limit 2^537")
+    a_max = as_side(args.max_a, "--max-a", 4, grover.MAX_PLAN_SIDE)
 
     header = ["a"] + [f"i_{m.value}" for m in modes] + ["predicted_success", "lower_bound"]
     rows = []
@@ -221,14 +214,8 @@ def cmd_example(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    a = args.a
-    if a < 2 or a & (a - 1):
-        raise ValidationError(f"--a must be a power of two >= 2, got {a}")
-    if a > grover.MAX_RECURRENCE_SIDE:
-        raise ValidationError(f"--a 2^{a.bit_length() - 1} is past the float64 limit 2^511")
-    sweep = args.sweep_i if args.sweep_i is not None else min(2 * a, SWEEP_CAP)
-    if sweep < 0:
-        raise ValidationError(f"--sweep-i must be non-negative, got {sweep}")
+    a = as_side(args.a, "--a", 2, grover.MAX_RECURRENCE_SIDE)
+    sweep = min(2 * a, SWEEP_CAP) if args.sweep_i is None else as_count(args.sweep_i, "--sweep-i", 0)
     exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
     peak = grover.plan_iterations(a, grover.PlanMode.OPTIMAL).iterations
 

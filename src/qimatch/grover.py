@@ -73,6 +73,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .images import ValidationError, as_count, as_side
+
 Amplitude = float | Fraction
 
 # Past MAX_SAMPLES numpy's binomial draw of the marked hits overflows int64,
@@ -84,13 +86,6 @@ MAX_SAMPLES, MAX_ROUNDS = (1 << 63) - 1, (1 << 1023) - (1 << 969) - 1
 PHASE_ULP_TOL = 2.0**-20
 
 
-def as_count(value: object, name: str, low: int, high: float = math.inf, shown: str = "") -> int:
-    """``value`` as a Python int if its type is int or a numpy integer (no bool) in [low, high]."""
-    if (type(value) is int or isinstance(value, np.integer)) and low <= (count := int(value)) <= high:
-        return count
-    raise ValueError(f"{name} must be an integer in [{low}, {shown or high}], got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # Two-value closed form (the hot path)
 # ---------------------------------------------------------------------------
@@ -99,17 +94,17 @@ def as_count(value: object, name: str, low: int, high: float = math.inf, shown: 
 def _phase(marked: int, positions: int, rounds: int) -> float:
     """(2r+1)*theta after ``rounds``, theta = asin(sqrt(M/N)).
 
-    ValueError when the phase overflows float64 or its spacing there exceeds
-    PHASE_ULP_TOL, so that its sine would be noise.
+    ValidationError when the phase overflows float64 or its spacing there
+    exceeds PHASE_ULP_TOL, so that its sine would be noise.
     """
     theta = math.asin(math.sqrt(marked / positions))
     turn = (2 * rounds + 1) * theta
     if math.isinf(turn):
-        raise ValueError(f"phase (2r+1)*theta overflows float64 at theta = {theta:.6f} "
-                         f"({marked} of {positions} positions marked)")
+        raise ValidationError(f"phase (2r+1)*theta overflows float64 at theta = {theta:.6f} "
+                              f"({marked} of {positions} positions marked)")
     if math.ulp(turn) > PHASE_ULP_TOL:
-        raise ValueError(f"phase (2r+1)*theta = {turn:.6g} rad after {rounds} rounds has lost "
-                         f"its precision: float64 spacing {math.ulp(turn):.3g} rad > 2^-20")
+        raise ValidationError(f"phase (2r+1)*theta = {turn:.6g} rad after {rounds} rounds "
+                              f"has lost its precision: float64 spacing {math.ulp(turn):.3g} rad > 2^-20")
     return turn
 
 
@@ -375,9 +370,9 @@ def success_probability(side: int, rounds: int, marked: int = 1) -> float:
     """Probability of the whole marked set after ``rounds`` at width ``side``.
 
     sin**2((2r+1)*theta) with theta = asin(sqrt(M/side**2)), but exactly M/N
-    at 0 rounds or with M in {0, side**2}.  ValueError for a count out of its
-    range (:func:`as_count`: side >= 1, rounds <= MAX_ROUNDS, M <= side**2)
-    or where :func:`_phase` fails.
+    at 0 rounds or with M in {0, side**2}.  ValidationError for a count out
+    of its range (:func:`as_count`: side >= 1, rounds <= MAX_ROUNDS,
+    M <= side**2) or where :func:`_phase` fails.
     """
     positions = as_count(side, "side", 1) ** 2
     rounds = as_count(rounds, "iteration count", 0, MAX_ROUNDS, "MAX_ROUNDS")
@@ -398,11 +393,7 @@ def plan_iterations(side: int, mode: PlanMode | str = PlanMode.EXACT, marked: in
     the peak count always reaches) for more marks or side 2, and 0 for none.
     """
     mode = PlanMode(mode)
-    side = as_count(side, "side", 2)
-    if side & (side - 1):
-        raise ValueError(f"side must be a power of two >= 2, got {side!r}")
-    if side > MAX_PLAN_SIDE:
-        raise ValueError(f"side 2^{side.bit_length() - 1} is past the float64 limit 2^537")
+    side = as_side(side, "side", 2, MAX_PLAN_SIDE)
     positions = side * side
     marked = as_count(marked, "marked count", 0, positions)
     if marked == 1 and side >= 4:

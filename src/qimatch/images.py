@@ -1,8 +1,9 @@
-"""Grayscale image loading and pair validation.
+"""Grayscale image loading, pair validation and the input rules.
 
 Images are square with power-of-two side lengths.  A matching instance is a
 pair (big, small) with sides 2**n and 2**m, n > m >= 0, compared at the wider
-bit depth; :func:`validate_pair` alone checks that contract.
+bit depth; :func:`validate_pair` alone checks that contract.  The package's
+input rules, :func:`as_count` and :func:`as_side`, live here too.
 
 Every image holds its pixels as one read-only numpy array (``uint8`` up to 8
 bits, native ``uint16`` above), and that array is the image's GQIR encoding:
@@ -21,6 +22,7 @@ every probability unchanged.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,7 +35,25 @@ class PgmError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Image pair violates the matcher's size contract."""
+    """Input violates a documented contract: an image pair, a count or a side."""
+
+
+def as_count(value: object, name: str, low: int, high: float = math.inf, shown: str = "") -> int:
+    """``value`` as a Python int if its type is int or a numpy integer (no bool) in [low, high]."""
+    if (type(value) is int or isinstance(value, np.integer)) and low <= (count := int(value)) <= high:
+        return count
+    raise ValidationError(f"{name} must be an integer in [{low}, {shown or high}], got {value!r}")
+
+
+def as_side(value: object, name: str, low: int, high: float = math.inf) -> int:
+    """``value`` as a Python int if it is an integer power of two in [low, high], ``low`` >= 1."""
+    side = int(value) if type(value) is int or isinstance(value, np.integer) else 0
+    if side < low or side & (side - 1):
+        raise ValidationError(f"{name} must be a power of two >= {low}, got {value!r}")
+    if side > high:
+        raise ValidationError(f"{name} 2^{side.bit_length() - 1} is past the float64 limit "
+                              f"2^{int(high).bit_length() - 1}")
+    return side
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -53,6 +73,7 @@ class Image:
     those checks so that a parseable but unusable file is reported as a
     validation error, not a parse error.
 
+    ``width`` and ``height`` are counts >= 0 and ``bit_depth`` is one in [1, 16].
     ``pixels`` is a sequence or array of integers or bools; any other numpy
     dtype (floats, strings, ints past 64 bits) raises ValueError.  A
     read-only array of the storage dtype is shared rather than copied.
@@ -65,8 +86,8 @@ class Image:
 
     def __init__(self, width: int, height: int, bit_depth: int,
                  pixels: Sequence[int] | np.ndarray) -> None:
-        if not 1 <= bit_depth <= 16:
-            raise ValueError(f"bit depth {bit_depth} outside [1, 16]")
+        width, height = as_count(width, "width", 0), as_count(height, "height", 0)
+        bit_depth = as_count(bit_depth, "bit depth", 1, 16)
         dtype = np.dtype(np.uint8 if bit_depth <= 8 else np.uint16)
         shared = isinstance(pixels, np.ndarray) and pixels.dtype == dtype and not pixels.flags.writeable
         arr = pixels if shared else np.asarray(pixels)
@@ -239,8 +260,7 @@ def validate_pair(big: Image, small: Image) -> MatchDims:
     for name, img in (("big", big), ("small", small)):
         if img.width != img.height:
             raise ValidationError(f"{name} image is {img.width}x{img.height}, not square")
-        if img.width < 1 or img.width & (img.width - 1):
-            raise ValidationError(f"{name} image side {img.width} is not a power of two")
+        as_side(img.width, f"{name} image side", 1)
     n = big.width.bit_length() - 1
     m = small.width.bit_length() - 1
     if n <= m:

@@ -1,7 +1,8 @@
 """One match run: validate the pair, find the anchors, plan, amplify and sample.
 
 :func:`match` is the only place this chain is written out; the ``match`` and
-``example`` commands and the end-to-end demo call it.
+``example`` commands and the end-to-end demo call it.  Each refusal on the
+way is a ValidationError raised where its rule lives.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import grover, marking
-from .images import Image, MatchDims, ValidationError, validate_pair
+from .images import Image, MatchDims, ValidationError, as_count, validate_pair
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,20 @@ def lap(timings_ms: dict[str, float], stage: str, start: float) -> float:
     return now
 
 
+def check_args(mode: grover.PlanMode | str, iterations: int | None, seed: int,
+               samples: int) -> tuple[grover.PlanMode, int | None, int, int]:
+    """:func:`match`'s run arguments, checked (ValidationError) and with each count as a Python int."""
+    try:
+        mode = grover.PlanMode(mode)
+    except ValueError:
+        raise ValidationError(f"mode must be a PlanMode or one of its values, got {mode!r}") from None
+    seed = as_count(seed, "seed", 0)
+    samples = as_count(samples, "samples", 1, grover.MAX_SAMPLES, "2^63 - 1")
+    if iterations is not None:
+        iterations = as_count(iterations, "iterations", 0, grover.MAX_ROUNDS, "2^1023 - 2^969 - 1")
+    return mode, iterations, seed, samples
+
+
 def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.PlanMode.EXACT,
           iterations: int | None = None, seed: int = 0, samples: int = 1) -> Outcome:
     """Locate ``small`` inside ``big``; the ``encode`` lap validates the pair.
@@ -43,22 +58,11 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.Plan
     The plan is made for the marked count, and ``iterations`` overrides its
     rounds.  The predicted success is the final state's marked probability,
     the one the samples are drawn with.  ``mode`` is a PlanMode or its value.
-    Raises ValidationError for a bad pair, an unknown ``mode``, a count out
-    of its range (:func:`grover.as_count`) and an ``iterations`` past the
-    float64 precision of its phase; every check but the last, which depends
-    on the marked count, runs before the pair is read.
+    Raises ValidationError for a bad argument (:func:`check_args`, run before
+    the pair is read), a bad pair and an ``iterations`` past the float64
+    precision of its phase, which depends on the marked count.
     """
-    try:
-        mode = grover.PlanMode(mode)
-    except ValueError:
-        raise ValidationError(f"mode must be a PlanMode or one of its values, got {mode!r}") from None
-    try:
-        seed = grover.as_count(seed, "seed", 0)
-        samples = grover.as_count(samples, "samples", 1, grover.MAX_SAMPLES, "MAX_SAMPLES")
-        if iterations is not None:
-            iterations = grover.as_count(iterations, "iterations", 0, grover.MAX_ROUNDS, "MAX_ROUNDS")
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    mode, iterations, seed, samples = check_args(mode, iterations, seed, samples)
     timings: dict[str, float] = {}
     start = time.perf_counter()
     dims = validate_pair(big, small)
@@ -71,11 +75,8 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.Plan
     rounds = plan.iterations if iterations is None else iterations
     start = lap(timings, "plan", start)
 
-    try:
-        final = grover.amplify(dims.n, marked, rounds)
-        start = lap(timings, "amplify", start)
-        counts = grover.sample_groups(final, seed=seed, samples=samples)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    final = grover.amplify(dims.n, marked, rounds)
+    start = lap(timings, "amplify", start)
+    counts = grover.sample_groups(final, seed=seed, samples=samples)
     lap(timings, "sample", start)
     return Outcome(dims, plan, final, counts, timings)

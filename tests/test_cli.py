@@ -15,9 +15,9 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from qimatch import cli, grover, verify
+from qimatch import cli, grover, pipeline, verify
 from qimatch.cli import build_parser, main
-from qimatch.images import Image, write_pgm
+from qimatch.images import Image, ValidationError, as_side, write_pgm
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM, sample_pair
 
 from conftest import make_image, planted_instance
@@ -84,46 +84,29 @@ class TestMatchCommand:
         assert f"(x={x}, y={y})" in out
         assert f"[[{x}, {y}]]" in out
 
-    def test_missing_file_exit_one(self, tmp_path, capsys):
-        code = main(["match", "--big", str(tmp_path / "nope.pgm"),
-                     "--small", str(tmp_path / "nope2.pgm")])
-        assert code == 1
-
-    def test_validation_failure_exit_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.pgm"
-        bad.write_bytes(b"P2\n3 3\n255\n" + b"0 " * 9)
-        small = tmp_path / "s.pgm"
-        small.write_bytes(SAMPLE_SMALL_PGM)
-        assert main(["match", "--big", str(bad), "--small", str(small)]) == 2
-
-    def test_malformed_pgm_exit_two(self, tmp_path):
-        bad = tmp_path / "bad.pgm"
-        bad.write_bytes(b"P7\nnot a pgm\n")
-        small = tmp_path / "s.pgm"
-        small.write_bytes(SAMPLE_SMALL_PGM)
-        assert main(["match", "--big", str(bad), "--small", str(small)]) == 2
-
     @pytest.mark.parametrize("mode", [m.value for m in grover.PlanMode])
     def test_each_mode_runs_its_rule_on_one_mark(self, sample_paths, mode, capsys):
         assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1], "--mode", mode]) == 0
         assert f"\nplan: mode={mode} " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flag, limit, code",
+        "flag, limit, code, refusal",
         [pytest.param("--samples", grover.MAX_SAMPLES, 0,
+                      "samples must be an integer in [1, 2^63 - 1]",
                       id=f"--samples-{grover.MAX_SAMPLES}"),
          # one mark in 16 at MAX_ROUNDS: the phase is far past its float64 precision
          pytest.param("--iterations", grover.MAX_ROUNDS, 2,
+                      "iterations must be an integer in [0, 2^1023 - 2^969 - 1]",
                       id=f"--iterations-{grover.MAX_ROUNDS}")],
     )
-    def test_float64_limits(self, sample_paths, tmp_path, flag, limit, code, capsys):
+    def test_float64_limits(self, sample_paths, tmp_path, flag, limit, code, refusal, capsys):
         missing = str(tmp_path / "nope.pgm")
         assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
                      flag, str(limit)]) == code
         assert capsys.readouterr().err.count("\n") == (code == 2)
         # refused before either image is read: missing files would exit 1
         assert main(["match", "--big", missing, "--small", missing, flag, str(limit + 1)]) == 2
-        assert "error: " + flag in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {refusal}, got {limit + 1}\n"
 
     def test_phase_precision_edge(self, sample_paths, tmp_path, capsys):
         # One mark in 16: theta = asin(1/4).  The last round count whose phase
@@ -170,12 +153,6 @@ class TestMatchCommand:
                      "--iterations", str(grover.MAX_ROUNDS), "--json", str(rp)]) == 0
         assert json.loads(rp.read_text())["plan"]["predicted_success"] == 1.0
         assert capsys.readouterr().err == ""
-
-    def test_json_into_missing_directory_exit_one(self, sample_paths, tmp_path, capsys):
-        path = tmp_path / "missing" / "r.json"
-        assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
-                     "--json", str(path)]) == 1
-        assert "error: " in capsys.readouterr().err
 
     def test_no_match_exit_three(self, tmp_path, capsys):
         big = make_image([1, 2, 3, 1], 2, 2)
@@ -399,18 +376,6 @@ class TestTable1Command:
         row = path.read_text().strip().splitlines()[1].split(",")
         assert abs(float(row[-1]) - 0.8976) < 5e-4
 
-    def test_csv_into_missing_directory_exit_one(self, tmp_path, capsys):
-        assert main(["table1", "--max-a", "8", "--csv", str(tmp_path / "missing" / "t.csv")]) == 1
-        assert "error: " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad", ["3"])
-    def test_invalid_max_a_exit_two(self, bad, capsys):
-        assert main(["table1", "--max-a", bad]) == 2
-
-    def test_invalid_mode_exit_two(self):
-        assert main(["table1", "--max-a", "8", "--modes", "bogus"]) == 2
-
-
 class TestExampleCommand:
     def test_transcript_and_exit(self, capsys):
         code = main(["example"])
@@ -472,14 +437,6 @@ class TestAnalyzeCommand:
             marked, squared = map(float, row.split()[2:4])
             assert abs(squared - marked * marked) < 1e-15, row
 
-    def test_invalid_side_exit_two(self):
-        assert main(["analyze", "--a", "5"]) == 2
-
-    @pytest.mark.parametrize("sweep", ["-1"])
-    def test_negative_sweep_exit_two(self, sweep, capsys):
-        assert main(["analyze", "--a", "4", "--sweep-i", sweep]) == 2
-        assert capsys.readouterr().out == ""
-
     @pytest.mark.parametrize("a", [2048, 1 << 40])
     def test_default_sweep_stops_at_the_cap(self, a, capsys):
         # 2a rounds up to side 2048, then cli.SWEEP_CAP = 4096 at every larger side
@@ -515,13 +472,6 @@ class TestLargeSides:
         assert abs(float(predicted) - math.sin(turn) ** 2) < 1e-12
         assert float(bound) == 0.9194**2
 
-    @pytest.mark.parametrize("k", [538])
-    def test_table1_past_the_planner_limit_exit_two(self, k, capsys):
-        assert main(["table1", "--max-a", str(1 << k)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"--max-a 2^{k} is past the float64 limit 2^537" in err
-
     @pytest.mark.parametrize("k", [342, 511])
     def test_analyze_up_to_the_recurrence_limit(self, k, capsys):
         a = 1 << k
@@ -529,13 +479,6 @@ class TestLargeSides:
         out = capsys.readouterr().out
         exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
         assert f"planned rounds (exact): i={exact}" in out
-
-    @pytest.mark.parametrize("k", [512])
-    def test_analyze_past_the_recurrence_limit_exit_two(self, k, capsys):
-        assert main(["analyze", "--a", str(1 << k), "--sweep-i", "2"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"--a 2^{k} is past the float64 limit 2^511" in err
 
 
 def _error_paths(tmp_path):
@@ -565,20 +508,22 @@ def _exit(name, template, code, message, quiet=True):
 ERROR_EXITS = [
     # the three flag checks come before either image is read: missing files would exit 1
     _exit("samples", "match --big {nope} --small {nope} --samples 0",
-          2, "--samples must be in [1, 2^63 - 1]"),
-    _exit("seed", "match --big {nope} --small {nope} --seed -1", 2, "--seed must be non-negative"),
+          2, "samples must be an integer in [1, 2^63 - 1], got 0"),
+    _exit("seed", "match --big {nope} --small {nope} --seed -1",
+          2, "seed must be an integer in [0, inf], got -1"),
     _exit("iterations", "match --big {nope} --small {nope} --iterations -2",
-          2, "--iterations must be in [0, 2^1023 - 2^969 - 1]"),
+          2, "iterations must be an integer in [0, 2^1023 - 2^969 - 1], got -2"),
     _exit("samples with files", "match --big {big} --small {small} --samples 0",
-          2, "--samples must be in [1, 2^63 - 1]"),
+          2, "samples must be an integer in [1, 2^63 - 1], got 0"),
     _exit("seed with files", "match --big {big} --small {small} --seed -1",
-          2, "--seed must be non-negative"),
+          2, "seed must be an integer in [0, inf], got -1"),
     _exit("iterations with files", "match --big {big} --small {small} --iterations -2",
-          2, "--iterations must be in [0, 2^1023 - 2^969 - 1]"),
-    _exit("missing file", "match --big {nope} --small {small}", 1, "[Errno 2] No such file"),
+          2, "iterations must be an integer in [0, 2^1023 - 2^969 - 1], got -2"),
+    _exit("missing file", "match --big {nope} --small {nope}", 1, "[Errno 2] No such file"),
     _exit("directory as big", "match --big {dir} --small {small}", 1, "[Errno 21] Is a directory"),
     _exit("malformed pgm", "match --big {garbage} --small {small}", 2, "unsupported magic b'P7'"),
-    _exit("bad pair", "match --big {big3} --small {small}", 2, "big image side 3 is not a power"),
+    _exit("bad pair", "match --big {big3} --small {small}",
+          2, "big image side must be a power of two >= 1, got 3"),
     _exit("phase overflow",
           f"match --big {{big13}} --small {{small7}} --mode optimal --iterations {grover.MAX_ROUNDS}",
           2, "phase (2r+1)*theta overflows float64 at theta = 1.122964 (13 of 16"),
@@ -596,13 +541,14 @@ ERROR_EXITS = [
     _exit("max-a 2^1024", f"table1 --max-a {1 << 1024}",
           2, "--max-a 2^1024 is past the float64 limit 2^537"),
     _exit("bad a", "analyze --a 5", 2, "--a must be a power of two >= 2, got 5"),
-    _exit("a past 2^511", f"analyze --a {1 << 512}",
+    _exit("a past 2^511", f"analyze --a {1 << 512} --sweep-i 2",
           2, "--a 2^512 is past the float64 limit 2^511"),
     *(_exit(f"a 2^{k}", f"analyze --a {1 << k} --sweep-i 2",
             2, f"--a 2^{k} is past the float64 limit 2^511") for k in (538, 1024)),
     _exit("negative sweep-i", "analyze --a 4 --sweep-i -1",
-          2, "--sweep-i must be non-negative, got -1"),
-    _exit("sweep-i -5", "analyze --a 4 --sweep-i -5", 2, "--sweep-i must be non-negative, got -5"),
+          2, "--sweep-i must be an integer in [0, inf], got -1"),
+    _exit("sweep-i -5", "analyze --a 4 --sweep-i -5",
+          2, "--sweep-i must be an integer in [0, inf], got -5"),
 ]
 
 
@@ -614,6 +560,25 @@ def test_error_exits(template, code, message, quiet, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error: " + message) and err.count("\n") == 1, err
     assert (out == "") == quiet
+
+
+LIBRARY_REFUSALS = [
+    ("match --big {nope} --small {nope} --samples 0", lambda: pipeline.match(*sample_pair(), samples=0)),
+    ("match --big {nope} --small {nope} --seed -1", lambda: pipeline.match(*sample_pair(), seed=-1)),
+    ("match --big {nope} --small {nope} --iterations -2",
+     lambda: pipeline.match(*sample_pair(), iterations=-2)),
+    ("table1 --max-a 3", lambda: as_side(3, "--max-a", 4, grover.MAX_PLAN_SIDE)),
+    ("analyze --a 5", lambda: as_side(5, "--a", 2, grover.MAX_RECURRENCE_SIDE)),
+]
+
+
+@pytest.mark.parametrize("template, refuse", LIBRARY_REFUSALS, ids=[t for t, _ in LIBRARY_REFUSALS])
+def test_one_message_per_rule(template, refuse, tmp_path, capsys):
+    """A bad argument is refused with the message the library raises for the same value."""
+    with pytest.raises(ValidationError) as refused:
+        refuse()
+    assert main([word.format(**_error_paths(tmp_path)) for word in template.split()]) == 2
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
 
 
 def _python(*args):

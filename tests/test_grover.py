@@ -23,7 +23,7 @@ from qimatch.grover import (
     sample_groups,
     success_probability,
 )
-from qimatch.images import ValidationError
+from qimatch.images import ValidationError, as_count, as_side
 from qimatch.sample import sample_pair
 from qimatch.verify import (
     SubspaceState,
@@ -713,6 +713,29 @@ NOT_COUNTS = {
 def test_counts_must_be_integers(call):
     # a float or a bool is refused by the range check it would have passed
     with pytest.raises(ValueError, match="integer|power of two"):
+        call()
+
+
+REFUSALS = {
+    "as_count below": lambda: as_count(-1, "n", 0),
+    "as_count type": lambda: as_count(1.0, "n", 0),
+    "as_side not a power of two": lambda: as_side(6, "side", 2),
+    "as_side past its limit": lambda: as_side(1 << 538, "side", 2, 1 << 537),
+    "amplify phase overflow": lambda: amplify(2, as_marks(range(13)), MAX_ROUNDS),
+    "amplify phase precision": lambda: amplify(2, as_marks([5]), 10**15),
+    "amplify rounds": lambda: amplify(2, as_marks([5]), -1),
+    "success_probability rounds": lambda: success_probability(4, -1),
+    "success_probability phase": lambda: success_probability(4, 10**15),
+    "plan_iterations side": lambda: plan_iterations(12),
+    "plan_iterations past MAX_PLAN_SIDE": lambda: plan_iterations(1 << 538),
+    "plan_iterations marked": lambda: plan_iterations(4, marked=17),
+    "sample_groups samples": lambda: sample_groups(amplify(2, as_marks([5]), 1), 0, 0),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_refusal_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
         call()
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qimatch import pipeline
 from qimatch.images import (
     _DECODE_CHUNK,
     Image,
@@ -158,7 +159,7 @@ class TestValidatePair:
     def test_non_power_of_two_rejected(self):
         odd = load_pgm(p2_bytes(3, 3, 255, list(range(9))))
         small = load_pgm(p2_bytes(1, 1, 255, [0]))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^big image side must be a power of two >= 1, got 3$"):
             validate_pair(odd, small)
 
     def test_swapped_legal_pair_always_fails(self):
@@ -228,8 +229,29 @@ class TestPixelArray:
 
     @pytest.mark.parametrize("bit_depth", [0, 17])
     def test_bit_depth_outside_1_to_16_rejected(self, bit_depth):
-        with pytest.raises(ValueError, match=f"bit depth {bit_depth} outside"):
+        with pytest.raises(ValueError, match=rf"^bit depth must be an integer in \[1, 16\], got {bit_depth}$"):
             Image(1, 1, bit_depth, [0])
+
+    @pytest.mark.parametrize("width, height, bit_depth, pixels, message", [
+        (2.0, 2.0, 8, [0, 1, 1, 0], r"^width must be an integer in \[0, inf\], got 2.0$"),
+        (2, 2.0, 8, [0, 1, 1, 0], r"^height must be an integer in \[0, inf\], got 2.0$"),
+        (-1, -1, 8, [0], r"^width must be an integer in \[0, inf\], got -1$"),
+        (True, True, 8, [0], r"^width must be an integer in \[0, inf\], got True$"),
+        (2, 2, 8.0, [0, 1, 1, 0], r"^bit depth must be an integer in \[1, 16\], got 8.0$"),
+        (2, 2, True, [0, 1, 1, 0], r"^bit depth must be an integer in \[1, 16\], got True$"),
+    ], ids=["float", "float-height", "negative", "bool", "float-depth", "bool-depth"])
+    def test_sizes_and_depth_are_counts(self, width, height, bit_depth, pixels, message):
+        # the pixel count fits each product, so only the size rule refuses the image
+        with pytest.raises(ValidationError, match=message):
+            Image(width, height, bit_depth, pixels)
+
+    def test_numpy_sizes_are_stored_as_ints(self):
+        img = Image(np.int64(2), np.int32(2), np.uint8(8), [160, 164, 164, 165])
+        assert img == Image(2, 2, 8, [160, 164, 164, 165])
+        assert all(type(v) is int for v in (img.width, img.height, img.bit_depth))
+        big = Image(np.int64(4), np.int64(4), np.int64(8), sample_pair()[0].array)
+        outcome = pipeline.match(big, img)
+        assert outcome.final.top_index() == 5 and outcome.dims.n == 2
 
     @pytest.mark.parametrize("pixels", [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 16), (0, -1, 2, 3)])
     def test_bad_pixels_rejected(self, pixels):

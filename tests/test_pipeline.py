@@ -285,7 +285,9 @@ def test_each_name_has_one_home():
     # images encodes nothing: an image's array is its encoding
     functions = {name for name, obj in vars(images).items()
                  if inspect.isfunction(obj) and obj.__module__ == images.__name__ and name[0] != "_"}
-    assert functions == {"load_pgm", "validate_pair", "write_pgm"}
+    assert functions == {"as_count", "as_side", "load_pgm", "validate_pair", "write_pgm"}
+    # the input rules live in images alone; every other module imports them
+    assert all(module.as_count is images.as_count for module in (grover, pipeline, cli))
 
 
 def test_match_path_loads_no_oracle_and_no_cli():
@@ -339,6 +341,6 @@ def test_grover_holds_only_the_hot_path_and_planning():
     assert public == {"TwoValueState", "amplify", "sample_groups",
                       "AmplitudePair", "initial_pair", "recurrence_step",
                       "PlanMode", "IterationPlan", "plan_iterations", "probability_lower_bound",
-                      "success_probability", "as_count"}
+                      "success_probability"}
     # the recurrence's Chebyshev closed form is an oracle, kept in verify alone
     assert hasattr(verify, "closed_form_pair") and not hasattr(grover, "_chebyshev")
