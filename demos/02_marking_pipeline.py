@@ -1,68 +1,79 @@
-"""The compare-and-mark stage, three independent ways.
+"""The compare-and-mark stage, gate by gate and by classical scans.
 
-Runs the structured branch simulation on the built-in pair, shows how the
-comparison zeroes out matching intensities and how the flag singles out the
-anchor position, then confirms the marked set against the dense gate-level
-simulator and the exhaustive classical scan.
+Simulates the marking circuit at gate level on a 3-bit 4x4/2x2 instance,
+reads the XOR difference and flag registers of a few branches out of the
+dense state to show how the comparison zeroes out matching intensities and
+how the flag singles out the anchor position, then confirms the marked set
+against the exhaustive classical scan and the hot path's anchor pass.  The
+built-in 8-bit pair needs more qubits than the dense simulator allows, so it
+is checked by the classical scans alone.
 """
+
+import numpy as np
 
 from qimatch import Image, sample_pair
 from qimatch.images import validate_pair
+from qimatch.marking import anchors
 from qimatch.verify import (
+    DEFAULT_QUBIT_CAP,
     MatchMode,
-    apply_comparison,
-    apply_marking,
+    RegisterLayout,
     classical_match,
     dense_marked_set,
     dense_simulate_marking,
-    marked_set,
-    prepare_initial,
 )
 
-big, small = sample_pair()
+big = Image(4, 4, 3, (2, 1, 3, 7, 6, 5, 1, 0, 4, 1, 2, 6, 7, 0, 3, 4))
+small = Image(2, 2, 3, (5, 1, 1, 2))
 dims = validate_pair(big, small)
 
-state = prepare_initial(big, small)
-norm = sum(b.amplitude ** 2 for b in state.branches())
-print(f"prepared state: {state.branch_count} branches, amplitude "
-      f"{state.branch(0, 0).amplitude} each, squared norm {norm:.12f}")
+state = dense_simulate_marking(big, small)
+layout = state.layout
+# Each (pos_a, pos_b) branch is one kickback pair: +w/sqrt(2) at kickback 0, -w/sqrt(2) at 1.
+held = np.flatnonzero(state.amplitudes)
+held = held[layout.field(held, layout.kick) == 0]
+print(f"dense state: {layout.total_qubits} qubits, {len(held)} branches, amplitude "
+      f"{state.amplitudes[held[0]]:.6f} at kickback 0, squared norm {state.norm_squared():.12f}")
 
-state = apply_comparison(state)
+
+def branch(pos_a: int, pos_b: int) -> tuple[int, int]:
+    """The (difference, flag) registers of the branch at (pos_a, pos_b)."""
+    at = (layout.field(held, layout.pos_a) == pos_a) & (layout.field(held, layout.pos_b) == pos_b)
+    (k,) = held[at]
+    return int(layout.field(k, layout.val_a)), int(layout.field(k, layout.flag))
+
+
 print("\nafter comparison, the big-intensity register holds XOR differences:")
-for pos_a, pos_b in [(0, 0), (5, 0), (5, 3), (3, 3)]:
-    b = state.branch(pos_a, pos_b)
-    print(f"    branch (pos_a={pos_a:2d}, pos_b={pos_b}): difference {b.val_a:3d}")
+for pos_a, pos_b in [(0, 0), (5, 0), (5, 3), (1, 1)]:
+    diff, flag = branch(pos_a, pos_b)
+    print(f"    branch (pos_a={pos_a:2d}, pos_b={pos_b}): difference {diff}, flag {flag}")
 
-state = apply_marking(state)
-flagged = [b for b in state.branches() if b.flag == 1]
+flagged = held[layout.field(held, layout.flag) == 1]
 print(f"\nafter marking, {len(flagged)} branch carries the flag:")
-for b in flagged:
-    print(f"    pos_a={b.pos_a} (x={b.pos_a % dims.side}, y={b.pos_a // dims.side}), "
-          f"pos_b={b.pos_b}")
-print("note: branch (pos_a=3, pos_b=3) also has difference 0 but stays "
+for k in flagged:
+    pos_a, pos_b = int(layout.field(k, layout.pos_a)), int(layout.field(k, layout.pos_b))
+    print(f"    pos_a={pos_a} (x={pos_a % dims.side}, y={pos_a // dims.side}), pos_b={pos_b}")
+print("note: branch (pos_a=1, pos_b=1) also has difference 0 but stays "
       "unflagged because its small-position register is nonzero")
-
-marks = marked_set(state)
-print(f"\nmarked positions: {sorted(marks)}")
 
 anchor = classical_match(big, small, MatchMode.ANCHOR_PIXEL)
 full = classical_match(big, small, MatchMode.FULL_BLOCK)
-print(f"\nclassical anchor-pixel scan : {list(anchor.locations)} "
-      f"({anchor.comparisons} comparisons)")
-print(f"classical full-block scan   : {list(full.locations)} "
-      f"({full.comparisons} comparisons)")
+print(f"\ndense gate-level marked set : {sorted(dense_marked_set(state))}")
+print(f"classical anchor positions  : {sorted(y * dims.side + x for x, y in anchor.locations)}")
+print(f"hot-path anchors            : {anchors(big, small).tolist()}")
+print(f"classical full-block scan   : {list(full.locations)} ({full.comparisons} comparisons)")
+print("all three routes agree")
 
-# the dense gate-level oracle tracks every qubit explicitly, so it only fits
-# narrow registers; cross-check all three routes on a 3-bit 4x4/2x2 instance
-big3 = Image(4, 4, 3, (2, 1, 3, 7, 6, 5, 1, 0, 4, 1, 2, 6, 7, 0, 3, 4))
-small3 = Image(2, 2, 3, (5, 1, 1, 2))
-dims3 = validate_pair(big3, small3)
-dense = dense_simulate_marking(big3, small3)
-state3 = apply_marking(apply_comparison(prepare_initial(big3, small3)))
-anchor3 = classical_match(big3, small3, MatchMode.ANCHOR_PIXEL)
-anchor3_set = sorted(y * dims3.side + x for x, y in anchor3.locations)
-print("\n3-bit cross-check instance:")
-print(f"    dense gate-level marked set : {sorted(dense_marked_set(dense))}")
-print(f"    structured branch marked set: {sorted(marked_set(state3))}")
-print(f"    classical anchor positions  : {anchor3_set}")
-print("\nall three routes agree")
+# the dense oracle tracks every qubit explicitly, so the 8-bit built-in pair
+# is past its cap; the classical scans run at any width
+big8, small8 = sample_pair()
+dims8 = validate_pair(big8, small8)
+qubits = RegisterLayout(dims8.bit_depth, dims8.n, dims8.m).total_qubits
+anchor8 = classical_match(big8, small8, MatchMode.ANCHOR_PIXEL)
+full8 = classical_match(big8, small8, MatchMode.FULL_BLOCK)
+print(f"\nbuilt-in 8-bit pair: {qubits} qubits, past the dense cap of {DEFAULT_QUBIT_CAP}")
+print(f"    classical anchor-pixel scan : {list(anchor8.locations)} "
+      f"({anchor8.comparisons} comparisons)")
+print(f"    classical full-block scan   : {list(full8.locations)} "
+      f"({full8.comparisons} comparisons)")
+print(f"    hot-path anchors            : {anchors(big8, small8).tolist()}")

@@ -9,11 +9,10 @@
 3. planning the rounds for the marked count, amplifying the flagged positions
    in closed form, and sampling a projective measurement (:mod:`qimatch.grover`).
 
-:mod:`qimatch.verify` carries the independent oracles (the structured branch
-walk through the circuit's stages, a dense gate-level simulator, the
-exhaustive classical matcher, the full-vector engine, the planning quartic's
-radical root and the recurrence's Chebyshev closed form) used to cross-check
-the pipeline, and
+:mod:`qimatch.verify` carries the independent oracles (a dense gate-level
+simulator of the compare-and-mark circuit, the exhaustive classical matcher,
+the full-vector engine, the planning quartic's radical root and the
+recurrence's Chebyshev closed form) used to cross-check the pipeline, and
 :mod:`qimatch.cli` exposes everything as a command line tool.
 
 The package namespace holds the pipeline, its input and error types and the

@@ -5,7 +5,8 @@ and its small position is 0, so the flagged big positions are the anchors
 { k : A[k] == B[0] }.  :func:`anchors` finds them in one scan over fixed
 chunks of the big image that stops collecting hits one by one after a few:
 time is O(4^n), and extra memory is one chunk plus the hits while they are
-few.  :mod:`qimatch.verify` walks the circuit's branches as an oracle.
+few.  :mod:`qimatch.verify` checks the same set two ways, as oracles: a
+gate-level simulation of the circuit and an exhaustive pixel scan.
 """
 
 from __future__ import annotations

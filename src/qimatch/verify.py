@@ -1,11 +1,8 @@
 """Independent verification oracles.
 
-Three deliberately separate routes find the marked set that the hot path's
+Two deliberately separate routes find the marked set that the hot path's
 :func:`qimatch.marking.anchors` computes in one pass:
 
-* the structured branch walk, which steps a :class:`JointState` through the
-  circuit's stages and is read only through :meth:`JointState.branch`
-  (:func:`marked_set` collects the flags it raises),
 * a dense statevector simulator that lays out the full qubit register
   (kickback ancilla, flag, both intensity registers, both position registers)
   and applies the comparison CNOTs and the multi-controlled flag flip as
@@ -20,15 +17,14 @@ complex floats, and :func:`closed_form_pair`, the single-mark recurrence's
 values as Chebyshev polynomials.  Tests compare them with the closed form,
 the exact plan and :func:`qimatch.grover.recurrence_step`.
 
-Every route takes the two :class:`~qimatch.images.Image` objects.  The
-structured walk holds O(4**n + 4**m) numbers at any register width.  The dense
+Every route takes the two :class:`~qimatch.images.Image` objects.  The dense
 route is exponential in every register width (each as wide as the pair's
 wider bit depth), so construction is capped (at 22 qubits, a 32 MiB
-vector); it exists for small instances only.  The classical matcher has two
-modes: FULL_BLOCK is the engineering ground truth (the whole small image must
-match a block of the big image); ANCHOR_PIXEL reproduces what the marking
-circuit actually tests, namely equality of single big-image pixels with the
-small image's top-left pixel.
+vector); it exists for small instances only.  The classical matcher runs at
+any width and has two modes: FULL_BLOCK is the engineering ground truth (the
+whole small image must match a block of the big image); ANCHOR_PIXEL
+reproduces what the marking circuit actually tests, namely equality of single
+big-image pixels with the small image's top-left pixel.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -130,8 +126,9 @@ def dense_simulate_marking(big: Image, small: Image) -> DenseState:
 
     Prepares the product of the kickback ancilla (|0> - |1>)/sqrt(2), the flag
     at 0, and the two uniform image superpositions, then applies one CNOT per
-    intensity bit plane followed by the multi-controlled flag flip.  Agrees
-    branch for branch with the structured branch walk, at any mix of bit depths.
+    intensity bit plane followed by the multi-controlled flag flip.  Every
+    (pos_a, pos_b) branch then holds the difference A[pos_a] ^ B[pos_b] and a
+    flag raised where that is 0 and pos_b is 0, at any mix of bit depths.
     ValueError past :data:`DEFAULT_QUBIT_CAP` qubits.
     """
     dims = validate_pair(big, small)
@@ -174,118 +171,6 @@ def dense_marked_set(state: DenseState) -> set[int]:
         np.abs(state.amplitudes) > AMPLITUDE_EPS
     )
     return set(int(k) for k in np.unique(state.layout.field(idx[flagged], state.layout.pos_a)))
-
-
-# ---------------------------------------------------------------------------
-# Structured branch walk
-# ---------------------------------------------------------------------------
-
-
-class Stage(enum.Enum):
-    PREPARED = "prepared"
-    COMPARED = "compared"
-    MARKED = "marked"
-
-
-class StageError(RuntimeError):
-    """Operation applied to a state in the wrong pipeline stage."""
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One basis branch: flag, both intensity registers, both positions."""
-
-    flag: int
-    val_a: int
-    pos_a: int
-    val_b: int
-    pos_b: int
-    amplitude: float
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Joint state over 4**n * 4**m branches, held as the two images and a stage.
-
-    ``big`` and ``small`` are the two images' own read-only unsigned
-    intensity arrays, indexed by position.  A branch is read through
-    :meth:`branch` or :meth:`branches`, one at a time; nothing here builds an
-    array with one entry per branch.  Every branch keeps the real amplitude
-    1/2**(n+m); the kickback ancilla, untouched until amplification, is left out.
-    """
-
-    dims: MatchDims
-    big: np.ndarray
-    small: np.ndarray
-    stage: Stage
-
-    @property
-    def branch_count(self) -> int:
-        return len(self.big) * len(self.small)
-
-    @property
-    def _weight(self) -> float:
-        return 1.0 / (1 << (self.dims.n + self.dims.m))
-
-    def branches(self) -> Iterator[Branch]:
-        for pos_a in range(len(self.big)):
-            for pos_b in range(len(self.small)):
-                yield self.branch(pos_a, pos_b)
-
-    def branch(self, pos_a: int, pos_b: int) -> Branch:
-        if not (0 <= pos_a < len(self.big) and 0 <= pos_b < len(self.small)):
-            raise IndexError(
-                f"branch ({pos_a}, {pos_b}) outside {len(self.big)} x {len(self.small)}"
-            )
-        val_a, val_b = int(self.big[pos_a]), int(self.small[pos_b])
-        if self.stage is not Stage.PREPARED:
-            val_a ^= val_b
-        flag = int(self.stage is Stage.MARKED and val_a == 0 and pos_b == 0)
-        return Branch(flag, val_a, int(pos_a), val_b, int(pos_b), self._weight)
-
-
-def prepare_initial(big: Image, small: Image) -> JointState:
-    """Build the uniform product state over every (pos_a, pos_b) pair.
-
-    Each of the 4**n * 4**m branches starts with flag 0 and amplitude
-    1/2**(n+m).  Raises ValidationError for a pair ``validate_pair`` rejects.
-    """
-    return JointState(dims=validate_pair(big, small), big=big.array, small=small.array,
-                      stage=Stage.PREPARED)
-
-
-def apply_comparison(state: JointState) -> JointState:
-    """XOR the small intensity into the big intensity register, bitwise.
-
-    Equivalent to one CNOT per bit plane; matching pixels leave an all-zero
-    difference register.  Amplitudes are untouched.
-    """
-    if state.stage is not Stage.PREPARED:
-        raise StageError(f"comparison expects a prepared state, got {state.stage.value}")
-    return replace(state, stage=Stage.COMPARED)
-
-
-def apply_marking(state: JointState) -> JointState:
-    """Raise the flag on branches with zero difference and small position zero.
-
-    This is the multi-controlled NOT over the difference register and the
-    small position register; only the flag field changes.
-    """
-    if state.stage is not Stage.COMPARED:
-        raise StageError(f"marking expects a compared state, got {state.stage.value}")
-    return replace(state, stage=Stage.MARKED)
-
-
-def marked_set(state: JointState) -> set[int]:
-    """The paper's marked set: the big positions whose flag :meth:`JointState.branch` raises.
-
-    The flag can rise only at small position 0, so that branch is read at
-    every big position.  Nothing here recomputes the flag's predicate, so this
-    route stays independent of :func:`qimatch.marking.anchors`.
-    """
-    if state.stage is not Stage.MARKED:
-        raise StageError(f"marked set needs a marked state, got {state.stage.value}")
-    return {k for k in range(len(state.big)) if state.branch(k, 0).flag == 1}
 
 
 # ---------------------------------------------------------------------------

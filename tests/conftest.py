@@ -7,7 +7,7 @@ import random
 import pytest
 
 from qimatch.images import Image
-from qimatch.verify import apply_comparison, apply_marking, marked_set, prepare_initial
+from qimatch.verify import MatchMode, classical_match
 
 _acceptance_results: list[tuple[str, str, bool]] = []
 
@@ -46,9 +46,9 @@ def quartic_doubled(i: int, a: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def structured_marked(big: Image, small: Image) -> set[int]:
-    """The marked set from the structured branch walk through the circuit's stages."""
-    return marked_set(apply_marking(apply_comparison(prepare_initial(big, small))))
+def classical_anchors(big: Image, small: Image) -> set[int]:
+    """The marked set from the exhaustive classical anchor-pixel scan, as positions y * side + x."""
+    return {y * big.width + x for x, y in classical_match(big, small, MatchMode.ANCHOR_PIXEL).locations}
 
 
 def make_image(values: list[int], side: int, bit_depth: int) -> Image:

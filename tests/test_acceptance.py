@@ -26,7 +26,7 @@ from qimatch.grover import PlanMode
 from qimatch.images import load_pgm, validate_pair
 from qimatch.sample import SAMPLE_BIG_PGM, SAMPLE_SMALL_PGM
 
-from conftest import planted_instance, quartic_doubled, random_instance, structured_marked
+from conftest import classical_anchors, planted_instance, quartic_doubled, random_instance
 
 REFERENCE_ITERATIONS = {
     4: 3, 8: 6, 16: 12, 32: 25, 64: 50, 128: 101, 256: 203, 512: 407,
@@ -56,7 +56,7 @@ def test_criterion_01_worked_example_reproduction():
     """Built-in pair: marked {5}, 3 rounds, exact amplitudes and probabilities."""
     t0 = time.perf_counter()
     big, small = load_pgm(SAMPLE_BIG_PGM), load_pgm(SAMPLE_SMALL_PGM)
-    dims, marked = validate_pair(big, small), structured_marked(big, small)
+    dims, marked = validate_pair(big, small), classical_anchors(big, small)
     assert marked == {5}
 
     plan = grover.plan_iterations(dims.side, PlanMode.EXACT)
@@ -195,39 +195,36 @@ def test_criterion_06_diffusion_identities():
             assert np.max(np.abs(got - proj @ vec)) < 1e-10
 
 
-def four_routes(big, small):
-    """The marked set from dense gates, structured branches, the classical
-    anchor scan and the hot path's anchor pass, in that order."""
-    side = validate_pair(big, small).side
+def three_routes(big, small):
+    """The marked set from dense gates, the classical anchor scan and the hot
+    path's anchor pass, in that order."""
     dense = verify.dense_marked_set(verify.dense_simulate_marking(big, small))
-    anchor = verify.classical_match(big, small, verify.MatchMode.ANCHOR_PIXEL)
-    anchor_set = {y * side + x for x, y in anchor.locations}
     hot = set(marking.anchors(big, small).tolist())
-    return dense, structured_marked(big, small), anchor_set, hot
+    return dense, classical_anchors(big, small), hot
 
 
 def test_criterion_07_oracle_agreement():
-    """Dense gates, structured branches, the classical scan and the hot path mark identically."""
+    """Dense gates, the classical scan and the hot path mark identically."""
     rng = random.Random(31415)
     for _ in range(100):
         n = rng.randint(1, 2)
         m = rng.randint(0, n - 1)
         q = rng.randint(1, 3)
         big, small = random_instance(rng, n, m, q)
-        dense, structured, anchor_set, hot = four_routes(big, small)
-        assert dense == structured == anchor_set == hot
+        dense, anchor_set, hot = three_routes(big, small)
+        assert dense == anchor_set == hot
 
     # instances built so the anchor match is unique and is a full-block match
     for _ in range(10):
         big, small, (x, y) = planted_instance(rng, 2, 1, 3)
         dims = validate_pair(big, small)
-        dense, marked, anchor_set, hot = four_routes(big, small)
-        assert dense == marked == anchor_set == hot
+        dense, anchor_set, hot = three_routes(big, small)
+        assert dense == anchor_set == hot
         full = verify.classical_match(big, small, verify.MatchMode.FULL_BLOCK)
         anchor = verify.classical_match(big, small, verify.MatchMode.ANCHOR_PIXEL)
         assert full.locations == anchor.locations == ((x, y),)
         plan = grover.plan_iterations(dims.side, PlanMode.EXACT)
-        final = verify.run_grover(verify.init_subspace(dims.n, marked), plan.iterations)
+        final = verify.run_grover(verify.init_subspace(dims.n, anchor_set), plan.iterations)
         top = int(np.argmax(final.probabilities()))
         assert (top % dims.side, top // dims.side) == (x, y)
 

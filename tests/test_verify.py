@@ -14,17 +14,14 @@ from qimatch.verify import (
     MatchMode,
     RegisterLayout,
     apply_cnot,
-    apply_comparison,
     apply_controlled_flip,
-    apply_marking,
     classical_match,
     closed_form_iterations,
     dense_marked_set,
     dense_simulate_marking,
-    prepare_initial,
 )
 
-from conftest import make_image, random_instance, structured_marked
+from conftest import classical_anchors, make_image, random_instance
 
 
 class TestRegisterLayout:
@@ -79,7 +76,7 @@ class TestDenseSimulation:
         small = make_image([3], 1, 2)
         state = dense_simulate_marking(big, small)
         assert dense_marked_set(state) == {2}
-        assert dense_marked_set(state) == structured_marked(big, small)
+        assert dense_marked_set(state) == classical_anchors(big, small)
 
     def test_all_zero_flags_everything(self):
         big = make_image([0, 0, 0, 0], 2, 1)
@@ -99,11 +96,24 @@ class TestDenseSimulation:
         state = dense_simulate_marking(big, small)
         assert dense_marked_set(state) == {0, 2}
 
-    def test_four_by_four_agrees_with_structured(self):
+    def test_four_by_four_agrees_with_classical(self):
         rng = random.Random(88)
         big, small = random_instance(rng, 2, 1, 2)
         state = dense_simulate_marking(big, small)
-        assert dense_marked_set(state) == structured_marked(big, small)
+        assert dense_marked_set(state) == classical_anchors(big, small)
+
+    def test_zero_difference_off_origin_not_flagged(self):
+        # A[1] == B[1] gives branch (1, 1) a zero difference, but only small
+        # position 0 may raise the flag, so the lone anchor A[5] == B[0] is marked.
+        big = make_image([2, 1, 3, 7, 6, 5, 1, 0, 4, 1, 2, 6, 7, 0, 3, 4], 4, 3)
+        small = make_image([5, 1, 1, 2], 2, 3)
+        state = dense_simulate_marking(big, small)
+        layout, held = state.layout, np.flatnonzero(state.amplitudes)
+        branch = held[(layout.field(held, layout.pos_a) == 1) & (layout.field(held, layout.pos_b) == 1)]
+        assert len(branch) == 2  # the kickback pair
+        assert np.all(layout.field(branch, layout.val_a) == 0)
+        assert np.all(layout.field(branch, layout.flag) == 0)
+        assert dense_marked_set(state) == {5}
 
     def test_norm_is_one(self):
         rng = random.Random(89)
@@ -134,14 +144,13 @@ class TestDenseSimulation:
             q = rng.randint(1, 3)
             big, small = random_instance(rng, n, m, q)
             dense = dense_marked_set(dense_simulate_marking(big, small))
-            structured = structured_marked(big, small)
             anchor = {k for k, v in enumerate(big.array.tolist()) if v == small.array[0]}
-            assert dense == structured == anchor
+            assert dense == classical_anchors(big, small) == anchor
 
 
 class TestDenseMixedDepths:
     @pytest.mark.parametrize("depths", [(4, 8), (8, 4), (1, 3), (3, 2)])
-    def test_raw_pair_agrees_with_structured(self, depths):
+    def test_raw_pair_agrees_with_classical(self, depths):
         rng = random.Random(sum(depths))
         big_depth, small_depth = depths
         # An 8-bit pair needs a 20-qubit register even at n = 1, so it gets fewer runs.
@@ -155,13 +164,14 @@ class TestDenseMixedDepths:
             big, small = make_image(big_px, 1 << n, big_depth), make_image(small_px, 1 << m, small_depth)
             dense = dense_simulate_marking(big, small)
             assert dense.layout.bit_depth == max(depths)
-            assert dense_marked_set(dense) == structured_marked(big, small)
+            assert dense_marked_set(dense) == classical_anchors(big, small)
             assert abs(dense.norm_squared() - 1.0) < 1e-10
 
     @pytest.mark.parametrize("depths", [(1, 1), (2, 2), (3, 3), (4, 8), (8, 4), (1, 3), (3, 2)])
-    def test_dense_vector_holds_every_structured_branch(self, depths):
-        # Each structured branch sits at its basis index with kickback 0 at +w/sqrt(2)
-        # and kickback 1 at -w/sqrt(2); every other amplitude is zero, bit for bit.
+    def test_dense_vector_holds_every_branch(self, depths):
+        # Each (pos_a, pos_b) branch holds difference a[pos_a] ^ b[pos_b], flagged where
+        # that is 0 and pos_b is 0, with kickback 0 at +w/sqrt(2) and kickback 1
+        # at -w/sqrt(2), w = 1/2**(n+m); every other amplitude is zero, bit for bit.
         rng = random.Random(100 + sum(depths))
         big_depth, small_depth = depths
         for run in range(6):
@@ -174,20 +184,25 @@ class TestDenseMixedDepths:
             big, small = make_image(big_px, 1 << n, big_depth), make_image(small_px, 1 << m, small_depth)
             dense = dense_simulate_marking(big, small)
             layout = dense.layout
+            w = 1.0 / (1 << (n + m))
             want = np.zeros(1 << layout.total_qubits)
-            for b in apply_marking(apply_comparison(prepare_initial(big, small))).branches():
-                k = ((b.flag << layout.flag[0]) | (b.val_a << layout.val_a[0])
-                     | (b.pos_a << layout.pos_a[0]) | (b.val_b << layout.val_b[0])
-                     | (b.pos_b << layout.pos_b[0]))
-                want[k] = b.amplitude / math.sqrt(2.0)
-                want[k | 1 << layout.kick[0]] = -want[k]
+            for pos_a, a in enumerate(big_px):
+                for pos_b, b in enumerate(small_px):
+                    diff = a ^ b
+                    flag = int(diff == 0 and pos_b == 0)
+                    k = ((flag << layout.flag[0]) | (diff << layout.val_a[0])
+                         | (pos_a << layout.pos_a[0]) | (b << layout.val_b[0])
+                         | (pos_b << layout.pos_b[0]))
+                    want[k] = w / math.sqrt(2.0)
+                    want[k | 1 << layout.kick[0]] = -want[k]
             assert np.array_equal(dense.amplitudes, want), (depths, run)
 
     @pytest.mark.parametrize("depths", [(16, 8), (8, 16)])
     def test_eight_and_sixteen_bits_take_the_wider_register(self, depths):
         # Two 16-bit registers make 36 qubits, past any dense cap, so only the
-        # layout width is checked here; test_marking covers 8/16-bit pairs on
-        # the structured route.
+        # layout width is checked here; the hot path and the classical scan
+        # compare 8/16-bit pairs at full width in test_marking's
+        # TestAnchorScan::test_sixteen_bit_small_never_matches_on_the_low_bits.
         big = make_image([0, 300 % (1 << depths[0]), 5, 7], 2, depths[0])
         small = make_image([5], 1, depths[1])
         with pytest.raises(ValueError, match="needs 36 qubits"):
