@@ -17,13 +17,13 @@ unmutated round trip must pass the tests first, or the run stops.
 
 Usage, from the repository root::
 
-    python tools/mutants.py src/qimatch/marking.py [more modules] [--jobs 2]
-        [--accept tools/equivalent_mutants.json]
+    python tools/mutants.py src/qimatch/marking.py [more modules]
 
-Each mutant prints one line, and each module a summary ``killed K/T``.  With
-``--accept``, a survivor listed in that file as equivalent (a change the
-program's results cannot show, such as a speed-only constant, each with its
-reason) is reported as such; any other survivor makes the run exit 1.
+Test runs go one per CPU.  Each mutant prints one line, and each module a
+summary ``killed K/T``.  A survivor that ``tools/equivalent_mutants.json``
+lists as equivalent (a change the program's results cannot show, such as a
+speed-only constant, each with its reason) is reported as such; any other
+survivor makes the run exit 1.
 """
 
 from __future__ import annotations
@@ -44,18 +44,13 @@ from pathlib import Path
 from queue import Queue
 
 ROOT = Path(__file__).resolve().parent.parent
+EQUIVALENT = ROOT / "tools" / "equivalent_mutants.json"
 
 # The test files that exercise each module, run for every mutant of it.
 TESTS = {
-    "__init__.py": ["tests/test_pipeline.py"],
-    "cli.py": ["tests/test_cli.py", "tests/test_cli_properties.py", "tests/test_planning.py"],
-    "grover.py": ["tests/test_grover.py", "tests/test_planning.py", "tests/test_pipeline.py",
-                  "tests/test_acceptance.py"],
     "images.py": ["tests/test_images.py", "tests/test_pgm_properties.py", "tests/test_marking.py",
                   "tests/test_verify.py", "tests/test_pipeline.py"],
     "marking.py": ["tests/test_marking.py", "tests/test_pipeline.py", "tests/test_acceptance.py"],
-    "pipeline.py": ["tests/test_pipeline.py", "tests/test_grover.py", "tests/test_cli.py"],
-    "sample.py": ["tests/test_images.py", "tests/test_pipeline.py", "tests/test_acceptance.py"],
     "verify.py": ["tests/test_verify.py", "tests/test_marking.py", "tests/test_acceptance.py",
                   "tests/test_grover.py", "tests/test_planning.py"],
 }
@@ -207,22 +202,17 @@ def probe(module: Path, jobs: int, accepted: dict[str, str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", type=Path, help="modules under src/qimatch")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="test runs at once, at most the CPU count (default 1)")
-    parser.add_argument("--accept", type=Path, help="JSON list of accepted equivalent mutants")
     args = parser.parse_args(argv)
     unknown = [str(m) for m in args.modules if m.name not in TESTS]
     if unknown:
         parser.error(f"no test map for {', '.join(unknown)}; known: {', '.join(TESTS)}")
-    jobs = min(max(1, args.jobs), os.cpu_count() or 1)
-    accepted = {}
-    if args.accept:
-        accepted = {f"{e['module']}: {e['mutant']}": e["reason"]
-                    for e in json.loads(args.accept.read_text())}
+    jobs = os.cpu_count() or 1
+    accepted = {f"{e['module']}: {e['mutant']}": e["reason"]
+                for e in json.loads(EQUIVALENT.read_text())}
     failed = False
     for module in args.modules:
         failed |= bool(probe(module, jobs, accepted))
-    return int(failed and args.accept is not None)
+    return int(failed)
 
 
 if __name__ == "__main__":
