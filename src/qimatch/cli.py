@@ -7,14 +7,15 @@ Subcommands:
 * ``example``  run the built-in pair end to end with exact fractions
 * ``analyze``  sweep the two-value recurrence for one image size
 
-Exit codes: 0 success, 1 I/O error, 2 validation error (a bad PGM or pair, an
-argument out of range, or an ``--iterations`` count whose phase float64 can no
-longer resolve), 3 no match found.  Commands raise OSError, PgmError and
-ValidationError; :func:`main` alone turns those into an exit code and one
-``error:`` stderr line.  Every argument rule but ``--modes`` list syntax is
-the library's, message included (``images.as_count``/``as_side``).  No
-command compares its output against a frozen value or loads the test oracles
-in :mod:`qimatch.verify`.
+``match`` applies the rounds planned for the marked count it found; other
+counts go through :mod:`qimatch.grover`.  Exit codes: 0 success, 1 I/O
+error, 2 validation error (a bad PGM or pair, or an argument out of range),
+3 no match found.  Commands raise OSError, PgmError and ValidationError;
+:func:`main` alone turns those into an exit code and one ``error:`` stderr
+line.  Every argument rule but ``--modes`` list syntax is the library's,
+message included (``images.as_count``/``as_side``).  No command compares its
+output against a frozen value or loads the test oracles in
+:mod:`qimatch.verify`.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call; parsing keeps no state between calls.
@@ -63,15 +64,13 @@ def _match_report(
     """The ``--json`` report of one match run, in fixed key order."""
     dims, final = outcome.dims, outcome.final
     top = final.top_index()
-    # The plan's bound holds for the rounds it planned, not for an override.
-    planned = final.rounds == outcome.plan.iterations
     report = {
         "dims": {"n": dims.n, "m": dims.m, "q": dims.bit_depth, "a": dims.side},
         "plan": {
             "mode": outcome.plan.mode.value,
             "iterations": final.rounds,
             "predicted_success": final.probability,
-            "lower_bound": outcome.plan.lower_bound if planned else None,
+            "lower_bound": outcome.plan.lower_bound,
         },
         "result": {
             "top_index": top,
@@ -91,7 +90,7 @@ def _match_report(
 
 def cmd_match(args: argparse.Namespace) -> int:
     # Checked before either image is read, so a bad flag never costs a load.
-    pipeline.check_args(args.mode, args.iterations, args.seed, args.samples)
+    pipeline.check_args(args.mode, args.seed, args.samples)
 
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -101,8 +100,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         small = load_pgm(fh.read())
     pipeline.lap(timings, "load", start)
 
-    outcome = pipeline.match(big, small, mode=args.mode,
-                             iterations=args.iterations, seed=args.seed, samples=args.samples)
+    outcome = pipeline.match(big, small, mode=args.mode, seed=args.seed, samples=args.samples)
     timings.update(outcome.timings_ms)
 
     verification = None
@@ -118,13 +116,12 @@ def cmd_match(args: argparse.Namespace) -> int:
     report = _match_report(outcome, args.seed, verification, timings if args.timings else None)
     plan, result = report["plan"], report["result"]
     no_match = result["top_index"] is None
-    bound = "n/a" if plan["lower_bound"] is None else f"{plan['lower_bound']:.6f}"
 
     print(f"instance: big {big.width}x{big.height}, small {small.width}x{small.height}, "
           f"bit depth {outcome.dims.bit_depth}")
     print(f"plan: mode={plan['mode']} iterations={plan['iterations']} "
           f"predicted_success={plan['predicted_success']:.6f} "
-          f"lower_bound={bound}")
+          f"lower_bound={plan['lower_bound']:.6f}")
     print(f"marked positions: {result['marked_count']}")
     if no_match:
         print("no match: no position was flagged; final state stays uniform")
@@ -252,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--mode", choices=[m.value for m in grover.PlanMode], default="exact",
                          help="planning rule for one marked position (default: exact); "
                          "other counts use optimal, and the report names the rule applied")
-    p_match.add_argument("--iterations", type=int, default=None,
-                         help="override the planned iteration count")
     p_match.add_argument("--samples", type=int, default=1,
                          help="number of measurement draws (default: 1)")
     p_match.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")

@@ -218,7 +218,9 @@ def load_pgm(data: bytes) -> Image:
         if min(values) < 0 or max(values) > maxval:
             bad = next(v for v in values if v < 0 or v > maxval)
             raise PgmError(f"pixel value {bad} outside [0, {maxval}]")
-        return Image(width, height, maxval.bit_length(), values)
+        # Checked, so they go straight into the read-only storage array P5 gives.
+        pixels = _frozen(np.array(values, dtype=np.uint8 if maxval <= 255 else np.uint16))
+        return Image(width, height, maxval.bit_length(), pixels)
 
     # Exactly one whitespace byte separates maxval from the raster.
     if not data[raster_start : raster_start + 1].isspace():

@@ -18,9 +18,10 @@ from .images import Image, MatchDims, ValidationError, as_count, validate_pair
 class Outcome:
     """What one run produced; ``timings_ms`` gives each stage's wall time in run order.
 
-    ``plan`` holds what was planned and ``final`` what was applied: the
-    marked indices (``final.marked``, sorted), the rounds run
-    (``final.rounds``) and the success they predict (``final.probability``).
+    ``plan`` holds the rule, rounds and bound planned for the marked count,
+    and ``final`` the state those rounds give: the marked indices
+    (``final.marked``, sorted), the rounds run (``final.rounds``, always
+    ``plan.iterations``) and the success they predict (``final.probability``).
     """
 
     dims: MatchDims
@@ -37,8 +38,8 @@ def lap(timings_ms: dict[str, float], stage: str, start: float) -> float:
     return now
 
 
-def check_args(mode: grover.PlanMode | str, iterations: int | None, seed: int,
-               samples: int) -> tuple[grover.PlanMode, int | None, int, int]:
+def check_args(mode: grover.PlanMode | str, seed: int,
+               samples: int) -> tuple[grover.PlanMode, int, int]:
     """:func:`match`'s run arguments, checked (ValidationError) and with each count as a Python int."""
     try:
         mode = grover.PlanMode(mode)
@@ -46,23 +47,21 @@ def check_args(mode: grover.PlanMode | str, iterations: int | None, seed: int,
         raise ValidationError(f"mode must be a PlanMode or one of its values, got {mode!r}") from None
     seed = as_count(seed, "seed", 0)
     samples = as_count(samples, "samples", 1, grover.MAX_SAMPLES, "2^63 - 1")
-    if iterations is not None:
-        iterations = as_count(iterations, "iterations", 0, grover.MAX_ROUNDS, "2^1023 - 2^969 - 1")
-    return mode, iterations, seed, samples
+    return mode, seed, samples
 
 
 def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.PlanMode.EXACT,
-          iterations: int | None = None, seed: int = 0, samples: int = 1) -> Outcome:
+          seed: int = 0, samples: int = 1) -> Outcome:
     """Locate ``small`` inside ``big``; the ``encode`` lap validates the pair.
 
-    The plan is made for the marked count, and ``iterations`` overrides its
-    rounds.  The predicted success is the final state's marked probability,
-    the one the samples are drawn with.  ``mode`` is a PlanMode or its value.
-    Raises ValidationError for a bad argument (:func:`check_args`, run before
-    the pair is read), a bad pair and an ``iterations`` past the float64
-    precision of its phase, which depends on the marked count.
+    The plan is made for the marked count, and its rounds are the ones
+    applied; another round count goes through :func:`grover.amplify` and
+    :func:`grover.sample_groups` directly.  The predicted success is the
+    final state's marked probability, the one the samples are drawn with.
+    ``mode`` is a PlanMode or its value.  Raises ValidationError for a bad
+    argument (:func:`check_args`, run before the pair is read) and a bad pair.
     """
-    mode, iterations, seed, samples = check_args(mode, iterations, seed, samples)
+    mode, seed, samples = check_args(mode, seed, samples)
     timings: dict[str, float] = {}
     start = time.perf_counter()
     dims = validate_pair(big, small)
@@ -72,10 +71,9 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.Plan
     start = lap(timings, "mark", start)
 
     plan = grover.plan_iterations(dims.side, mode, marked=len(marked))
-    rounds = plan.iterations if iterations is None else iterations
     start = lap(timings, "plan", start)
 
-    final = grover.amplify(dims.n, marked, rounds)
+    final = grover.amplify(dims.n, marked, plan.iterations)
     start = lap(timings, "amplify", start)
     counts = grover.sample_groups(final, seed=seed, samples=samples)
     lap(timings, "sample", start)

@@ -320,29 +320,28 @@ def sample_measurement(state: SubspaceState, seed: int, samples: int) -> dict[in
 
 
 def closed_form_iterations(a: int) -> complex:
-    """Radical expression for the planning quartic's relevant root.
+    """Ferrari's radical for the planning quartic's relevant root.
 
-    Evaluated with complex arithmetic and principal roots; the imaginary part
-    of the combined value should be negligible.  An oracle for the planner's
-    exact integer search: the ceiling of its real part equals the planned
-    count at every power of two from 2 to 2**44, but from side 2**32 on the
-    imaginary part exceeds :data:`RADICAL_IMAG_TOL`.
+    -b/4 + S - sqrt(-4S**2 - 2p - q/S)/2 for x**4 + bx**3 + cx**2 + dx + e,
+    with q = (b**3 - 4bc + 8d)/8 (3 at every side), in complex arithmetic
+    and principal roots.  An oracle for the planner's exact integer search:
+    the real part is the root to about 1e-15 relative, and its ceiling is the
+    planned count at every power of two from 2 to 2**44, but from side 2**32
+    on the imaginary part exceeds :data:`RADICAL_IMAG_TOL`.
     """
     c = 2.0 - 3.0 * a * a
     d = -1.0 - 6.0 * a * a
     e = 1.5 * a**4 - 1.5 * a * a
     b = 4.0
+    q = (b**3 - 4 * b * c + 8 * d) / 8
     alpha = c * c - 3 * b * d + 12 * e
     beta = 2 * c**3 - 9 * b * c * d + 27 * d * d + 27 * b * b * e - 72 * c * e
     inner = cmath.sqrt(complex(beta * beta - 4 * alpha**3))
     cube = (beta + inner) ** (1.0 / 3.0)
     big_a = 2 ** (1.0 / 3.0) * alpha / (3.0 * cube)
     big_b = cube / (3.0 * 2 ** (1.0 / 3.0))
-    return (
-        -1.0
-        + 0.5 * cmath.sqrt(4.0 - (2.0 / 3.0) * c + big_a + big_b)
-        - 0.5 * cmath.sqrt(8.0 - (4.0 / 3.0) * c - big_a - big_b)
-    )
+    s = 0.5 * cmath.sqrt(4.0 - (2.0 / 3.0) * c + big_a + big_b)
+    return -1.0 + s - 0.5 * cmath.sqrt(8.0 - (4.0 / 3.0) * c - big_a - big_b - q / s)
 
 
 def _chebyshev(x: grover.Amplitude, first: grover.Amplitude, k: int) -> grover.Amplitude:

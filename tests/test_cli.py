@@ -8,7 +8,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -32,6 +31,15 @@ def sample_paths(tmp_path):
     return str(big), str(small)
 
 
+@pytest.fixture
+def half_marked_paths(tmp_path):
+    """A 4x4/1x1 pair with 8 of 16 positions marked: the plan applies 0 rounds, so draws are uniform."""
+    big, small = tmp_path / "half_big.pgm", tmp_path / "half_small.pgm"
+    big.write_bytes(write_pgm(make_image([3, 1, 3, 2] * 4, 4, 8)))
+    small.write_bytes(write_pgm(make_image([3], 1, 8)))
+    return str(big), str(small)
+
+
 class TestMatchCommand:
     def test_sample_pair_defaults(self, sample_paths, capsys):
         code = main(["match", "--big", sample_paths[0], "--small", sample_paths[1]])
@@ -39,37 +47,40 @@ class TestMatchCommand:
         assert code == 0
         assert "iterations=3" in out
         assert "(x=1, y=1)" in out
-        assert "predicted_success=0.961319" in out
+        assert "predicted_success=0.961319 lower_bound=0.897638\n" in out
 
-    def test_zero_iterations_uniform(self, sample_paths, capsys):
-        code = main(
-            ["match", "--big", sample_paths[0], "--small", sample_paths[1],
-             "--iterations", "0", "--samples", "4000", "--seed", "3"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "iterations=0" in out
-        # uniform state: every index sampled, none dominating
-        counts = [int(part.split(":")[1]) for part in
-                  out.splitlines()[-1].split(": ", 1)[1].split(", ")]
-        assert max(counts) < 4000 * 0.15
+    def test_round_count_is_not_an_option(self, sample_paths, capsys):
+        # a run always applies the rounds planned for the marked count it found
+        with pytest.raises(SystemExit) as exit_info:
+            main(["match", "--big", sample_paths[0], "--small", sample_paths[1], "--iterations", "6"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: unrecognized arguments: --iterations 6\n")
 
-    @pytest.mark.parametrize("rounds, bound", [("0", None), ("2", None), ("3", 0.897638), (None, 0.897638)])
-    def test_lower_bound_only_for_the_planned_rounds(self, sample_paths, tmp_path, capsys, rounds, bound):
-        # The paper's bound holds at the planned count (3 here); an override
-        # reports none instead of pairing it with the override's success.
-        path = tmp_path / "r.json"
-        argv = ["match", "--big", sample_paths[0], "--small", sample_paths[1], "--json", str(path)]
-        assert main(argv + ([] if rounds is None else ["--iterations", rounds])) == 0
-        text = capsys.readouterr().out
-        plan = json.loads(path.read_text())["plan"]
-        assert list(plan) == ["mode", "iterations", "predicted_success", "lower_bound"]
-        if bound is None:
-            assert plan["lower_bound"] is None and "lower_bound=n/a\n" in text
-        else:
-            assert plan["lower_bound"] == grover.probability_lower_bound(4)
-            assert f"lower_bound={bound:.6f}\n" in text
-            assert plan["predicted_success"] >= plan["lower_bound"]
+    def test_default_draw_is_one_sample_with_seed_zero(self, half_marked_paths, tmp_path, capsys):
+        # with uniform draws the seed shows in the sampled index
+        runs = {}
+        for name, flags in (("default", []), ("explicit", ["--samples", "1", "--seed", "0"]),
+                            ("seed 1", ["--seed", "1"])):
+            report = tmp_path / f"{name}.json"
+            argv = ["match", "--big", half_marked_paths[0], "--small", half_marked_paths[1]]
+            assert main(argv + ["--json", str(report), *flags]) == 0
+            runs[name] = (capsys.readouterr().out, report.read_bytes())
+        assert runs["default"] == runs["explicit"] != runs["seed 1"]
+        assert runs["default"][0].endswith("\nsampled 1 draw(s) with seed 0: 8:1\n")
+
+    def test_summary_names_the_four_most_drawn_indices(self, half_marked_paths, tmp_path, capsys):
+        rp = tmp_path / "r.json"
+        assert main(["match", "--big", half_marked_paths[0], "--small", half_marked_paths[1],
+                     "--samples", "400", "--seed", "2", "--json", str(rp)]) == 0
+        counts = {int(k): c for k, c in json.loads(rp.read_text())["samples"]["counts"].items()}
+        assert len(counts) == 16
+        head, listed = capsys.readouterr().out.splitlines()[-1].split(": ")
+        shown = [tuple(map(int, kv.split(":"))) for kv in listed.split(", ")]
+        assert head == "sampled 400 draw(s) with seed 2" and len(shown) == 4
+        assert all(counts[k] == c for k, c in shown)
+        assert [c for _, c in shown] == sorted((c for _, c in shown), reverse=True)
+        assert shown[-1][1] >= max(c for k, c in counts.items() if k not in dict(shown))
 
     def test_planted_instance_verifies(self, tmp_path, capsys):
         rng = random.Random(606)
@@ -89,70 +100,15 @@ class TestMatchCommand:
         assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1], "--mode", mode]) == 0
         assert f"\nplan: mode={mode} " in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "flag, limit, code, refusal",
-        [pytest.param("--samples", grover.MAX_SAMPLES, 0,
-                      "samples must be an integer in [1, 2^63 - 1]",
-                      id=f"--samples-{grover.MAX_SAMPLES}"),
-         # one mark in 16 at MAX_ROUNDS: the phase is far past its float64 precision
-         pytest.param("--iterations", grover.MAX_ROUNDS, 2,
-                      "iterations must be an integer in [0, 2^1023 - 2^969 - 1]",
-                      id=f"--iterations-{grover.MAX_ROUNDS}")],
-    )
-    def test_float64_limits(self, sample_paths, tmp_path, flag, limit, code, refusal, capsys):
+    def test_sample_count_limit(self, sample_paths, tmp_path, capsys):
+        limit = grover.MAX_SAMPLES
         missing = str(tmp_path / "nope.pgm")
         assert main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
-                     flag, str(limit)]) == code
-        assert capsys.readouterr().err.count("\n") == (code == 2)
+                     "--samples", str(limit)]) == 0
+        assert capsys.readouterr().err == ""
         # refused before either image is read: missing files would exit 1
-        assert main(["match", "--big", missing, "--small", missing, flag, str(limit + 1)]) == 2
-        assert capsys.readouterr().err == f"error: {refusal}, got {limit + 1}\n"
-
-    def test_phase_precision_edge(self, sample_paths, tmp_path, capsys):
-        # One mark in 16: theta = asin(1/4).  The last round count whose phase
-        # (2r+1)*theta keeps a float64 spacing of at most 2^-20 rad exits 0, and
-        # the next one exits 2 rather than report a success that is noise.
-        top = grover.PHASE_ULP_TOL * 2.0**53  # the first float64 spaced wider than the tolerance
-        assert math.ulp(math.nextafter(top, 0)) <= grover.PHASE_ULP_TOL < math.ulp(top)
-        theta = math.asin(1 / 4)
-        edge = math.floor((top / theta - 1) / 2)
-        assert math.ulp((2 * edge + 1) * theta) <= grover.PHASE_ULP_TOL
-        assert math.ulp((2 * edge + 3) * theta) > grover.PHASE_ULP_TOL
-        argv = ["match", "--big", sample_paths[0], "--small", sample_paths[1], "--iterations"]
-        rp = tmp_path / "r.json"
-        assert main(argv + [str(edge), "--json", str(rp)]) == 0
-        assert capsys.readouterr().err == ""
-        plan = json.loads(rp.read_text())["plan"]
-        assert plan["iterations"] == edge
-        assert plan["predicted_success"] == math.sin((2 * edge + 1) * theta) ** 2
-        for rounds in (edge + 1, 10**15, 10**17):
-            assert main(argv + [str(rounds)]) == 2
-            out, err = capsys.readouterr()
-            assert err.startswith("error: phase (2r+1)*theta") and err.count("\n") == 1, err
-            assert "lost its precision" in err and out == ""
-
-    def test_phase_overflow_exits_two(self, tmp_path, capsys):
-        # 13 of 16 positions marked: theta = asin(sqrt(13/16)) > 1, so at
-        # MAX_ROUNDS the phase (2r+1)*theta overflows float64.
-        bp, sp = tmp_path / "b.pgm", tmp_path / "s.pgm"
-        bp.write_bytes(write_pgm(make_image([7] * 13 + [1, 2, 3], 4, 8)))
-        sp.write_bytes(write_pgm(make_image([7], 1, 8)))
-        argv = ["match", "--big", str(bp), "--small", str(sp), "--mode", "optimal", "--iterations"]
-        assert main(argv + [str(grover.MAX_ROUNDS)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert main(argv + [str(10**9)]) == 0
-
-    def test_all_marked_at_the_round_limit_exits_zero(self, tmp_path, capsys):
-        # 16 of 16 positions marked: every round only flips the global sign,
-        # so even MAX_ROUNDS leaves the whole probability on the marked set.
-        bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
-        bp.write_bytes(write_pgm(make_image([7] * 16, 4, 8)))
-        sp.write_bytes(write_pgm(make_image([7], 1, 8)))
-        assert main(["match", "--big", str(bp), "--small", str(sp), "--mode", "optimal",
-                     "--iterations", str(grover.MAX_ROUNDS), "--json", str(rp)]) == 0
-        assert json.loads(rp.read_text())["plan"]["predicted_success"] == 1.0
-        assert capsys.readouterr().err == ""
+        assert main(["match", "--big", missing, "--small", missing, "--samples", str(limit + 1)]) == 2
+        assert capsys.readouterr().err == f"error: samples must be an integer in [1, 2^63 - 1], got {limit + 1}\n"
 
     def test_no_match_exit_three(self, tmp_path, capsys):
         big = make_image([1, 2, 3, 1], 2, 2)
@@ -204,6 +160,9 @@ class TestMatchJson:
         assert data["dims"] == {"n": 2, "m": 1, "q": 8, "a": 4}
         assert list(data["plan"]) == ["mode", "iterations", "predicted_success", "lower_bound"]
         assert data["plan"]["iterations"] == 3
+        # the paper's bound at the planned count, under the success it predicts
+        assert data["plan"]["lower_bound"] == grover.probability_lower_bound(4)
+        assert data["plan"]["lower_bound"] <= data["plan"]["predicted_success"]
         assert list(data["result"]) == ["top_index", "x", "y", "marked_count"]
         assert data["result"] == {"top_index": 5, "x": 1, "y": 1, "marked_count": 1}
         assert data["verify"] == {"full_block": [[1, 1]], "anchor": [[1, 1]]}
@@ -212,17 +171,17 @@ class TestMatchJson:
         # fixed key order makes re-serialization byte-identical
         assert json.dumps(data) + "\n" == raw
 
-    def test_verify_report_is_one_line_with_counts_in_index_order(self, tmp_path):
-        big = make_image([3, 1, 3, 2] * 4, 4, 8)
-        bp, sp, rp = tmp_path / "b.pgm", tmp_path / "s.pgm", tmp_path / "r.json"
-        bp.write_bytes(write_pgm(big))
-        sp.write_bytes(write_pgm(make_image([3], 1, 8)))
-        argv = ["match", "--big", str(bp), "--small", str(sp), "--verify", "--iterations", "0",
+    def test_verify_report_is_one_line_with_counts_in_index_order(self, half_marked_paths, tmp_path):
+        rp = tmp_path / "r.json"
+        argv = ["match", "--big", half_marked_paths[0], "--small", half_marked_paths[1], "--verify",
                 "--samples", "400", "--seed", "2", "--json", str(rp)]
         assert main(argv) == 0
         raw = rp.read_text()
         assert raw.count("\n") == 1 and raw.endswith("}\n")
-        keys = list(json.loads(raw)["samples"]["counts"])
+        report = json.loads(raw)
+        # 8 of 16 positions marked: the plan applies 0 rounds
+        assert (report["result"]["marked_count"], report["plan"]["iterations"]) == (8, 0)
+        keys = list(report["samples"]["counts"])
         # 400 uniform draws over 16 positions reach every one, so the keys
         # run past one digit and string order would differ from index order.
         assert keys == [str(k) for k in range(16)]
@@ -274,19 +233,6 @@ class TestMatchHotPath:
         assert code == 0
         assert "(x=1, y=1)" in out
         assert "predicted_success=0.961319" in out
-
-    def test_huge_iteration_override_is_prompt(self, sample_paths, tmp_path):
-        path = tmp_path / "r.json"
-        rounds = 10**9
-        t0 = time.perf_counter()
-        code = main(["match", "--big", sample_paths[0], "--small", sample_paths[1],
-                     "--iterations", str(rounds), "--samples", "100", "--json", str(path)])
-        assert time.perf_counter() - t0 < 5.0
-        assert code == 0
-        plan = json.loads(path.read_text())["plan"]
-        assert plan["iterations"] == rounds
-        want = math.sin((2 * rounds + 1) * math.asin(1 / 4)) ** 2
-        assert abs(plan["predicted_success"] - want) < 1e-12
 
 
 class TestMatchMultiMark:
@@ -488,8 +434,6 @@ def _error_paths(tmp_path):
         "small": SAMPLE_SMALL_PGM,
         "big3": b"P2\n3 3\n255\n" + b"0 " * 9,
         "garbage": b"P7\nnot a pgm\n",
-        "big13": write_pgm(make_image([7] * 13 + [1, 2, 3], 4, 8)),
-        "small7": write_pgm(make_image([7], 1, 8)),
         "small0": b"P2\n1 1\n255\n0\n",
     }
     paths = {"dir": str(tmp_path), "nope": str(tmp_path / "nope.pgm"),
@@ -506,27 +450,20 @@ def _exit(name, template, code, message, quiet=True):
 
 
 ERROR_EXITS = [
-    # the three flag checks come before either image is read: missing files would exit 1
+    # the two flag checks come before either image is read: missing files would exit 1
     _exit("samples", "match --big {nope} --small {nope} --samples 0",
           2, "samples must be an integer in [1, 2^63 - 1], got 0"),
     _exit("seed", "match --big {nope} --small {nope} --seed -1",
           2, "seed must be an integer in [0, inf], got -1"),
-    _exit("iterations", "match --big {nope} --small {nope} --iterations -2",
-          2, "iterations must be an integer in [0, 2^1023 - 2^969 - 1], got -2"),
     _exit("samples with files", "match --big {big} --small {small} --samples 0",
           2, "samples must be an integer in [1, 2^63 - 1], got 0"),
     _exit("seed with files", "match --big {big} --small {small} --seed -1",
           2, "seed must be an integer in [0, inf], got -1"),
-    _exit("iterations with files", "match --big {big} --small {small} --iterations -2",
-          2, "iterations must be an integer in [0, 2^1023 - 2^969 - 1], got -2"),
     _exit("missing file", "match --big {nope} --small {nope}", 1, "[Errno 2] No such file"),
     _exit("directory as big", "match --big {dir} --small {small}", 1, "[Errno 21] Is a directory"),
     _exit("malformed pgm", "match --big {garbage} --small {small}", 2, "unsupported magic b'P7'"),
     _exit("bad pair", "match --big {big3} --small {small}",
           2, "big image side must be a power of two >= 1, got 3"),
-    _exit("phase overflow",
-          f"match --big {{big13}} --small {{small7}} --mode optimal --iterations {grover.MAX_ROUNDS}",
-          2, "phase (2r+1)*theta overflows float64 at theta = 1.122964 (13 of 16"),
     _exit("json into missing dir", "match --big {big} --small {small} --json {missing}",
           1, "[Errno 2] No such file", quiet=False),
     _exit("csv into missing dir", "table1 --max-a 8 --csv {missing}",
@@ -565,8 +502,6 @@ def test_error_exits(template, code, message, quiet, tmp_path, capsys):
 LIBRARY_REFUSALS = [
     ("match --big {nope} --small {nope} --samples 0", lambda: pipeline.match(*sample_pair(), samples=0)),
     ("match --big {nope} --small {nope} --seed -1", lambda: pipeline.match(*sample_pair(), seed=-1)),
-    ("match --big {nope} --small {nope} --iterations -2",
-     lambda: pipeline.match(*sample_pair(), iterations=-2)),
     ("table1 --max-a 3", lambda: as_side(3, "--max-a", 4, grover.MAX_PLAN_SIDE)),
     ("analyze --a 5", lambda: as_side(5, "--a", 2, grover.MAX_RECURRENCE_SIDE)),
 ]
@@ -591,9 +526,9 @@ def _python(*args):
     ("match --big {big} --small {small} --verify --json {dir}/r.json", 0),
     ("example", 0),
     ("match --big {nope} --small {small}", 1),
-    (f"match --big {{big}} --small {{small}} --iterations {10**15}", 2),
+    ("match --big {big3} --small {small}", 2),
     ("match --big {big} --small {small0}", 3),
-], ids=["match", "example", "missing big", "phase precision", "no match"])
+], ids=["match", "example", "missing big", "bad pair", "no match"])
 def test_module_entry_point(template, code, tmp_path, capsys):
     """``python -m qimatch`` exits and prints what ``main`` returns and prints in process."""
     argv = [word.format(**_error_paths(tmp_path)) for word in template.split()]

@@ -3,17 +3,18 @@
 Every call of :func:`qimatch.cli.main` must return an exit code in 0..3 and
 raise nothing.  An exit 2 writes exactly one ``error:`` line to stderr; any
 other exit leaves stderr empty, or holds the one ``--verify`` warning line.
+A match that runs prints and writes the plan's lower bound as a number.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qimatch.cli import main
-from qimatch.grover import MAX_ROUNDS
 
 VERIFY_WARNING = "verification: top position is NOT a full-block match\n"
 
@@ -21,7 +22,6 @@ VERIFY_WARNING = "verification: top position is NOT a full-block match\n"
 MATCH_FLAGS = {
     "--samples": [0, 1, (1 << 63) - 1, 1 << 63],
     "--seed": [-1, 0],
-    "--iterations": [-1, 0, 10**9, 10**15, MAX_ROUNDS, MAX_ROUNDS + 1],
 }
 TABLE1_MAX_A = [2, 3, 4, 1 << 537, 1 << 538]
 ANALYZE_A = [1, 2, 5, 1 << 511, 1 << 512]
@@ -145,10 +145,15 @@ def test_every_run_exits_with_a_code_and_a_clean_stderr(folder, command):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    err = err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2, 3), (argv, code)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     else:
         assert err in ("", VERIFY_WARNING if "--verify" in argv else ""), (argv, code, err)
+    if argv[0] == "match" and code in (0, 3):
+        assert "lower_bound=n/a" not in out and " lower_bound=" in out, (argv, out)
+        if "--json" in argv:
+            lower_bound = json.loads(paths["out"].read_text())["plan"]["lower_bound"]
+            assert type(lower_bound) is float, (argv, lower_bound)

@@ -176,6 +176,8 @@ class TestRunGrover:
             state = run_grover(init_subspace(n, marks), iters)
             size = 1 << (2 * n)
             assert state.ops == iters * (2 * size + len(marks))
+        # a state built from a vector starts its count at 0 too
+        assert run_grover(state_from_vector(2, [0.25] * 16, {3}), 2).ops == 2 * (2 * 16 + 1)
 
 
 class TestRecurrence:
@@ -307,6 +309,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_measurement(init_subspace(1, set()), seed=0, samples=0)
 
+    def test_one_sample_is_one_drawn_index(self):
+        counts = sample_measurement(init_subspace(1, set()), seed=0, samples=1)
+        assert list(counts.values()) == [1] and list(counts)[0] in range(4)
+
 
 # ---------------------------------------------------------------------------
 # Two-value closed form, checked against the vector engine
@@ -391,6 +397,11 @@ class TestTwoValueAgainstVector:
             amplify(1, as_marks({0}), -1)
         with pytest.raises(ValueError, match="strictly increasing 1-D int64 array"):
             amplify(2, np.array([9, 3, 9, 3], dtype=np.int64), 1)
+        with pytest.raises(ValueError, match="strictly increasing 1-D int64 array"):
+            amplify(2, np.array([3, 1], dtype=np.int64), 1)
+        # a valid first index leaves the last one to name
+        with pytest.raises(ValueError, match=r"^marked index 16 out of range \[0, 16\)$"):
+            amplify(2, np.array([0, 16], dtype=np.int64), 1)
 
     def test_marks_in_any_other_form_are_refused(self):
         rng = np.random.default_rng(11)
@@ -507,6 +518,7 @@ class TestGroupSampling:
             sample_groups(amplify(1, as_marks(set()), 0), seed=0, samples=0)
 
     def test_sample_limit(self):
+        assert MAX_SAMPLES == np.iinfo(np.int64).max  # numpy's binomial draw takes an int64
         state = amplify(2, as_marks({5}), 3)
         assert sum(sample_groups(state, seed=0, samples=MAX_SAMPLES).values()) == MAX_SAMPLES
         with pytest.raises(ValueError):
@@ -523,6 +535,11 @@ class TestGroupSampling:
         with pytest.raises(ValueError):
             success_probability(4, MAX_ROUNDS + 1)
 
+    def test_round_limit_is_the_last_count_whose_phase_factor_is_a_float(self):
+        assert math.isfinite(float(2 * MAX_ROUNDS + 1))
+        with pytest.raises(OverflowError):
+            float(2 * (MAX_ROUNDS + 1) + 1)
+
     @pytest.mark.parametrize("n, count", [(2, 1), (2, 13), (5, 3), (10, 1)])
     def test_phase_precision_edge(self, n, count):
         # The last round count whose phase (2r+1)*theta is spaced at most
@@ -538,10 +555,16 @@ class TestGroupSampling:
         assert state.rounds == edge
         assert state.probability == success_probability(1 << n, edge, count)
         assert state.probability == math.sin((2 * edge + 1) * theta) ** 2
-        with pytest.raises(ValueError, match="lost its precision"):
+        # the message names the tolerance it applies
+        tolerance = rf"lost its precision: float64 spacing \S+ rad > 2\^{math.log2(PHASE_ULP_TOL):.0f}$"
+        with pytest.raises(ValueError, match=tolerance):
             amplify(n, as_marks(range(count)), edge + 1)
         with pytest.raises(ValueError, match="lost its precision"):
             success_probability(1 << n, edge + 1, count)
+
+    def test_side_one_is_one_position(self):
+        assert success_probability(1, 3, 1) == 1.0 and success_probability(1, 3) == 1.0
+        assert success_probability(1, 3, 0) == 0.0
 
     def test_uniform_and_all_marked_never_reach_the_phase(self):
         for marks in ((), range(16)):
@@ -552,7 +575,8 @@ class TestGroupSampling:
     def test_phase_overflow_names_the_phase(self):
         # 13 of 16 marked: theta = asin(sqrt(13/16)) > 1, so at MAX_ROUNDS the
         # phase (2r+1)*theta overflows float64 while 2r+1 itself does not.
-        with pytest.raises(ValueError, match=r"phase \(2r\+1\)\*theta overflows float64"):
+        message = r"phase \(2r\+1\)\*theta overflows float64 at theta = 1\.122964 \(13 of 16 positions marked\)$"
+        with pytest.raises(ValueError, match=message):
             amplify(2, as_marks(range(13)), MAX_ROUNDS)
         with pytest.raises(ValueError, match=r"phase \(2r\+1\)\*theta overflows float64"):
             success_probability(4, MAX_ROUNDS, 13)
@@ -607,6 +631,8 @@ class TestGroupSampling:
         "zero rounds": ((2, {5}, 0, 3, 12), {
             0: 1, 1: 1, 2: 2, 3: 1, 4: 1, 7: 1, 8: 1, 9: 1, 10: 1, 13: 1, 14: 1}),
         "no marks": ((2, set(), 2, 4, 6), {8: 1, 11: 1, 14: 1, 15: 3}),
+        "as many draws as members": ((2, set(), 2, 4, 16), {
+            0: 3, 1: 1, 2: 3, 4: 1, 6: 1, 8: 2, 9: 1, 10: 2, 13: 1, 14: 1}),
         "every position marked": ((1, {0, 1, 2, 3}, 3, 5, 30), {0: 10, 1: 7, 2: 5, 3: 8}),
     }
 
@@ -703,7 +729,7 @@ NOT_COUNTS = {
     "success_probability marked 2.5": lambda: success_probability(4, 1, 2.5),
     "success_probability side 4.0": lambda: success_probability(4.0, 1, 1),
     "amplify n 2.0": lambda: amplify(2.0, as_marks([1]), 1),
-    "match iterations True": lambda: pipeline.match(*sample_pair(), iterations=True),
+    "amplify rounds True": lambda: amplify(2, as_marks([1]), True),
     "match samples True": lambda: pipeline.match(*sample_pair(), samples=True),
     "match seed True": lambda: pipeline.match(*sample_pair(), seed=True),
 }
@@ -761,5 +787,6 @@ def test_a_count_runs_python_arithmetic_whatever_its_type(kind):
     assert (state.n, state.rounds, state.probability) == (want.n, want.rounds, want.probability)
     assert (state.marked_amplitude, state.unmarked_amplitude) == (want.marked_amplitude,
                                                                   want.unmarked_amplitude)
+    # 2r+1 wrapped in int64 would give a phase of -theta, which resolves
     with pytest.raises(ValidationError, match="lost its precision"):
-        pipeline.match(*sample_pair(), iterations=kind(2**63 - 1))
+        amplify(2, as_marks([5]), kind(2**63 - 1))

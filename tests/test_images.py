@@ -13,6 +13,7 @@ from qimatch.images import (
     Image,
     PgmError,
     ValidationError,
+    as_side,
     load_pgm,
     validate_pair,
     write_pgm,
@@ -80,8 +81,9 @@ class TestLoadPgm:
         [(1, 1), (2, 2), (3, 2), (255, 8), (256, 9), (65535, 16)],
     )
     def test_bit_depth_from_maxval(self, maxval, expected_q):
-        img = load_pgm(p2_bytes(1, 1, maxval, [0]))
+        img = load_pgm(p2_bytes(1, 1, maxval, [maxval]))
         assert img.bit_depth == expected_q
+        assert img.array.tolist() == [maxval]
 
     @pytest.mark.parametrize(
         "data",
@@ -117,6 +119,10 @@ class TestLoadPgm:
             (b"P2\n2 1\n255\nx 1_0", "non-numeric pixel token b'x'"),
             (b"P5\n1 1\n255", "missing raster separator"),
             (b"P5\n1 1\n255#c\n\x00", "missing raster separator"),
+            (b"P5\n0 1\n255\n", "bad dimensions 0x1"),
+            (b"P5\n1 0\n255\n", "bad dimensions 1x0"),
+            # maxval 254 leaves one byte value, 255, above it
+            (b"P5\n2 1\n254\n\xfe\xff", "pixel value 255 outside [0, 254]"),
         ],
     )
     def test_rejection_message_names_the_fault(self, data, message):
@@ -311,6 +317,20 @@ class TestPixelArray:
         assert img.array.tolist() == [258, 65534]
         assert not img.array.flags.writeable
 
+    def test_p2_load_holds_no_int64_copy(self):
+        # The pixel list takes 8 B a pixel and the split lines about twice the
+        # text; an int64 copy of the list would add 8 B a pixel more.
+        img = Image(512, 512, 8, np.random.default_rng(5).integers(0, 256, 512 * 512))
+        data = write_pgm(img, binary=False)
+        tracemalloc.start()
+        try:
+            loaded = load_pgm(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded == img
+        assert peak < 15 * 512 * 512
+
     def test_load_memory_stays_under_twice_the_raster(self):
         raster = np.random.default_rng(3).integers(0, 1 << 16, size=1 << 20).astype(">u2").tobytes()
         data = b"P5\n1024 1024\n65535\n" + raster
@@ -353,3 +373,15 @@ class TestPixelArray:
             img = Image(width, height, bit_depth, [rng.randint(0, top) for _ in range(width * height)])
             for binary in (True, False):
                 assert write_pgm(img, binary) == per_pixel_pgm(img, binary)
+
+
+class TestAsSide:
+    def test_a_float_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^x must be a power of two >= 1, got 2\.5$"):
+            as_side(2.5, "x", 1)
+
+    def test_the_limit_is_inclusive(self):
+        high = 1 << 537
+        assert as_side(high, "x", 1, high) == high
+        with pytest.raises(ValidationError, match=r"^x 2\^538 is past the float64 limit 2\^537$"):
+            as_side(2 * high, "x", 1, high)

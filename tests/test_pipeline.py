@@ -40,9 +40,9 @@ PAIRS = {
 }
 
 FLAGS = [
-    {"mode": PlanMode.EXACT, "iterations": None, "seed": 5, "samples": 100},
-    {"mode": PlanMode.FIT, "iterations": None, "seed": 0, "samples": 1},
-    {"mode": PlanMode.OPTIMAL, "iterations": 2, "seed": 9, "samples": 3000},
+    {"mode": PlanMode.EXACT, "seed": 5, "samples": 100},
+    {"mode": PlanMode.FIT, "seed": 0, "samples": 1},
+    {"mode": PlanMode.OPTIMAL, "seed": 9, "samples": 3000},
 ]
 
 
@@ -53,10 +53,9 @@ def expected_report(outcome, seed):
         "dims": {"n": dims.n, "m": dims.m, "q": dims.bit_depth, "a": dims.side},
         "plan": {
             "mode": outcome.plan.mode.value,
-            "iterations": final.rounds,
+            "iterations": outcome.plan.iterations,
             "predicted_success": final.probability,
-            # the plan's bound holds only for the rounds it planned
-            "lower_bound": outcome.plan.lower_bound if final.rounds == outcome.plan.iterations else None,
+            "lower_bound": outcome.plan.lower_bound,
         },
         "result": {
             "top_index": top,
@@ -87,20 +86,9 @@ def test_outcome_gives_the_cli_report(name, flags, tmp_path):
     argv = ["match", "--big", bp, "--small", sp, "--mode", flags["mode"].value,
             "--seed", str(flags["seed"]), "--samples", str(flags["samples"]),
             "--json", str(report)]
-    if flags["iterations"] is not None:
-        argv += ["--iterations", str(flags["iterations"])]
     assert main(argv) == 0
     outcome = pipeline.match(big, small, **flags)
     assert json.loads(report.read_text()) == expected_report(outcome, flags["seed"])
-
-
-def test_iteration_override_predicts_its_own_count():
-    big, small = multi_mark_pair()
-    outcome = pipeline.match(big, small, iterations=5)
-    assert outcome.final.rounds == 5
-    assert outcome.plan.iterations == 3
-    assert outcome.final.probability == success_probability(8, 5, 4)
-    assert pipeline.match(big, small).final.rounds == 3
 
 
 def test_outcome_holds_each_value_once():
@@ -119,16 +107,25 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
         pixels = np.zeros(size, dtype=np.int64)
         pixels[np.random.default_rng(count).permutation(size)[:count]] = 1
         big = Image(1 << n, 1 << n, 1, pixels)
-        for iterations in (None, 0, 1, 3, 10**6):
-            outcome = pipeline.match(big, small, mode=PlanMode.OPTIMAL, iterations=iterations)
-            rounds = outcome.plan.iterations if iterations is None else iterations
-            want = outcome.final.probability
-            assert outcome.final.rounds == rounds, (n, count, iterations)
-            assert want == success_probability(1 << n, rounds, count), (n, count, iterations)
+        outcome = pipeline.match(big, small, mode=PlanMode.OPTIMAL)
+        marked = outcome.final.marked
+        marked_set = set(marked.tolist())
+        assert outcome.final.rounds == outcome.plan.iterations, (n, count)
+        # any other round count goes through the library's amplify and sampler
+        for rounds in (outcome.plan.iterations, 0, 1, 3, 10**6):
+            state = grover.amplify(n, marked, rounds)
+            want = state.probability
+            assert want == success_probability(1 << n, rounds, count), (n, count, rounds)
+            if rounds == outcome.plan.iterations:
+                assert want == outcome.final.probability, (n, count)
             if rounds == 0:
                 assert want == count / size, (n, count)
             if count == size:
-                assert want == 1.0, (n, iterations)
+                assert want == 1.0, (n, rounds)
+            # the sampler's marked hits are one binomial draw with this probability
+            drawn = grover.sample_groups(state, seed=rounds, samples=1000)
+            hits = sum(c for k, c in drawn.items() if k in marked_set)
+            assert hits == np.random.default_rng(rounds).binomial(1000, want), (n, count, rounds)
 
 
 @pytest.mark.parametrize("flags,message", [({"samples": 0}, "samples .* got 0$"),
@@ -136,13 +133,9 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
                                            ({"samples": 2.5}, "samples .* got 2.5$"),
                                            ({"seed": -1}, "seed .* got -1$"),
                                            ({"seed": 1.5}, "seed .* got 1.5$"),
-                                           ({"iterations": -1}, "iterations .* got -1$"),
-                                           ({"iterations": 2**1100}, f"iterations .* got {2**1100}$"),
-                                           ({"iterations": 2.5}, "iterations .* got 2.5$"),
                                            ({"mode": "bogus"}, "mode .* got 'bogus'$")],
                          ids=["samples-0", "samples-2^63", "samples-float", "seed-negative",
-                              "seed-float", "iterations-negative", "iterations-2^1100",
-                              "iterations-float", "mode-bogus"])
+                              "seed-float", "mode-bogus"])
 def test_bad_run_flags_raise_validation_error(flags, message, monkeypatch):
     # every one is refused before the anchor scan reads the pair
     scans = []
@@ -162,6 +155,7 @@ def test_timings_are_milliseconds_of_their_stage():
     assert list(timings) == ["encode", "mark", "plan", "amplify", "sample"]
     assert all(ms >= 0 for ms in timings.values()), timings
     # each stage is rounded to the microsecond
+    assert all(ms == round(ms, 3) for ms in timings.values()), timings
     assert 0 < sum(timings.values()) <= wall_ms + 0.0005 * len(timings), (timings, wall_ms)
 
 
@@ -208,6 +202,14 @@ def test_counts_are_a_seeded_draw_from_the_final_state():
         outcome = pipeline.match(big, small, seed=seed, samples=500)
         assert outcome.counts == grover.sample_groups(outcome.final, seed=seed, samples=500)
         assert sum(outcome.counts.values()) == 500
+
+
+def test_default_draw_is_one_sample_with_seed_zero():
+    # 8 of 16 positions marked: 0 rounds, so one draw is uniform and the seed shows
+    big, small = make_image([3, 1, 3, 2] * 4, 4, 8), make_image([3], 1, 8)
+    default = pipeline.match(big, small).counts
+    assert default == pipeline.match(big, small, seed=0, samples=1).counts == {8: 1}
+    assert pipeline.match(big, small, seed=1).counts != default
 
 
 def test_no_marks_point_nowhere():

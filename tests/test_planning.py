@@ -55,6 +55,11 @@ FIT_COUNTS = {
 
 
 class TestExactMode:
+    def test_planner_quartic_is_the_written_out_one(self):
+        for a in (1, 2, 3, 4, 7, 64, 1 << 20):
+            for i in (-3, -1, 0, 1, 2, 5, 11, a - 1, a, 3 * a):
+                assert grover._quartic_doubled(i, a) == quartic_doubled(i, a), (i, a)
+
     def test_matches_linear_scan_oracle(self):
         for a in (2, 4, 8, 16, 32, 64, 128, 256, 512):
             assert plan_iterations(a, PlanMode.EXACT).iterations == scan_linear(a)
@@ -101,6 +106,18 @@ class TestExactMode:
             else:
                 with pytest.raises(ArithmeticError, match=f"seed {seed} is not"):
                     grover._scan_exact(a)
+
+    def test_a_zero_of_the_quartic_is_not_negative(self, monkeypatch):
+        # The count is the first i >= 1 where the quartic is < 0.  The exact
+        # quartic has no integer root at these sides, so a stand-in with one
+        # pins the rule at a zero on either side of the seed.
+        a = 64
+        seed = grover._root_seed(a)
+        monkeypatch.setattr(grover, "_quartic_doubled", lambda i, _: seed - 1 - i)
+        assert grover._scan_exact(a) == seed
+        monkeypatch.setattr(grover, "_quartic_doubled", lambda i, _: seed - i)
+        with pytest.raises(ArithmeticError, match=f"seed {seed} is not"):
+            grover._scan_exact(a)
 
     def test_radical_agrees_with_scan(self):
         for a in (4, 16, 128, 1024, 16384, 65536):
@@ -221,6 +238,11 @@ class TestLowerBound:
     def test_small_side_rejected(self):
         with pytest.raises(ValueError):
             probability_lower_bound(1)
+
+    @pytest.mark.parametrize("mode", list(PlanMode))
+    def test_one_mark_from_side_four_gets_the_closed_form(self, mode):
+        for a in (4, 8, 1024):
+            assert plan_iterations(a, mode).lower_bound == probability_lower_bound(a), a
 
     @pytest.mark.parametrize("mode", list(PlanMode))
     def test_never_above_the_planned_success(self, mode):

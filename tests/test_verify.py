@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qimatch.verify import (
     dense_simulate_marking,
 )
 
-from conftest import classical_anchors, make_image, random_instance
+from conftest import classical_anchors, make_image, quartic_doubled, random_instance
 
 
 class TestRegisterLayout:
@@ -132,8 +133,13 @@ class TestDenseSimulation:
         assert np.array_equal(lower, -upper)
 
     def test_qubit_cap_enforced(self):
-        big, small = sample_pair()  # bit depth 8 -> 24 qubits total
-        with pytest.raises(ValueError):
+        # a 4x4/2x2 pair takes 8 qubits plus two intensity registers
+        big, small = sample_pair()
+        halved = [make_image([v >> 1 for v in img.array.tolist()], img.width, 7) for img in (big, small)]
+        state = dense_simulate_marking(*halved)
+        assert state.layout.total_qubits == 22 and len(state.amplitudes) == 1 << 22
+        assert dense_marked_set(state) == classical_anchors(*halved)
+        with pytest.raises(ValueError, match="^instance needs 24 qubits, cap is 22$"):
             dense_simulate_marking(big, small)
 
     def test_cross_oracle_agreement_randomized(self):
@@ -317,7 +323,23 @@ def test_full_block_equals_literal_nested_scan():
     assert multi >= 10
 
 
+def exact_root(a: int, bits: int = 60) -> Fraction:
+    """The planning quartic's root in (0, a), bisected in exact fractions to within 2**-bits."""
+    lo, hi = Fraction(0), Fraction(a)
+    for _ in range(bits + a.bit_length()):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if quartic_doubled(mid, a) > 0 else (lo, mid)
+    return lo
+
+
 class TestRadicalRoot:
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_real_part_is_the_exact_root(self, k):
+        a = 1 << k
+        want = exact_root(a)
+        assert quartic_doubled(want, a) > 0 >= quartic_doubled(want + Fraction(1, 1 << 60), a)
+        assert abs(closed_form_iterations(a).real - want) <= 1e-9 * want, a
+
     def test_agrees_with_the_exact_plan_up_to_2_24(self):
         for k in range(1, 25):
             a = 1 << k

@@ -53,6 +53,10 @@ TESTS = {
     "marking.py": ["tests/test_marking.py", "tests/test_pipeline.py", "tests/test_acceptance.py"],
     "verify.py": ["tests/test_verify.py", "tests/test_marking.py", "tests/test_acceptance.py",
                   "tests/test_grover.py", "tests/test_planning.py"],
+    "grover.py": ["tests/test_grover.py", "tests/test_planning.py", "tests/test_pipeline.py",
+                  "tests/test_acceptance.py", "tests/test_cli.py"],
+    "pipeline.py": ["tests/test_pipeline.py", "tests/test_cli.py"],
+    "cli.py": ["tests/test_cli.py", "tests/test_pipeline.py", "tests/test_cli_properties.py"],
 }
 
 SWAPS: dict[type, type] = {
