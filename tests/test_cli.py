@@ -49,6 +49,21 @@ class TestMatchCommand:
         assert "(x=1, y=1)" in out
         assert "predicted_success=0.961319 lower_bound=0.897638\n" in out
 
+    @pytest.mark.parametrize("rounds, bound", [(None, 0.897638)])
+    def test_lower_bound_only_for_the_planned_rounds(self, sample_paths, tmp_path, capsys, rounds, bound):
+        # No round count can be given (rounds is None): the run applies the
+        # planned count (3 here) and reports the paper's bound for it.
+        path = tmp_path / "r.json"
+        argv = ["match", "--big", sample_paths[0], "--small", sample_paths[1], "--json", str(path)]
+        assert rounds is None and main(argv) == 0
+        text = capsys.readouterr().out
+        plan = json.loads(path.read_text())["plan"]
+        assert list(plan) == ["mode", "iterations", "predicted_success", "lower_bound"]
+        assert plan["iterations"] == 3
+        assert plan["lower_bound"] == grover.probability_lower_bound(4)
+        assert f"lower_bound={bound:.6f}\n" in text
+        assert plan["predicted_success"] >= plan["lower_bound"]
+
     def test_round_count_is_not_an_option(self, sample_paths, capsys):
         # a run always applies the rounds planned for the marked count it found
         with pytest.raises(SystemExit) as exit_info:
