@@ -12,8 +12,8 @@ counts go through :mod:`qimatch.grover`.  Exit codes: 0 success, 1 I/O
 error, 2 validation error (a bad PGM or pair, or an argument out of range),
 3 no match found.  Commands raise OSError, PgmError and ValidationError;
 :func:`main` alone turns those into an exit code and one ``error:`` stderr
-line.  Every argument rule but ``--modes`` list syntax is the library's,
-message included (``images.as_count``/``as_side``).  No command compares its
+line.  Every argument rule is the library's, message included
+(``images.as_count``/``as_side``).  No command compares its
 output against a frozen value or loads the test oracles in
 :mod:`qimatch.verify`.
 
@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import grover, marking, pipeline
-from .images import PgmError, ValidationError, as_count, as_side, load_pgm
+from .images import PgmError, ValidationError, as_side, load_pgm
 from .sample import sample_pair
 
 EXIT_OK = 0
@@ -44,8 +44,8 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NO_MATCH = 3
 
-# Without --sweep-i, analyze prints rounds 0..min(2*a, SWEEP_CAP), so its
-# default output stays bounded at every side it accepts.
+# analyze prints rounds 0..min(2*a, SWEEP_CAP), so its output stays bounded
+# at every side it accepts.
 SWEEP_CAP = 4096
 
 
@@ -68,7 +68,7 @@ def _match_report(
         "dims": {"n": dims.n, "m": dims.m, "q": dims.bit_depth, "a": dims.side},
         "plan": {
             "mode": outcome.plan.mode.value,
-            "iterations": final.rounds,
+            "iterations": outcome.plan.iterations,
             "predicted_success": final.probability,
             "lower_bound": outcome.plan.lower_bound,
         },
@@ -145,26 +145,19 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    modes = []
-    for name in args.modes.split(","):
-        name = name.strip()
-        if name in (m.value for m in modes):
-            raise ValidationError(f"repeated mode {name!r}")
-        try:
-            modes.append(grover.PlanMode(name))
-        except ValueError:
-            raise ValidationError(f"unknown mode {name!r}") from None
     a_max = as_side(args.max_a, "--max-a", 4, grover.MAX_PLAN_SIDE)
 
-    header = ["a"] + [f"i_{m.value}" for m in modes] + ["predicted_success", "lower_bound"]
+    # One column per rule, EXACT first; the success and bound are the exact plan's.
+    modes = list(grover.PlanMode)
+    header = ["a", *(f"i_{m.value}" for m in modes), "predicted_success", "lower_bound"]
     rows = []
     a = 4
     while a <= a_max:
         plans = [grover.plan_iterations(a, m) for m in modes]
-        lead = plans[0]
+        exact = plans[0]
         rows.append(
             [str(a)] + [str(p.iterations) for p in plans]
-            + [repr(grover.success_probability(a, lead.iterations)), repr(lead.lower_bound)]
+            + [repr(grover.success_probability(a, exact.iterations)), repr(exact.lower_bound)]
         )
         a *= 2
 
@@ -212,7 +205,7 @@ def cmd_example(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     a = as_side(args.a, "--a", 2, grover.MAX_RECURRENCE_SIDE)
-    sweep = min(2 * a, SWEEP_CAP) if args.sweep_i is None else as_count(args.sweep_i, "--sweep-i", 0)
+    sweep = min(2 * a, SWEEP_CAP)
     exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
     peak = grover.plan_iterations(a, grover.PlanMode.OPTIMAL).iterations
 
@@ -264,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table1", help="tabulate planned iteration counts")
     p_table.add_argument("--max-a", type=int, default=65536,
                          help="largest side length (power of two, default 65536)")
-    p_table.add_argument("--modes", default="exact,fit,optimal",
-                         help="comma-separated planning modes to include")
     p_table.add_argument("--csv", metavar="PATH", default=None,
                          help="also write the table as CSV to PATH")
     p_table.set_defaults(func=cmd_table1)
@@ -274,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.set_defaults(func=cmd_example)
 
     p_analyze = sub.add_parser("analyze", help="sweep the amplification recurrence")
-    p_analyze.add_argument("--a", type=int, required=True, help="side length (power of two)")
-    p_analyze.add_argument("--sweep-i", type=int, default=None,
-                           help=f"largest round index to print (default: 2*a, at most {SWEEP_CAP})")
+    p_analyze.add_argument("--a", type=int, required=True,
+                           help=f"side length (power of two); rounds 0 to min(2*a, {SWEEP_CAP}) "
+                           "are printed")
     p_analyze.set_defaults(func=cmd_analyze)
 
     return parser

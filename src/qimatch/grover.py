@@ -113,16 +113,16 @@ class TwoValueState:
     """State amplified from uniform: one amplitude on the marked set, one elsewhere.
 
     ``marked`` holds the distinct marked indices in increasing order (a
-    read-only int64 array), ``rounds`` the rounds applied and ``probability``
-    the marked set's probability after them, which :func:`sample_groups`
-    draws with.  With no marks ``marked_amplitude`` has no position, and with
+    read-only int64 array) and ``probability`` the marked set's probability
+    after the rounds applied, which :func:`sample_groups` draws with.  The
+    round count itself is the caller's: it is what :func:`amplify` was
+    given.  With no marks ``marked_amplitude`` has no position, and with
     every position marked ``unmarked_amplitude`` has none; both then keep the
     value the vector engine would give such positions if they existed.
     """
 
     n: int
     marked: np.ndarray
-    rounds: int
     marked_amplitude: float
     unmarked_amplitude: float
     probability: float
@@ -188,7 +188,7 @@ def amplify(n: int, marked: np.ndarray, rounds: int) -> TwoValueState:
         turn = _phase(count, size, rounds)
         marked_amp = math.sin(turn) / math.sqrt(count)
         unmarked_amp = math.cos(turn) / math.sqrt(size - count)
-    return TwoValueState(n, marked, rounds, marked_amp, unmarked_amp, probability)
+    return TwoValueState(n, marked, marked_amp, unmarked_amp, probability)
 
 
 def _spread(rng: np.random.Generator, draws: int, members: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,9 @@ class Outcome:
 
     ``plan`` holds the rule, rounds and bound planned for the marked count,
     and ``final`` the state those rounds give: the marked indices
-    (``final.marked``, sorted), the rounds run (``final.rounds``, always
-    ``plan.iterations``) and the success they predict (``final.probability``).
+    (``final.marked``, sorted) and the success they predict
+    (``final.probability``).  The rounds run are ``plan.iterations``, stored
+    there alone.
     """
 
     dims: MatchDims

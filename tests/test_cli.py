@@ -302,18 +302,19 @@ class TestTable1Command:
         assert lines[3].split()[:4] == ["16", "12", "12", "12"]
 
     def test_one_full_plan_per_row(self, capsys):
-        # the success and bound columns are the lead mode's, here fit
-        assert main(["table1", "--max-a", "64", "--modes", "fit,exact,optimal"]) == 0
-        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        # the rules in a fixed order; the success and bound columns are the exact plan's
+        assert main(["table1", "--max-a", "64"]) == 0
+        header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert header == ["a", "i_exact", "i_fit", "i_optimal", "predicted_success", "lower_bound"]
         assert [int(row[0]) for row in rows] == [4, 8, 16, 32, 64]
         plan = grover.plan_iterations
         for row in rows:
             a = int(row[0])
-            want = [plan(a, m).iterations for m in (grover.PlanMode.FIT, grover.PlanMode.EXACT,
+            want = [plan(a, m).iterations for m in (grover.PlanMode.EXACT, grover.PlanMode.FIT,
                                                     grover.PlanMode.OPTIMAL)]
             assert [int(v) for v in row[1:4]] == want
             assert row[4:] == [repr(grover.success_probability(a, want[0])),
-                               repr(plan(a, grover.PlanMode.FIT).lower_bound)]
+                               repr(plan(a, grover.PlanMode.EXACT).lower_bound)]
 
     def test_csv_idempotent(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -323,13 +324,6 @@ class TestTable1Command:
         rows = p1.read_text().strip().splitlines()
         assert rows[0] == "a,i_exact,i_fit,i_optimal,predicted_success,lower_bound"
         assert len(rows) == 1 + 5  # sides 4..64
-
-    def test_mode_subset(self, capsys):
-        code = main(["table1", "--max-a", "8", "--modes", "exact"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.strip().splitlines()[0].split() == ["a", "i_exact",
-                                                       "predicted_success", "lower_bound"]
 
     def test_bound_column_at_side_four(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -361,7 +355,7 @@ class TestExampleCommand:
 
 class TestAnalyzeCommand:
     def test_small_sweep_flags_peak(self, capsys):
-        code = main(["analyze", "--a", "4", "--sweep-i", "4"])
+        code = main(["analyze", "--a", "4"])
         out = capsys.readouterr().out
         assert code == 0
         lines = out.splitlines()
@@ -373,7 +367,7 @@ class TestAnalyzeCommand:
         assert "planned rounds (exact): i=3" in out
 
     def test_larger_side_reports_both(self, capsys):
-        code = main(["analyze", "--a", "128", "--sweep-i", "4"])
+        code = main(["analyze", "--a", "128"])
         out = capsys.readouterr().out
         assert code == 0
         assert "first local maximum of marked^2: i=100" in out
@@ -385,40 +379,35 @@ class TestAnalyzeCommand:
         header, *rows, peak, plan = capsys.readouterr().out.splitlines()
         assert [int(row.split()[0]) for row in rows] == list(range(2 * a + 1))
 
-    def test_zero_sweep_prints_the_start_row_only(self, capsys):
-        assert main(["analyze", "--a", "4", "--sweep-i", "0"]) == 0
-        header, *rows, peak, plan = capsys.readouterr().out.splitlines()
-        assert [row.split()[:4] for row in rows] == [["0", "0.2500000000000000", "0.2500000000000000",
-                                                     "0.0625000000000000"]]
-
     def test_marked_squared_column(self, capsys):
-        assert main(["analyze", "--a", "16", "--sweep-i", "40"]) == 0
+        assert main(["analyze", "--a", "16"]) == 0
         header, *rows, peak, plan = capsys.readouterr().out.splitlines()
         for row in rows:
             marked, squared = map(float, row.split()[2:4])
             assert abs(squared - marked * marked) < 1e-15, row
 
     @pytest.mark.parametrize("a", [2048, 1 << 40])
-    def test_default_sweep_stops_at_the_cap(self, a, capsys):
-        # 2a rounds up to side 2048, then cli.SWEEP_CAP = 4096 at every larger side
-        assert main(["analyze", "--a", str(a)]) == 0
-        header, *rows, peak, plan = capsys.readouterr().out.splitlines()
+    def test_default_sweep_stops_at_the_cap(self, a, tmp_path):
+        # 2a rounds up to side 2048, then cli.SWEEP_CAP = 4096 at every larger side.
+        # Each row is printed as it is made: the 4097 rows (about 330 kB) go to
+        # a file, and the run never holds more than a few of them.
+        path = tmp_path / "out.txt"
+        build_parser()  # built once per process, so not counted against the sweep
+        with open(path, "w") as sink, redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["analyze", "--a", str(a)])
+                held = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert held < 64 << 10
+        header, *rows, peak, plan = path.read_text().splitlines()
         assert header.split()[:4] == ["i", "unmarked", "marked", "marked^2"]
         assert [int(row.split()[0]) for row in rows] == list(range(4097))
         exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
         assert peak.startswith("first local maximum of marked^2: i=")
         assert plan == f"planned rounds (exact): i={exact}"
-
-    def test_long_sweep_runs_in_bounded_memory(self):
-        with open(os.devnull, "w") as sink, redirect_stdout(sink):
-            tracemalloc.start()
-            try:
-                code = main(["analyze", "--a", "4", "--sweep-i", "100000"])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert code == 0
-        assert peak < 1 << 20
 
 
 class TestLargeSides:
@@ -436,7 +425,7 @@ class TestLargeSides:
     @pytest.mark.parametrize("k", [342, 511])
     def test_analyze_up_to_the_recurrence_limit(self, k, capsys):
         a = 1 << k
-        assert main(["analyze", "--a", str(a), "--sweep-i", "2"]) == 0
+        assert main(["analyze", "--a", str(a)]) == 0
         out = capsys.readouterr().out
         exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
         assert f"planned rounds (exact): i={exact}" in out
@@ -483,8 +472,6 @@ ERROR_EXITS = [
           1, "[Errno 2] No such file", quiet=False),
     _exit("csv into missing dir", "table1 --max-a 8 --csv {missing}",
           1, "[Errno 2] No such file", quiet=False),
-    _exit("bad modes", "table1 --max-a 8 --modes bogus", 2, "unknown mode 'bogus'"),
-    _exit("repeated mode", "table1 --max-a 8 --modes exact,fit,exact", 2, "repeated mode 'exact'"),
     _exit("bad max-a", "table1 --max-a 3", 2, "--max-a must be a power of two >= 4, got 3"),
     *(_exit(f"max-a {bad}", f"table1 --max-a {bad}",
             2, f"--max-a must be a power of two >= 4, got {bad}") for bad in (2, 0, -8)),
@@ -493,14 +480,10 @@ ERROR_EXITS = [
     _exit("max-a 2^1024", f"table1 --max-a {1 << 1024}",
           2, "--max-a 2^1024 is past the float64 limit 2^537"),
     _exit("bad a", "analyze --a 5", 2, "--a must be a power of two >= 2, got 5"),
-    _exit("a past 2^511", f"analyze --a {1 << 512} --sweep-i 2",
+    _exit("a past 2^511", f"analyze --a {1 << 512}",
           2, "--a 2^512 is past the float64 limit 2^511"),
-    *(_exit(f"a 2^{k}", f"analyze --a {1 << k} --sweep-i 2",
+    *(_exit(f"a 2^{k}", f"analyze --a {1 << k}",
             2, f"--a 2^{k} is past the float64 limit 2^511") for k in (538, 1024)),
-    _exit("negative sweep-i", "analyze --a 4 --sweep-i -1",
-          2, "--sweep-i must be an integer in [0, inf], got -1"),
-    _exit("sweep-i -5", "analyze --a 4 --sweep-i -5",
-          2, "--sweep-i must be an integer in [0, inf], got -5"),
 ]
 
 
@@ -512,6 +495,17 @@ def test_error_exits(template, code, message, quiet, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error: " + message) and err.count("\n") == 1, err
     assert (out == "") == quiet
+
+
+@pytest.mark.parametrize("argv", [["table1", "--modes", "exact"],
+                                  ["analyze", "--a", "4", "--sweep-i", "4"]], ids=["modes", "sweep-i"])
+def test_no_flag_narrows_a_table_or_a_sweep(argv, capsys):
+    # table1 always has its three rules and analyze always its capped range
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 LIBRARY_REFUSALS = [
@@ -601,7 +595,7 @@ class TestParserReuse:
         commands = [
             (match + ["--verify", "--timings", "--json", str(report)], report),
             (match, report),
-            (["table1", "--modes", "fit", "--csv", str(table)], table),
+            (["table1", "--max-a", "64", "--csv", str(table)], table),
             (["table1"], table),
         ]
         results = []
@@ -617,13 +611,13 @@ class TestParserReuse:
             results.append(outputs[0])
 
         assert [code for code, _, _ in results] == [0, 0, 0, 0]
-        verified, plain, fit, default = results
+        verified, plain, table64, default = results
         assert "timings_ms" in verified[2] and verified[1][-1].startswith("timings_ms: load")
         # Flags of an earlier call do not carry over to a later one.
         assert plain[2] is False and not any(
             "timings_ms" in line or line.startswith(("full-block matches:", "anchor matches:"))
             for line in plain[1])
-        assert fit[1][0].split() == ["a", "i_fit", "predicted_success", "lower_bound"]
+        assert table64[1][-1].split()[0] == "64" and table64[2].startswith(b"a,i_exact,")
         assert default[2] is False
         assert default[1][0].split()[1:4] == ["i_exact", "i_fit", "i_optimal"]
         assert default[1][-1].split()[0] == "65536"

@@ -25,7 +25,6 @@ MATCH_FLAGS = {
 }
 TABLE1_MAX_A = [2, 3, 4, 1 << 537, 1 << 538]
 ANALYZE_A = [1, 2, 5, 1 << 511, 1 << 512]
-ANALYZE_SWEEP_I = [-1, 0, 2]
 
 FAULTS = [None, "magic", "word", "underscore", "maxval 0", "maxval 65536", "truncated"]
 
@@ -117,10 +116,7 @@ def table1_runs(draw):
 
 @st.composite
 def analyze_runs(draw):
-    argv = ["analyze", "--a", str(draw(st.sampled_from(ANALYZE_A)))]
-    if draw(st.booleans()):
-        argv += ["--sweep-i", str(draw(st.sampled_from(ANALYZE_SWEEP_I)))]
-    return argv, None
+    return ["analyze", "--a", str(draw(st.sampled_from(ANALYZE_A)))], None
 
 
 # (argv with {big}, {small} and {out} placeholders, PGM pair or None); half are matches

@@ -552,9 +552,9 @@ class TestGroupSampling:
         while math.ulp((2 * edge + 1) * theta) > PHASE_ULP_TOL:
             edge -= 1
         state = amplify(n, as_marks(range(count)), edge)
-        assert state.rounds == edge
         assert state.probability == success_probability(1 << n, edge, count)
         assert state.probability == math.sin((2 * edge + 1) * theta) ** 2
+        assert state.marked_amplitude == math.sin((2 * edge + 1) * theta) / math.sqrt(count)
         # the message names the tolerance it applies
         tolerance = rf"lost its precision: float64 spacing \S+ rad > 2\^{math.log2(PHASE_ULP_TOL):.0f}$"
         with pytest.raises(ValueError, match=tolerance):
@@ -569,8 +569,10 @@ class TestGroupSampling:
     def test_uniform_and_all_marked_never_reach_the_phase(self):
         for marks in ((), range(16)):
             state = amplify(2, as_marks(marks), MAX_ROUNDS)
-            assert state.rounds == MAX_ROUNDS
             assert state.probability == len(marks) / 16
+            # all marked, every round flips the global sign: an odd count ends negative
+            sign = -1 if marks and MAX_ROUNDS % 2 else 1
+            assert state.marked_amplitude == sign * 0.25
 
     def test_phase_overflow_names_the_phase(self):
         # 13 of 16 marked: theta = asin(sqrt(13/16)) > 1, so at MAX_ROUNDS the
@@ -783,8 +785,8 @@ def test_a_count_runs_python_arithmetic_whatever_its_type(kind):
         assert success_probability(kind(side), kind(3)) == success_probability(side, 3)
     state = amplify(kind(32), as_marks([1]), kind(1))
     want = amplify(32, as_marks([1]), 1)
-    assert type(state.n) is type(state.rounds) is int
-    assert (state.n, state.rounds, state.probability) == (want.n, want.rounds, want.probability)
+    assert type(state.n) is int
+    assert (state.n, state.probability) == (want.n, want.probability)
     assert (state.marked_amplitude, state.unmarked_amplitude) == (want.marked_amplitude,
                                                                   want.unmarked_amplitude)
     # 2r+1 wrapped in int64 would give a phase of -theta, which resolves

@@ -70,3 +70,10 @@ def test_repeated_changes_on_one_line_get_distinct_keys(monkeypatch):
         ("x = 1 + 1: 1 -> 2", "x = 2 + 1"),
         ("x = 1 + 1: 1 -> 2 #2", "x = 1 + 2"),
     ]
+
+
+def test_every_module_has_a_test_map(monkeypatch):
+    probe = load_probe(monkeypatch)
+    modules = {path.name for path in (probe.ROOT / "src" / "qimatch").glob("*.py")}
+    assert set(probe.TESTS) == modules
+    assert all((probe.ROOT / test).is_file() for tests in probe.TESTS.values() for test in tests)

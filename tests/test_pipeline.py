@@ -92,11 +92,13 @@ def test_outcome_gives_the_cli_report(name, flags, tmp_path):
 
 
 def test_outcome_holds_each_value_once():
-    # the plan holds what was planned and the final state what was applied
+    # the plan holds the rounds, which the run applies, and the final state what they give
     names = [f.name for f in dataclasses.fields(pipeline.Outcome)]
     assert names == ["dims", "plan", "final", "counts", "timings_ms"]
     assert [f.name for f in dataclasses.fields(grover.IterationPlan)] == [
         "mode", "iterations", "lower_bound"]
+    assert [f.name for f in dataclasses.fields(grover.TwoValueState)] == [
+        "n", "marked", "marked_amplitude", "unmarked_amplitude", "probability"]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -110,14 +112,16 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
         outcome = pipeline.match(big, small, mode=PlanMode.OPTIMAL)
         marked = outcome.final.marked
         marked_set = set(marked.tolist())
-        assert outcome.final.rounds == outcome.plan.iterations, (n, count)
         # any other round count goes through the library's amplify and sampler
         for rounds in (outcome.plan.iterations, 0, 1, 3, 10**6):
             state = grover.amplify(n, marked, rounds)
             want = state.probability
             assert want == success_probability(1 << n, rounds, count), (n, count, rounds)
             if rounds == outcome.plan.iterations:
-                assert want == outcome.final.probability, (n, count)
+                # the final state is the one the planned rounds give
+                final = outcome.final
+                assert (state.marked_amplitude, state.unmarked_amplitude, want) == (
+                    final.marked_amplitude, final.unmarked_amplitude, final.probability), (n, count)
             if rounds == 0:
                 assert want == count / size, (n, count)
             if count == size:
@@ -215,7 +219,8 @@ def test_default_draw_is_one_sample_with_seed_zero():
 def test_no_marks_point_nowhere():
     outcome = pipeline.match(make_image([1, 2, 3, 1], 2, 2), make_image([0], 1, 2))
     assert outcome.final.marked.tolist() == []
-    assert outcome.final.rounds == 0
+    assert outcome.plan.iterations == 0
+    assert outcome.final.marked_amplitude == outcome.final.unmarked_amplitude == 0.5
     assert outcome.final.top_index() is None
 
 
@@ -289,7 +294,8 @@ def test_each_name_has_one_home():
                  if inspect.isfunction(obj) and obj.__module__ == images.__name__ and name[0] != "_"}
     assert functions == {"as_count", "as_side", "load_pgm", "validate_pair", "write_pgm"}
     # the input rules live in images alone; every other module imports them
-    assert all(module.as_count is images.as_count for module in (grover, pipeline, cli))
+    assert all(module.as_count is images.as_count for module in (grover, pipeline))
+    assert cli.as_side is images.as_side and not hasattr(cli, "as_count")
 
 
 def test_match_path_loads_no_oracle_and_no_cli():
@@ -311,7 +317,7 @@ def test_no_command_loads_an_oracle(tmp_path):
     runs = [["match", "--big", bp, "--small", sp, "--verify", "--json", str(tmp_path / "r.json")],
             ["table1", "--max-a", "64", "--csv", str(tmp_path / "t.csv")],
             ["example"],
-            ["analyze", "--a", "8", "--sweep-i", "4"]]
+            ["analyze", "--a", "8"]]
     probe = ("import sys; from qimatch.cli import main; "
              f"codes = [main(argv) for argv in {runs!r}]; "
              "print(codes, 'qimatch.verify' in sys.modules)")

@@ -47,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EQUIVALENT = ROOT / "tools" / "equivalent_mutants.json"
 
 # The test files that exercise each module, run for every mutant of it.
+# Every module under src/qimatch has an entry.
 TESTS = {
     "images.py": ["tests/test_images.py", "tests/test_pgm_properties.py", "tests/test_marking.py",
                   "tests/test_verify.py", "tests/test_pipeline.py"],
@@ -57,6 +58,9 @@ TESTS = {
                   "tests/test_acceptance.py", "tests/test_cli.py"],
     "pipeline.py": ["tests/test_pipeline.py", "tests/test_cli.py"],
     "cli.py": ["tests/test_cli.py", "tests/test_pipeline.py", "tests/test_cli_properties.py"],
+    "sample.py": ["tests/test_cli.py", "tests/test_acceptance.py"],
+    "__init__.py": ["tests/test_pipeline.py"],
+    "__main__.py": ["tests/test_cli.py"],
 }
 
 SWAPS: dict[type, type] = {
