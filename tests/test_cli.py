@@ -387,27 +387,29 @@ class TestAnalyzeCommand:
             assert abs(squared - marked * marked) < 1e-15, row
 
     @pytest.mark.parametrize("a", [2048, 1 << 40])
-    def test_default_sweep_stops_at_the_cap(self, a, tmp_path):
+    def test_default_sweep_stops_at_the_cap(self, a, capsys):
         # 2a rounds up to side 2048, then cli.SWEEP_CAP = 4096 at every larger side.
-        # Each row is printed as it is made: the 4097 rows (about 330 kB) go to
-        # a file, and the run never holds more than a few of them.
-        path = tmp_path / "out.txt"
-        build_parser()  # built once per process, so not counted against the sweep
-        with open(path, "w") as sink, redirect_stdout(sink):
-            tracemalloc.start()
-            try:
-                code = main(["analyze", "--a", str(a)])
-                held = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert code == 0
-        assert held < 64 << 10
-        header, *rows, peak, plan = path.read_text().splitlines()
+        assert main(["analyze", "--a", str(a)]) == 0
+        header, *rows, peak, plan = capsys.readouterr().out.splitlines()
         assert header.split()[:4] == ["i", "unmarked", "marked", "marked^2"]
         assert [int(row.split()[0]) for row in rows] == list(range(4097))
         exact = grover.plan_iterations(a, grover.PlanMode.EXACT).iterations
         assert peak.startswith("first local maximum of marked^2: i=")
         assert plan == f"planned rounds (exact): i={exact}"
+
+    def test_long_sweep_runs_in_bounded_memory(self):
+        # Each row is printed as it is made: the capped sweep's 4097 rows (about
+        # 330 kB) go to a file, and the run never holds more than a few of them.
+        build_parser()  # built once per process, so not counted against the sweep
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["analyze", "--a", str(1 << 40)])
+                held = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert held < 64 << 10
 
 
 class TestLargeSides:
