@@ -11,9 +11,9 @@
 
 :mod:`qimatch.verify` carries the independent oracles (a dense gate-level
 simulator of the compare-and-mark circuit, the exhaustive classical matcher,
-the full-vector engine, the planning quartic's radical root and the
-recurrence's Chebyshev closed form) used to cross-check the pipeline, and
-:mod:`qimatch.cli` exposes everything as a command line tool.
+the full-vector engine and the recurrence's Chebyshev closed form) used to
+cross-check the pipeline, and :mod:`qimatch.cli` exposes everything as a
+command line tool.
 
 The package namespace holds the pipeline, its input and error types and the
 built-in pair; every other name is imported from its own module.

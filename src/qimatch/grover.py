@@ -45,9 +45,7 @@ rules for a single marked index:
   located in exact integer arithmetic.  A seed from integer square roots,
   right at every power-of-two side up to 2**537, is confirmed by the signs
   at i and i - 1; a seed they refute raises ArithmeticError rather than
-  give an unconfirmed count.  The closed radical form of the same quartic's
-  root, :func:`qimatch.verify.closed_form_iterations`, is a float oracle
-  that tests compare against; planning never evaluates it.
+  give an unconfirmed count.
 * ``FIT``: round(0.7962*a - 0.6057), a published linear fit of the exact
   mode.  It sits within +/-1 of the exact count up to side 32768 and 2 below
   it at 65536 (52179 vs 52181); it sits within +/-1 of the frozen reference

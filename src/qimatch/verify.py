@@ -10,12 +10,11 @@ Two deliberately separate routes find the marked set that the hot path's
 * the exhaustive classical matcher, scanning pixel grids with no quantum
   bookkeeping at all.
 
-Three more check :mod:`qimatch.grover`: the full-vector amplification engine
-(:func:`run_grover` and its parts), O(rounds * 4**n),
-:func:`closed_form_iterations`, the planning quartic's radical root in
-complex floats, and :func:`closed_form_pair`, the single-mark recurrence's
-values as Chebyshev polynomials.  Tests compare them with the closed form,
-the exact plan and :func:`qimatch.grover.recurrence_step`.
+Two more check :mod:`qimatch.grover`: the full-vector amplification engine
+(:func:`run_grover` and its parts), O(rounds * 4**n), and
+:func:`closed_form_pair`, the single-mark recurrence's values as Chebyshev
+polynomials.  Tests compare them with the closed form and
+:func:`qimatch.grover.recurrence_step`.
 
 Every route takes the two :class:`~qimatch.images.Image` objects.  The dense
 route is exponential in every register width (each as wide as the pair's
@@ -29,7 +28,6 @@ big-image pixels with the small image's top-left pixel.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -44,8 +42,6 @@ from .images import Image, MatchDims, _frozen, validate_pair
 DEFAULT_QUBIT_CAP = 22
 
 AMPLITUDE_EPS = 1e-12
-
-RADICAL_IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -317,31 +313,6 @@ def sample_measurement(state: SubspaceState, seed: int, samples: int) -> dict[in
     draws = rng.choice(state.size, size=samples, p=probs)
     counts = np.bincount(draws, minlength=state.size)
     return {int(i): int(c) for i, c in enumerate(counts) if c > 0}
-
-
-def closed_form_iterations(a: int) -> complex:
-    """Ferrari's radical for the planning quartic's relevant root.
-
-    -b/4 + S - sqrt(-4S**2 - 2p - q/S)/2 for x**4 + bx**3 + cx**2 + dx + e,
-    with q = (b**3 - 4bc + 8d)/8 (3 at every side), in complex arithmetic
-    and principal roots.  An oracle for the planner's exact integer search:
-    the real part is the root to about 1e-15 relative, and its ceiling is the
-    planned count at every power of two from 2 to 2**44, but from side 2**32
-    on the imaginary part exceeds :data:`RADICAL_IMAG_TOL`.
-    """
-    c = 2.0 - 3.0 * a * a
-    d = -1.0 - 6.0 * a * a
-    e = 1.5 * a**4 - 1.5 * a * a
-    b = 4.0
-    q = (b**3 - 4 * b * c + 8 * d) / 8
-    alpha = c * c - 3 * b * d + 12 * e
-    beta = 2 * c**3 - 9 * b * c * d + 27 * d * d + 27 * b * b * e - 72 * c * e
-    inner = cmath.sqrt(complex(beta * beta - 4 * alpha**3))
-    cube = (beta + inner) ** (1.0 / 3.0)
-    big_a = 2 ** (1.0 / 3.0) * alpha / (3.0 * cube)
-    big_b = cube / (3.0 * 2 ** (1.0 / 3.0))
-    s = 0.5 * cmath.sqrt(4.0 - (2.0 / 3.0) * c + big_a + big_b)
-    return -1.0 + s - 0.5 * cmath.sqrt(8.0 - (4.0 / 3.0) * c - big_a - big_b - q / s)
 
 
 def _chebyshev(x: grover.Amplitude, first: grover.Amplitude, k: int) -> grover.Amplitude:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -77,3 +78,14 @@ def test_every_module_has_a_test_map(monkeypatch):
     modules = {path.name for path in (probe.ROOT / "src" / "qimatch").glob("*.py")}
     assert set(probe.TESTS) == modules
     assert all((probe.ROOT / test).is_file() for tests in probe.TESTS.values() for test in tests)
+
+
+def test_every_listed_equivalent_is_a_current_mutant(monkeypatch):
+    # an entry whose line was edited or deleted would silently excuse nothing
+    probe = load_probe(monkeypatch)
+    entries = json.loads(probe.EQUIVALENT.read_text())
+    modules = {entry["module"] for entry in entries}
+    assert modules <= set(probe.TESTS)
+    keys = {name: {m.key for m in probe.mutants((probe.ROOT / "src" / "qimatch" / name).read_text())}
+            for name in modules}
+    assert [entry for entry in entries if entry["mutant"] not in keys[entry["module"]]] == []

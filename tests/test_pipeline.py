@@ -286,8 +286,8 @@ def test_each_name_has_one_home():
     assert sorted(qimatch.__all__) == sorted([*homes, "pipeline"])
     assert qimatch.pipeline is pipeline
     assert all(getattr(qimatch, name) is getattr(home, name) for name, home in homes.items())
-    oracles = ("RADICAL_IMAG_TOL", "SubspaceState", "closed_form_iterations", "closed_form_pair",
-               "diffuse", "init_subspace", "phase_flip", "run_grover", "sample_measurement")
+    oracles = ("SubspaceState", "closed_form_pair", "diffuse", "init_subspace", "phase_flip",
+               "run_grover", "sample_measurement")
     assert all(hasattr(verify, name) and not hasattr(grover, name) for name in oracles)
     # images encodes nothing: an image's array is its encoding
     functions = {name for name, obj in vars(images).items()

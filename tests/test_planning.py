@@ -1,7 +1,6 @@
-"""Iteration planning: quartic scan, radical cross-check, fit, optimal scan, bounds."""
+"""Iteration planning: exact quartic scan, fit, optimal scan, bounds."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from qimatch.grover import (
     recurrence_step,
     success_probability,
 )
-from qimatch.verify import closed_form_iterations
 
 from conftest import quartic_doubled
 
@@ -118,18 +116,6 @@ class TestExactMode:
         monkeypatch.setattr(grover, "_quartic_doubled", lambda i, _: seed - i)
         with pytest.raises(ArithmeticError, match=f"seed {seed} is not"):
             grover._scan_exact(a)
-
-    def test_radical_agrees_with_scan(self):
-        for a in (4, 16, 128, 1024, 16384, 65536):
-            root = closed_form_iterations(a)
-            assert abs(root.imag) < 1e-6
-            assert math.ceil(root.real) == EXACT_COUNTS[a]
-
-    def test_no_cross_check_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for a in (4, 1024, 65536):
-                plan_iterations(a, PlanMode.EXACT)
 
     def test_smallest_side(self):
         assert plan_iterations(2, PlanMode.EXACT).iterations == 1
@@ -283,6 +269,13 @@ class TestLargeSides:
         a = 1 << k
         i = plan_iterations(a, PlanMode.EXACT).iterations
         assert quartic_doubled(i, a) < 0 <= quartic_doubled(i - 1, a)
+
+    def test_every_power_of_two_side_is_a_sign_change(self):
+        # every power-of-two side of the planning domain, 2 to MAX_PLAN_SIDE
+        for k in range(1, MAX_PLAN_SIDE.bit_length()):
+            a = 1 << k
+            i = plan_iterations(a, PlanMode.EXACT).iterations
+            assert quartic_doubled(i, a) < 0 <= quartic_doubled(i - 1, a), k
 
     def test_bound_unchanged_below_the_old_overflow(self):
         for k in range(1, 342):

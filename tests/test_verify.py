@@ -1,28 +1,23 @@
-"""Dense gate-level oracle, exhaustive classical matcher and radical root."""
+"""Dense gate-level oracle and exhaustive classical matcher."""
 
 import math
 import random
-import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qimatch.grover import PlanMode, plan_iterations
 from qimatch.sample import sample_pair
 from qimatch.verify import (
-    RADICAL_IMAG_TOL,
     MatchMode,
     RegisterLayout,
     apply_cnot,
     apply_controlled_flip,
     classical_match,
-    closed_form_iterations,
     dense_marked_set,
     dense_simulate_marking,
 )
 
-from conftest import classical_anchors, make_image, quartic_doubled, random_instance
+from conftest import classical_anchors, make_image, random_instance
 
 
 class TestRegisterLayout:
@@ -321,37 +316,3 @@ def test_full_block_equals_literal_nested_scan():
                 assert result.comparisons == bside * bside * (side - bside + 1) ** 2
                 multi += len(expected) > 1
     assert multi >= 10
-
-
-def exact_root(a: int, bits: int = 60) -> Fraction:
-    """The planning quartic's root in (0, a), bisected in exact fractions to within 2**-bits."""
-    lo, hi = Fraction(0), Fraction(a)
-    for _ in range(bits + a.bit_length()):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if quartic_doubled(mid, a) > 0 else (lo, mid)
-    return lo
-
-
-class TestRadicalRoot:
-    @pytest.mark.parametrize("k", range(2, 21))
-    def test_real_part_is_the_exact_root(self, k):
-        a = 1 << k
-        want = exact_root(a)
-        assert quartic_doubled(want, a) > 0 >= quartic_doubled(want + Fraction(1, 1 << 60), a)
-        assert abs(closed_form_iterations(a).real - want) <= 1e-9 * want, a
-
-    def test_agrees_with_the_exact_plan_up_to_2_24(self):
-        for k in range(1, 25):
-            a = 1 << k
-            root = closed_form_iterations(a)
-            assert abs(root.imag) <= RADICAL_IMAG_TOL, a
-            assert math.ceil(root.real) == plan_iterations(a, PlanMode.EXACT).iterations, a
-
-    def test_exact_plan_is_silent_where_the_radical_drifts(self):
-        # from side 2**32 the float radical keeps an imaginary part above the
-        # tolerance; the exact integer plan must not warn about it
-        assert abs(closed_form_iterations(1 << 32).imag) > RADICAL_IMAG_TOL
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for k in range(32, 41):
-                plan_iterations(1 << k, PlanMode.EXACT)

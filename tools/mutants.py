@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import copy
 import json
 import os
 import shutil
@@ -39,7 +40,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from queue import Queue
 
@@ -89,13 +90,24 @@ class Mutant:
 
     ``key`` names the mutant by its line's text rather than its number, so
     the list of accepted equivalents survives edits elsewhere in the module.
+    ``source`` is written on demand from the module's text and the token's
+    ``site`` (node index in ``ast.walk`` order, operator index), so listing
+    the mutants parses the module once and unparses nothing.
     """
 
     lineno: int
     col: int
     mutation: str
     key: str
-    source: str
+    original: str = field(repr=False)
+    site: tuple[int, int] = field(repr=False)
+
+    @property
+    def source(self) -> str:
+        tree = ast.parse(self.original)
+        i, j = self.site
+        _mutate(list(ast.walk(tree))[i], j)
+        return ast.unparse(tree)
 
 
 def _sites(tree: ast.Module) -> list[tuple[int, int, int, int]]:
@@ -129,16 +141,17 @@ def _mutate(node: ast.AST, j: int) -> str:
 def mutants(source: str) -> list[Mutant]:
     """Every one-token mutant of ``source``, in source order."""
     lines = source.splitlines()
+    tree = ast.parse(source)
+    nodes = list(ast.walk(tree))
     seen: dict[str, int] = {}
     out = []
-    for lineno, col, i, j in _sites(ast.parse(source)):
-        tree = ast.parse(source)
-        mutation = _mutate(list(ast.walk(tree))[i], j)
+    for lineno, col, i, j in _sites(tree):
+        mutation = _mutate(copy.deepcopy(nodes[i]), j)
         key = f"{lines[lineno - 1].strip()}: {mutation}"
         seen[key] = seen.get(key, 0) + 1
         if seen[key] > 1:
             key += f" #{seen[key]}"
-        out.append(Mutant(lineno, col, mutation, key, ast.unparse(tree)))
+        out.append(Mutant(lineno, col, mutation, key, source, (i, j)))
     return out
 
 
