@@ -4,16 +4,16 @@ Simulates the marking circuit at gate level on a 3-bit 4x4/2x2 instance,
 reads the XOR difference and flag registers of a few branches out of the
 dense state to show how the comparison zeroes out matching intensities and
 how the flag singles out the anchor position, then confirms the marked set
-against the exhaustive classical scan and the hot path's anchor pass.  The
-built-in 8-bit pair needs more qubits than the dense simulator allows, so it
-is checked by the classical scans alone.
+against the exhaustive classical scan and the hot path's one-pixel agreement
+search.  The built-in 8-bit pair needs more qubits than the dense simulator
+allows, so it is checked by the classical scans alone.
 """
 
 import numpy as np
 
 from qimatch import Image, sample_pair
 from qimatch.images import validate_pair
-from qimatch.marking import anchors
+from qimatch.marking import agreeing
 from qimatch.verify import (
     DEFAULT_QUBIT_CAP,
     MatchMode,
@@ -60,7 +60,7 @@ anchor = classical_match(big, small, MatchMode.ANCHOR_PIXEL)
 full = classical_match(big, small, MatchMode.FULL_BLOCK)
 print(f"\ndense gate-level marked set : {sorted(dense_marked_set(state))}")
 print(f"classical anchor positions  : {sorted(y * dims.side + x for x, y in anchor.locations)}")
-print(f"hot-path anchors            : {anchors(big, small).tolist()}")
+print(f"hot-path anchors            : {agreeing(big, small, 1).tolist()}")
 print(f"classical full-block scan   : {list(full.locations)} ({full.comparisons} comparisons)")
 print("all three routes agree")
 
@@ -76,4 +76,4 @@ print(f"    classical anchor-pixel scan : {list(anchor8.locations)} "
       f"({anchor8.comparisons} comparisons)")
 print(f"    classical full-block scan   : {list(full8.locations)} "
       f"({full8.comparisons} comparisons)")
-print(f"    hot-path anchors            : {anchors(big8, small8).tolist()}")
+print(f"    hot-path anchors            : {agreeing(big8, small8, 1).tolist()}")

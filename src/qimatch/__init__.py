@@ -5,7 +5,7 @@
 1. encoding both images as uniform position-intensity superpositions, which
    an :class:`~qimatch.images.Image` already is (:mod:`qimatch.images`),
 2. finding the positions the compare-and-mark circuit flags, the anchors
-   { k : A[k] == B[0] }, in one pass over the big image (:mod:`qimatch.marking`),
+   { k : A[k] == B[0] }, in one agreement scan (:func:`qimatch.marking.agreeing`),
 3. planning the rounds for the marked count, amplifying the flagged positions
    in closed form, and sampling a projective measurement (:mod:`qimatch.grover`).
 

@@ -106,10 +106,9 @@ def cmd_match(args: argparse.Namespace) -> int:
     verification = None
     if args.verify:
         start = time.perf_counter()
-        anchors = outcome.final.marked
         verification = {
-            "full_block": _locations(marking.block_matches(big, small, anchors), big.width),
-            "anchor": _locations(anchors, big.width),
+            "full_block": _locations(marking.agreeing(big, small, small.array.size), big.width),
+            "anchor": _locations(outcome.final.marked, big.width),
         }
         pipeline.lap(timings, "verify", start)
 
@@ -246,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of measurement draws (default: 1)")
     p_match.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p_match.add_argument("--verify", action="store_true",
-                         help="also list every full-block and every anchor location, "
-                         "found from the marked set")
+                         help="also list every full-block location, found by a search "
+                         "of its own, and every anchor location, the marked set")
     p_match.add_argument("--json", metavar="PATH", default=None,
                          help="write a JSON report to PATH")
     p_match.add_argument("--timings", action="store_true",

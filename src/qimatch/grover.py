@@ -157,7 +157,7 @@ def amplify(n: int, marked: np.ndarray, rounds: int) -> TwoValueState:
     """The state after ``rounds`` of (phase flip, diffuse) from uniform over 4**n.
 
     O(1) in ``rounds`` and 4**n.  ``marked`` must be a strictly increasing
-    1-D int64 array, the form :func:`qimatch.marking.anchors` gives; anything
+    1-D int64 array, the form :func:`qimatch.marking.agreeing` gives; anything
     else raises ValueError.  The order is checked once, in O(M).  A read-only
     array is shared, and a writable one is copied read-only.  Zero rounds
     return the uniform state exactly.

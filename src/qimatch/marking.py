@@ -1,12 +1,12 @@
-"""The compare-and-mark stage on the hot path: anchors, then full-block corners.
+"""The compare-and-mark stage: corners whose block agrees with the template.
 
 The paper's circuit flags a branch when its XOR difference register is zero
 and its small position is 0, so the flagged big positions are the anchors
-{ k : A[k] == B[0] }.  :func:`anchors` finds them in one scan over fixed
-chunks of the big image that stops collecting hits one by one after a few:
-time is O(4^n), and extra memory is one chunk plus the hits while they are
-few.  :mod:`qimatch.verify` checks the same set two ways, as oracles: a
-gate-level simulation of the circuit and an exhaustive pixel scan.
+{ k : A[k] == B[0] }, agreement at one template pixel; the full-block match
+is agreement at all of them.  :func:`agreeing` is one search for any count
+(marked sets as in Montanaro, Algorithmica 77, 2017).  :mod:`qimatch.verify`
+checks the anchors with two oracles: a gate-level simulation of the circuit
+and an exhaustive pixel scan.
 """
 
 from __future__ import annotations
@@ -22,12 +22,8 @@ _SCAN_CHUNK = 1 << 16
 _FEW_HITS = 16
 
 
-def anchors(big: Image, small: Image) -> np.ndarray:
-    """Big-image indices k with A[k] == B[0], as a sorted read-only int64 array.
-
-    These are the positions the marking circuit flags.  Pixels compare at
-    full width, so a 16-bit small pixel never equals an 8-bit big pixel that
-    matches only its low bits.
+def _scan(a: np.ndarray, v) -> np.ndarray:
+    """Indices k with a[k] == v, as a sorted read-only int64 array.
 
     Each chunk of _SCAN_CHUNK pixels is compared into one reused buffer, and
     its hits are picked out by ``argmax`` from the last one, which stops at
@@ -37,7 +33,6 @@ def anchors(big: Image, small: Image) -> np.ndarray:
     from the current chunk on; in the first chunk that is the whole image,
     so dense inputs cost one plain pass.
     """
-    a, v = big.array, small.array[0]
     hits: list[int] = []
     mask = np.empty(min(a.size, _SCAN_CHUNK), dtype=bool)
     for lo in range(0, a.size, _SCAN_CHUNK):
@@ -60,29 +55,34 @@ def anchors(big: Image, small: Image) -> np.ndarray:
     return _frozen(np.array(hits, dtype=np.int64))
 
 
-def block_matches(big: Image, small: Image, anchors: np.ndarray) -> np.ndarray:
-    """Big-image indices of every full-block upper-left corner, as a sorted read-only int64 array.
+def agreeing(big: Image, small: Image, pixels: int) -> np.ndarray:
+    """Corners k = y*side + x whose block agrees with ``small`` at its first ``pixels`` pixels.
 
-    ``anchors`` is the sorted index array { k : A[k] == B[0] } that
-    :func:`anchors` gives.  Successive elimination (Li and Salari, IEEE
-    TIP 1995): of the anchors that are valid corners, keep for each further
-    small pixel only those whose pixel at the same offset equals it.  Once the
-    survivors fill more than a quarter of the corner grid, one strided pass
-    per remaining small pixel over the whole grid is cheaper than gathers, so
-    repetitive content finishes that way.  Every reported corner has had all
-    of its block's pixels compared.
+    Pixels are taken in raster order and compared at full width (a 16-bit
+    small pixel never equals an 8-bit big pixel that matches its low bits);
+    a corner counts only where all of them lie inside the big image.  One
+    pixel gives the anchors over every position, the set the marking circuit
+    flags, and b*b the full-block corners.  Returns a sorted read-only int64 array.
+
+    Successive elimination (Li and Salari, IEEE TIP 1995): of the anchors
+    inside the corner grid, keep for each further pixel only those whose
+    pixel at the same offset equals it.  Once the survivors fill more than a
+    quarter of the grid, one strided pass per remaining pixel over the whole
+    grid is cheaper than gathers, so repetitive content finishes that way.
     """
     side, b = big.width, small.width
-    span = side - b + 1
     a, s = big.array, small.array
-    hits = anchors[(anchors % side < span) & (anchors // side < span)]
-    for j in range(1, b * b):
-        if 4 * len(hits) > span * span:
-            grid = np.zeros((span, span), dtype=bool)
+    hits = _scan(a, s[0])
+    rows, cols = side - (pixels - 1) // b, side - min(pixels - 1, b - 1)
+    if pixels > 1:
+        hits = hits[(hits % side < cols) & (hits // side < rows)]
+    for j in range(1, pixels):
+        if 4 * len(hits) > rows * cols:
+            grid = np.zeros((rows, cols), dtype=bool)
             grid[np.divmod(hits, side)] = True
             a2 = a.reshape(side, side)
-            for dy, dx in (divmod(k, b) for k in range(j, b * b)):
-                grid &= a2[dy : dy + span, dx : dx + span] == s[dy * b + dx]
+            for dy, dx in (divmod(k, b) for k in range(j, pixels)):
+                grid &= a2[dy : dy + rows, dx : dx + cols] == s[dy * b + dx]
             ys, xs = np.nonzero(grid)
             hits = ys * side + xs
             break

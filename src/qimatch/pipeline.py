@@ -1,4 +1,4 @@
-"""One match run: validate the pair, find the anchors, plan, amplify and sample.
+"""One match run: validate the pair, find the anchors (agreement at B[0]), plan, amplify and sample.
 
 :func:`match` is the only place this chain is written out; the ``match`` and
 ``example`` commands and the end-to-end demo call it.  Each refusal on the
@@ -68,7 +68,7 @@ def match(big: Image, small: Image, *, mode: grover.PlanMode | str = grover.Plan
     dims = validate_pair(big, small)
     start = lap(timings, "encode", start)
 
-    marked = marking.anchors(big, small)
+    marked = marking.agreeing(big, small, 1)
     start = lap(timings, "mark", start)
 
     plan = grover.plan_iterations(dims.side, mode, marked=len(marked))

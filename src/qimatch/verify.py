@@ -1,7 +1,7 @@
 """Independent verification oracles.
 
 Two deliberately separate routes find the marked set that the hot path's
-:func:`qimatch.marking.anchors` computes in one pass:
+:func:`qimatch.marking.agreeing` computes at one pixel in one pass:
 
 * a dense statevector simulator that lays out the full qubit register
   (kickback ancilla, flag, both intensity registers, both position registers)
@@ -197,8 +197,8 @@ def classical_match(big: Image, small: Image, mode: MatchMode) -> MatchResult:
     comparisons total.  Either way every candidate is scanned, so
     ``comparisons`` is exact, and locations come out in raster order.
 
-    This is the oracle: ``match --verify`` finds the same locations from the
-    marked set with :func:`qimatch.marking.block_matches`, and the tests
+    This is the oracle: ``match --verify`` finds the full-block locations with
+    :func:`qimatch.marking.agreeing` at every small pixel, and the tests
     compare the two.
     """
     dims: MatchDims = validate_pair(big, small)

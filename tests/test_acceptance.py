@@ -199,7 +199,7 @@ def three_routes(big, small):
     """The marked set from dense gates, the classical anchor scan and the hot
     path's anchor pass, in that order."""
     dense = verify.dense_marked_set(verify.dense_simulate_marking(big, small))
-    hot = set(marking.anchors(big, small).tolist())
+    hot = set(marking.agreeing(big, small, 1).tolist())
     return dense, classical_anchors(big, small), hot
 
 

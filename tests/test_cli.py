@@ -1,6 +1,7 @@
 """Command line surface: subcommands, exit codes, JSON and CSV artifacts."""
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -217,6 +218,23 @@ class TestMatchJson:
                 for mode in verify.MatchMode}
         assert got == {"full_block": want["full_block"], "anchor": want["anchor_pixel"]}
         assert (len(got["anchor"]), len(got["full_block"])) == (anchors, blocks)
+
+    def test_verify_finds_full_blocks_without_the_marked_set(self, sample_paths, tmp_path, monkeypatch):
+        # a run whose final state marks nothing: the anchor list is that
+        # marked set, but the full-block list comes from a search of its own
+        real = pipeline.match
+
+        def unmarked(big, small, **flags):
+            outcome = real(big, small, **flags)
+            final = grover.amplify(outcome.dims.n, np.array([], dtype=np.int64), outcome.plan.iterations)
+            return dataclasses.replace(outcome, final=final)
+
+        monkeypatch.setattr(cli.pipeline, "match", unmarked)
+        rp = tmp_path / "r.json"
+        argv = ["match", "--big", sample_paths[0], "--small", sample_paths[1], "--verify", "--json", str(rp)]
+        assert main(argv) == 3
+        got = json.loads(rp.read_text())["verify"]
+        assert got["anchor"] == [] and got["full_block"] == [[1, 1]]
 
     def test_timings_key_opt_in(self, sample_paths, tmp_path):
         path = tmp_path / "t.json"

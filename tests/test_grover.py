@@ -335,7 +335,7 @@ def vector_probability(state, marks):
 
 
 def as_marks(values):
-    """Distinct indices in the form amplify takes, as marking.anchors gives it:
+    """Distinct indices in the form amplify takes, as marking.agreeing gives it:
     a strictly increasing read-only int64 array."""
     marks = np.array(sorted(values), dtype=np.int64)
     marks.flags.writeable = False

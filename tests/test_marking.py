@@ -1,4 +1,4 @@
-"""The hot path's anchor scan and block search against the exhaustive classical scans."""
+"""The agreement search, at one pixel, every pixel and each count between, against exhaustive scans."""
 
 import random
 import tracemalloc
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qimatch.images import Image
-from qimatch.marking import _FEW_HITS, _SCAN_CHUNK, anchors, block_matches
+from qimatch.marking import _FEW_HITS, _SCAN_CHUNK, agreeing
 from qimatch.verify import MatchMode, classical_match
 
 from conftest import classical_anchors, make_image, random_instance
@@ -22,7 +22,7 @@ class TestMarkedIndices:
             n = rng.randint(1, 4)
             m = rng.randint(0, n - 1)
             big, small = random_instance(rng, n, m, rng.choice([1, 2, 12]))
-            got = anchors(big, small)
+            got = agreeing(big, small, 1)
             assert got.dtype == np.int64 and not got.flags.writeable
             assert got.tolist() == sorted(classical_anchors(big, small))
 
@@ -31,7 +31,7 @@ class TestMarkedIndices:
         big = make_image([5, 1, 5, 2], 2, 8)
         for anchor, want in ((0x0105, []), (5, [0, 2])):
             small = make_image([anchor], 1, 16)
-            assert anchors(big, small).tolist() == want
+            assert agreeing(big, small, 1).tolist() == want
             assert sorted(classical_anchors(big, small)) == want
 
 
@@ -73,10 +73,25 @@ class TestBlockMatches:
     @given(block_pairs())
     def test_equal_to_the_exhaustive_full_block_scan(self, pair):
         big, small = pair
-        got = block_matches(big, small, anchors(big, small))
+        got = agreeing(big, small, small.array.size)
         want = classical_match(big, small, MatchMode.FULL_BLOCK).locations
         assert got.dtype == np.int64 and not got.flags.writeable
         assert got.tolist() == [y * big.width + x for x, y in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_pairs(), st.data())
+    def test_every_pixel_count_equals_a_per_pixel_loop(self, pair, data):
+        big, small = pair
+        side, b = big.width, small.width
+        pixels = data.draw(st.integers(1, b * b), label="pixels")
+        a, s = big.array.reshape(side, side).tolist(), small.array.reshape(b, b).tolist()
+        offsets = [divmod(j, b) for j in range(pixels)]
+        want = [y * side + x for y in range(side) for x in range(side)
+                if all(y + dy < side and x + dx < side and a[y + dy][x + dx] == s[dy][dx]
+                       for dy, dx in offsets)]
+        got = agreeing(big, small, pixels)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == want
 
 
 def shared_image(values, bit_depth: int) -> Image:
@@ -88,8 +103,8 @@ def shared_image(values, bit_depth: int) -> Image:
 
 
 def assert_anchors_are_the_scans(big: Image, small: Image) -> np.ndarray:
-    """``anchors`` equals a whole-image comparison and, for a valid pair, classical_match."""
-    got = anchors(big, small)
+    """``agreeing`` at one pixel equals a whole-image comparison and, for a valid pair, classical_match."""
+    got = agreeing(big, small, 1)
     assert got.dtype == np.int64 and not got.flags.writeable
     assert np.all(got[1:] > got[:-1])
     assert np.array_equal(got, np.flatnonzero(big.array == small.array[0]))
@@ -170,7 +185,7 @@ class TestAnchorScan:
         big, small = shared_image(values, 8), shared_image([9, 0, 0, 0], 8)
         tracemalloc.start()
         try:
-            got = anchors(big, small)
+            got = agreeing(big, small, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -208,7 +223,7 @@ def scan_inputs(draw):
 @given(scan_inputs())
 def test_anchor_scan_equals_the_placed_positions(case):
     big, small, positions = case
-    got = anchors(big, small)
+    got = agreeing(big, small, 1)
     assert got.dtype == np.int64 and not got.flags.writeable
     assert got.tolist() == positions
     assert np.array_equal(got, np.flatnonzero(big.array == small.array[0]))

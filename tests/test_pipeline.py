@@ -143,8 +143,8 @@ def test_predicted_success_is_the_probability_the_sampler_uses(n):
 def test_bad_run_flags_raise_validation_error(flags, message, monkeypatch):
     # every one is refused before the anchor scan reads the pair
     scans = []
-    real = marking.anchors
-    monkeypatch.setattr(marking, "anchors", lambda big, small: scans.append(1) or real(big, small))
+    real = marking.agreeing
+    monkeypatch.setattr(marking, "agreeing", lambda *args: scans.append(1) or real(*args))
     big, small = sample_pair()
     with pytest.raises(ValidationError, match=message):
         pipeline.match(big, small, **flags)
@@ -184,7 +184,7 @@ def test_a_mode_value_plans_like_its_member(monkeypatch):
     def refuse(*args):
         raise AssertionError("a bad mode must be refused before the anchor scan")
 
-    monkeypatch.setattr(marking, "anchors", refuse)
+    monkeypatch.setattr(marking, "agreeing", refuse)
     with pytest.raises(ValidationError, match="mode"):
         pipeline.match(big, small, mode="bogus")
 
@@ -192,11 +192,17 @@ def test_a_mode_value_plans_like_its_member(monkeypatch):
 @pytest.mark.parametrize("name,count", [("sample", 1), ("multi-mark", 4)])
 def test_amplify_gets_the_anchor_array_itself(name, count, monkeypatch):
     # no copy and no re-sort between the anchor scan and the amplified state
-    returned = []
-    real = marking.anchors
-    monkeypatch.setattr(marking, "anchors", lambda big, small: returned.append(real(big, small)) or returned[-1])
+    returned, counts = [], []
+    real = marking.agreeing
+
+    def agreeing(big, small, pixels):
+        counts.append(pixels)
+        returned.append(real(big, small, pixels))
+        return returned[-1]
+
+    monkeypatch.setattr(marking, "agreeing", agreeing)
     outcome = pipeline.match(*PAIRS[name]())
-    assert len(returned) == 1 and len(returned[0]) == count
+    assert counts == [1] and len(returned[0]) == count
     assert outcome.final.marked is returned[0]
 
 
@@ -336,7 +342,7 @@ def test_no_command_loads_an_oracle(tmp_path):
 def test_marking_holds_only_the_hot_path():
     public = {name for name, obj in vars(marking).items()
               if callable(obj) and obj.__module__ == marking.__name__ and name[0] != "_"}
-    assert public == {"anchors", "block_matches"}
+    assert public == {"agreeing"}
     # neither module keeps a branch walk: verify's dense gates and classical
     # scan are the marking oracles
     walk = ("Stage", "StageError", "Branch", "JointState", "prepare_initial",
